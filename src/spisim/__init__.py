@@ -15,7 +15,8 @@ from .acquire import (Measurement, NoiseModel, combine_differential,
                       load_measurement, measure, measure_differential,
                       save_measurement)
 from .recon import (PinvMatrix, PinvStream, SvdFactors, TvOptions, TvResult,
-                    factorize, pinv_matrix, pinv_reconstruct, tv_reconstruct)
+                    factorize, linear_model, pinv_matrix, pinv_reconstruct,
+                    tv_reconstruct)
 from .analyze import (FeatureHistogram, SweepResult, decompose_features, mse,
                       psnr, run_sweep)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imgcore import FormatError
 from .patterns import PatternSet, noiselet2, wht2
 
 SPIM_MAGIC = b"SPIM"
@@ -182,12 +183,18 @@ def save_measurement(m: Measurement, path):
 def load_measurement(path) -> Measurement:
     with open(path, "rb") as fh:
         buf = fh.read()
+    if len(buf) < _SPIM_HEADER.size:
+        raise FormatError(f"truncated SPIM header ({len(buf)} bytes)")
     magic, version, k, flags = _SPIM_HEADER.unpack_from(buf)
     if magic != SPIM_MAGIC:
-        raise ValueError("bad SPIM magic")
+        raise FormatError("bad SPIM magic")
     if version != SPIM_VERSION:
-        raise ValueError(f"unsupported SPIM version {version}")
+        raise FormatError(f"unsupported SPIM version {version}")
     pos = _SPIM_HEADER.size
+    need = (pos + k * (16 if flags & _FLAG_COMPLEX else 8)
+            + (8 * k if flags & _FLAG_DIFFERENTIAL else 0) + 32 + _SPIM_TRAILER.size)
+    if len(buf) != need:
+        raise FormatError(f"SPIM file is {len(buf)} bytes, header says {need}")
     if flags & _FLAG_COMPLEX:
         values = np.frombuffer(buf, dtype="<c16", count=k, offset=pos).copy()
         pos += 16 * k

@@ -7,9 +7,10 @@ for binary kinds), reconstructs, and records PSNR and wall time. Cell RNG
 streams derive from (seed, kind, CR) only, so any subset of cells recomputed
 in isolation reproduces the full run.
 
-Large morlet cells take the Gram-orthogonalized float32 path with the TV
-solves batched across the corpus; deterministic kinds go through the fast
-transform operators. Small cells use the exact dense float64 path.
+Every cell reconstructs through its pattern kind's linear model
+(recon.linear_model) with the whole corpus as one batch: morlet cells use
+Gram factors of the row matrix (float64, or float32 above recon's
+_DENSE_LIMIT entries), deterministic kinds their fast transforms.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ import numpy as np
 
 from .acquire import NoiseModel, apply_noise_chain, measure
 from .imgcore import Image
-from .patterns import (DETERMINISTIC_KINDS, KINDS, MORLET_KINDS, ParamDistribution,
-                       bipolar_rows, gen_pattern_set, iter_morlet_rows, splitmix64)
+from .patterns import (KINDS, MORLET_KINDS, ParamDistribution, bipolar_rows,
+                       gen_pattern_set, iter_morlet_rows, splitmix64)
 from . import recon
-from .recon import TvOptions
+from .recon import _DENSE_LIMIT, TvOptions
 
 PSNR_INF = float("inf")
-
-# dense float64 path up to this many effective-matrix entries; float32 + Gram above
-_DENSE_LIMIT = 1 << 25
 
 
 def mse(x: Image, r: Image) -> float:
@@ -91,7 +89,8 @@ def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0,
 
     Every image is expressed in the dictionary rows through the truncated
     pseudoinverse (least-squares coefficients of x ~= M^T c), and |c| is
-    averaged per (sigma, n_p) bin over rows and images.
+    averaged per (sigma, n_p) bin over rows and images. The coefficients
+    come from the Gram model A = D^-1 U^T M = V^T: c = U D^-1 V^T x = W A x.
     """
     corpus = list(corpus)
     if not corpus:
@@ -101,8 +100,7 @@ def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0,
         if img.data.shape != (h, w):
             raise ValueError("corpus images must share dimensions")
     ps = gen_pattern_set("morlet-real", w, h, dict_size, dist=dist, master_seed=seed)
-    f = recon.factorize(ps)
-    u_r, d_r, vt_r = f.truncated()
+    model = recon.linear_model(ps)
 
     # the constant row absorbs the image mean but carries no (sigma, n_p)
     wavelet = np.array([not m.is_constant for m in ps.row_meta])
@@ -115,13 +113,11 @@ def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0,
     si = np.clip(np.searchsorted(sigma_edges, sigmas, side="right") - 1, 0, nbins_sigma - 1)
     pj = np.clip(np.searchsorted(np_edges, nps, side="right") - 1, 0, nbins_np - 1)
 
+    coeffs = model.forward(np.stack([img.vector() for img in corpus])) @ model.w.T
     sums = np.zeros((nbins_sigma, nbins_np))
     counts = np.zeros((nbins_sigma, nbins_np), dtype=np.int64)
-    for img in corpus:
-        # c = (M^T)+ x = U D+ V^T x
-        c = (u_r @ ((vt_r @ img.vector()) / d_r))[wavelet]
-        np.add.at(sums, (si, pj), np.abs(c))
-        np.add.at(counts, (si, pj), 1)
+    np.add.at(sums, (si, pj), np.abs(coeffs[:, wavelet]).sum(axis=0))
+    np.add.at(counts, (si, pj), len(corpus))
     values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     return FeatureHistogram(sigma_edges=sigma_edges, np_edges=np_edges,
                             values=values, counts=counts, corpus_size=len(corpus))
@@ -251,25 +247,19 @@ def _measure_effective(images, kind, m_rows, nm, cell_seed):
 
 
 def _gen_morlet_cell(kind, w, h, k, dist, cell_seed, dtype):
-    """(row_meta, effective row matrix) without dense float64 intermediates.
+    """Effective row matrix without dense float64 intermediates.
 
     Matches gen_pattern_set row for row: row 0 is the constant pattern, the
     rest come from the same per-row seed stream.
     """
-    n = w * h
     if kind == "morlet-binary":
         ps = gen_pattern_set(kind, w, h, k, dist=dist, master_seed=cell_seed)
-        return ps.row_meta, bipolar_rows(ps, dtype=dtype)
-    from .patterns import MorletRowMeta
-
-    m_rows = np.empty((k, n), dtype=dtype)
-    m_rows[0] = n ** -0.5
-    meta = [MorletRowMeta.CONSTANT]
-    for i, (row_meta, grid) in enumerate(iter_morlet_rows(w, h, k, dist, cell_seed,
-                                                          start=1)):
-        meta.append(row_meta)
+        return bipolar_rows(ps, dtype=dtype)
+    m_rows = np.empty((k, w * h), dtype=dtype)
+    m_rows[0] = (w * h) ** -0.5
+    for i, (_, grid) in enumerate(iter_morlet_rows(w, h, k, dist, cell_seed, start=1)):
         m_rows[i + 1] = grid.ravel()
-    return tuple(meta), m_rows
+    return m_rows
 
 
 def run_sweep(corpus, kinds, crs, methods, nm: NoiseModel = NoiseModel(), seed=0,
@@ -277,9 +267,9 @@ def run_sweep(corpus, kinds, crs, methods, nm: NoiseModel = NoiseModel(), seed=0
               rank_tol=recon.DEFAULT_RANK_TOL, progress=None) -> SweepResult:
     """PSNR sweep over (kind x CR x method) for a named image corpus.
 
-    `corpus` is a list of (name, Image) with identical dimensions. Cells
-    above _DENSE_LIMIT matrix entries run in float32 with Gram-factor
-    orthogonalization; runtimes for batched solves are amortized per image.
+    `corpus` is a list of (name, Image) with identical dimensions. Morlet
+    cells above _DENSE_LIMIT matrix entries hold their rows in float32. Each
+    cell reconstructs the corpus as one batch; runtimes are amortized per image.
 
     The CR budget counts real-valued samples: a complex noiselet dot
     product yields two (its real and imaginary parts, two detector frames
@@ -313,50 +303,29 @@ def run_sweep(corpus, kinds, crs, methods, nm: NoiseModel = NoiseModel(), seed=0
 def _run_cell(result, names, images, kind, cr, k, dist, cell_seed, nm, methods,
               tv_opts, rank_tol):
     h, w = images[0].data.shape
-    n = h * w
-
-    if kind in DETERMINISTIC_KINDS:
+    if kind in MORLET_KINDS:
+        dtype = np.float32 if k * h * w > _DENSE_LIMIT else np.float64
+        m_rows = _gen_morlet_cell(kind, w, h, k, dist, cell_seed, dtype)
+        y = np.stack(_measure_effective(images, kind, m_rows, nm, cell_seed))
+        model = recon.linear_model(m_rows, rank_tol, height=h, width=w)
+    else:
         ps = gen_pattern_set(kind, w, h, k, master_seed=cell_seed)
-        ys = []
-        for i, img in enumerate(images):
-            m = measure(img, ps, _image_noise_model(nm, cell_seed, i))
-            ys.append(m.values)
-        if "pinv" in methods:
-            for name, img, y in zip(names, images, ys):
-                t0 = time.perf_counter()
-                rec = recon.pinv_reconstruct_basis(ps, y)
-                dt = time.perf_counter() - t0
-                result.rows.append(SweepRow(kind, cr, "pinv", name, psnr(rec, img), dt))
-        if "tv" in methods:
-            t0 = time.perf_counter()
-            xs, _, _ = recon.tv_reconstruct_batch_basis(ps, ys, tv_opts)
-            dt = (time.perf_counter() - t0) / len(images)
-            for name, img, x in zip(names, images, xs):
-                result.rows.append(SweepRow(kind, cr, "tv", name, psnr(Image(x), img), dt))
-        return
+        y = np.stack([recon.effective_measurement(
+            ps, measure(img, ps, _image_noise_model(nm, cell_seed, i)))
+            for i, img in enumerate(images)])
+        model = recon.linear_model(ps, rank_tol)
 
-    if kind not in MORLET_KINDS:
-        raise ValueError(f"unknown sweep kind {kind!r}")
-    big = k * n > _DENSE_LIMIT
-    dtype = np.float32 if big else np.float64
-    _, m_rows = _gen_morlet_cell(kind, w, h, k, dist, cell_seed, dtype)
-    ys = _measure_effective(images, kind, m_rows, nm, cell_seed)
-    u_r, d_r = recon.gram_orthogonalize(m_rows, rank_tol)
-    y_batch = np.stack(ys)
-
-    if "pinv" in methods:
+    for method in ("pinv", "tv"):
+        if method not in methods:
+            continue
         t0 = time.perf_counter()
-        xs = recon.gram_pinv_apply(m_rows, u_r, d_r, y_batch.T).T
+        if method == "pinv":
+            xs = recon.pinv_reconstruct(model, y)
+        else:
+            xs = recon.tv_reconstruct(model, y, tv_opts).images
         dt = (time.perf_counter() - t0) / len(images)
         for name, img, x in zip(names, images, xs):
-            result.rows.append(
-                SweepRow(kind, cr, "pinv", name, psnr(Image(x.reshape(h, w)), img), dt))
-    if "tv" in methods:
-        t0 = time.perf_counter()
-        xs, _, _ = recon.tv_reconstruct_batch_gram(m_rows, u_r, d_r, y_batch, h, w, tv_opts)
-        dt = (time.perf_counter() - t0) / len(images)
-        for name, img, x in zip(names, images, xs):
-            result.rows.append(SweepRow(kind, cr, "tv", name, psnr(Image(x), img), dt))
+            result.rows.append(SweepRow(kind, cr, method, name, psnr(Image(x), img), dt))
 
 
 # --------------------------------------------------------------------------

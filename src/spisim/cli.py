@@ -3,7 +3,8 @@
 Subcommands: gen, measure, reconstruct, sweep, analyze-features. Every
 command is deterministic given its flags/config (all seeds explicit), and no
 command mutates its inputs. A JSON config file can be passed with --config;
-config values override flags. SPI_THREADS caps numerical thread pools.
+config values override flags. SPI_THREADS caps numerical thread pools
+through threadpoolctl when it is installed.
 """
 
 from __future__ import annotations
@@ -93,11 +94,11 @@ def _cap_threads():
         return
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+        print("warning: SPI_THREADS needs threadpoolctl; set OPENBLAS_NUM_THREADS "
+              "or OMP_NUM_THREADS before launch instead", file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(int(cap))
 
 
 def _parse_size(text):
@@ -174,7 +175,7 @@ def cmd_reconstruct(args):
     from .acquire import load_measurement
     from .analyze import psnr, format_psnr
     from .imgcore import load_image, save_image
-    from .patterns import DETERMINISTIC_KINDS, load_pattern_set
+    from .patterns import load_pattern_set
 
     ps = load_pattern_set(args.patterns)
     m = load_measurement(args.measurement)
@@ -184,24 +185,15 @@ def cmd_reconstruct(args):
             f"{args.patterns}")
 
     t0 = time.perf_counter()
+    y = recon.effective_measurement(ps, m)
     if args.method == "pinv":
-        if ps.kind in DETERMINISTIC_KINDS:
-            img = recon.pinv_reconstruct_basis(ps, m.values)
-        else:
-            y = recon.effective_measurement(ps, m)
-            if args.cache_dir:
-                pm = recon.cached_pinv(ps, args.cache_dir)
-            else:
-                pm = recon.pinv_matrix(recon.factorize(ps))
-            img = recon.pinv_reconstruct(pm, y)
+        model = recon.cached_pinv(ps, args.cache_dir) if args.cache_dir \
+            else recon.linear_model(ps)
+        img = recon.pinv_reconstruct(model, y)
     else:
         opts = recon.TvOptions(epsilon=args.tv_epsilon, tol=args.tv_tol,
                                max_inner=args.tv_max_inner)
-        if ps.kind in DETERMINISTIC_KINDS:
-            res = recon.tv_reconstruct(ps, m.values, opts)
-        else:
-            y = recon.effective_measurement(ps, m)
-            res = recon.tv_reconstruct(recon.factorize(ps), y, opts)
+        res = recon.tv_reconstruct(recon.linear_model(ps), y, opts)
         if not res.converged:
             print("warning: TV solver hit the iteration budget before converging",
                   file=sys.stderr)

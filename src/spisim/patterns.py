@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import real_matrix
+from .imgcore import FormatError, real_matrix
 from .wavelets import MorletParams, morlet_wavelet
 
 KINDS = ("morlet-real", "morlet-binary", "walsh-hadamard", "noiselet")
@@ -300,6 +300,8 @@ class PatternSet:
         if self.kind in DETERMINISTIC_KINDS:
             if len(set(self.row_meta)) != self.k:
                 raise ValueError("deterministic kinds require distinct row indices")
+            if not 0 <= min(self.row_meta) <= max(self.row_meta) < n:
+                raise ValueError(f"basis row indices must lie in [0, {n})")
 
     @property
     def n(self):
@@ -380,16 +382,25 @@ def load_pattern_set(path) -> PatternSet:
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < _SPIP_HEADER.size:
-        raise ValueError("truncated SPIP header")
+        raise FormatError("truncated SPIP header")
     magic, version, kind_code, width, height, k, master_seed, flags = \
         _SPIP_HEADER.unpack_from(buf)
     if magic != SPIP_MAGIC:
-        raise ValueError("bad SPIP magic")
+        raise FormatError("bad SPIP magic")
     if version != SPIP_VERSION:
-        raise ValueError(f"unsupported SPIP version {version}")
+        raise FormatError(f"unsupported SPIP version {version}")
+    if kind_code >= len(KINDS):
+        raise FormatError(f"unknown SPIP kind code {kind_code}")
     kind = KINDS[kind_code]
     n = width * height
     pos = _SPIP_HEADER.size
+    if kind in DETERMINISTIC_KINDS:
+        need = pos + 8 * k
+    else:
+        payload = k * ((n + 7) // 8 if flags & _FLAG_PACKED else 8 * n)
+        need = pos + k * _MORLET_META.size + payload
+    if len(buf) != need:
+        raise FormatError(f"SPIP file is {len(buf)} bytes, header says {need}")
 
     if kind in DETERMINISTIC_KINDS:
         meta = np.frombuffer(buf, dtype="<u8", count=k, offset=pos)

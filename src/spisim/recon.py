@@ -1,11 +1,15 @@
 """Image reconstruction from compressive measurements.
 
-Pipeline: the (possibly nonorthogonal) effective measurement matrix M is
-decomposed as M = U D V*; the pseudoinverse M+ = V D+ U* gives the fast
-direct estimate X ~= M+ Y (batch or streamed one coefficient at a time),
-while total-variation minimization runs on the orthogonalized system
-V* x = D+ U* Y, so the solver only ever sees a semiorthogonal constraint
-and its projection step is a single forward/adjoint pair.
+Every pattern set has one linear model (`linear_model`): a semiorthogonal
+operator A (A A^T = I) and the map b = rhs(Y) from an effective measurement
+to the orthogonalized system A x = b. For M = U D V*, A = V* and
+b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
+(`pinv_reconstruct`) and total-variation minimization runs on A x = b
+(`tv_reconstruct`), where projection is a single forward/adjoint pair. Both
+take one measurement or a batch. Morlet models get U, D from the Gram
+matrix M M* and never form V (float32 M above `_DENSE_LIMIT` entries);
+Walsh-Hadamard and noiselet models use their fast transforms. The dense SVD
+(`factorize`) is the test oracle; `linear_model` accepts its factors too.
 
 Binary pattern rows enter the linear model in bipolar form 2P - 1 (the
 constant row is unchanged by that map), pairing with the differential
@@ -20,21 +24,24 @@ change of the smoothed objective against a trailing window.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acquire import Measurement, combine_differential
-from .imgcore import Image
-from .patterns import (DETERMINISTIC_KINDS, PatternSet, bipolar_rows, noiselet2,
-                       noiselet2_inverse, wht2)
+from .imgcore import FormatError, Image
+from .patterns import PatternSet, bipolar_rows, noiselet2, wht2
 
 SPIV_MAGIC = b"SPIV"
 SPIV_VERSION = 1
 _SPIV_HEADER = struct.Struct("<4sHIId32s")
 
 DEFAULT_RANK_TOL = 1e-10
+
+# morlet models keep M in float64 up to this many entries, float32 above
+_DENSE_LIMIT = 1 << 25
 
 
 # --------------------------------------------------------------------------
@@ -75,8 +82,15 @@ def effective_measurement(ps: PatternSet, m: Measurement):
     return np.asarray(m.values, dtype=np.float64)
 
 
+def _checked(y, k):
+    y = np.asarray(y)
+    if y.shape[-1] != k:
+        raise ValueError(f"measurement length {y.shape[-1]} != k={k}")
+    return y
+
+
 # --------------------------------------------------------------------------
-# SVD factors and pseudoinverse
+# SVD reference factors
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -95,18 +109,6 @@ class SvdFactors:
     width: int
     height: int
     source_hash: bytes = b"\x00" * 32
-
-    @property
-    def v(self):
-        return self.vt.T
-
-    @property
-    def k(self):
-        return self.u.shape[0]
-
-    @property
-    def n(self):
-        return self.vt.shape[1]
 
     def truncated(self):
         """(u_r, d_r, vt_r) restricted to the effective rank."""
@@ -135,6 +137,181 @@ def factorize(source, rank_tol=DEFAULT_RANK_TOL, width=None, height=None) -> Svd
                       width=width, height=height, source_hash=digest)
 
 
+def gram_orthogonalize(m_rows, rank_tol=DEFAULT_RANK_TOL):
+    """(u_r, d_r) from the eigendecomposition of M M^T, truncated.
+
+    Yields the same U, D as the SVD without ever forming V; combined with
+    _GramVtOp this handles measurement matrices too large for dense SVD.
+    Squaring the singular values halves the usable precision, so the
+    truncation threshold is floored at sqrt(eps) of the input dtype: Gram
+    eigenvalues below eps * lambda_0 are pure rounding noise and inverting
+    them injects garbage into the orthogonalized system.
+    """
+    g = (m_rows @ m_rows.T).astype(np.float64)
+    w, u = np.linalg.eigh(g)
+    w = w[::-1]
+    u = u[:, ::-1]
+    d = np.sqrt(np.maximum(w, 0.0))
+    floor = max(rank_tol, 3.0 * np.sqrt(float(np.finfo(m_rows.dtype).eps)))
+    rank = int(np.count_nonzero(d > floor * d[0])) if d[0] > 0 else 0
+    if rank == 0:
+        raise ValueError("degenerate all-zero measurement matrix")
+    return np.ascontiguousarray(u[:, :rank]), d[:rank]
+
+
+# --------------------------------------------------------------------------
+# linear models: semiorthogonal A with b = rhs(Y)
+# --------------------------------------------------------------------------
+
+class _DenseVtOp:
+    """A = Vt_r (r x n) with orthonormal rows, dense: the SVD reference."""
+
+    def __init__(self, f: SvdFactors):
+        u_r, d_r, vt_r = f.truncated()
+        self.vt = np.ascontiguousarray(vt_r)
+        self.w = u_r / d_r                       # (k, r)
+        self.k = self.w.shape[0]
+        self.width, self.height = f.width, f.height
+
+    def rhs(self, y):       # (..., k) -> (..., r)
+        return _checked(y, self.k) @ self.w
+
+    def forward(self, x):   # (B, n) -> (B, r)
+        return x @ self.vt.T
+
+    def adjoint(self, z):   # (B, r) -> (B, n)
+        return z @ self.vt
+
+
+class _GramVtOp:
+    """A = D^-1 U^T M without materializing V; M may be float32.
+
+    U, d come from the eigendecomposition of the Gram matrix M M^T, so
+    A A^T = I to factorization accuracy while only k x k dense factors and
+    the row matrix itself are kept in memory.
+    """
+
+    def __init__(self, m_rows, u_r, d_r, width, height):
+        self.m = m_rows
+        self.w = np.ascontiguousarray(u_r / d_r)  # (k, r)
+        self.k = self.w.shape[0]
+        self.width, self.height = width, height
+        self._dt = m_rows.dtype
+
+    def rhs(self, y):
+        return _checked(y, self.k) @ self.w
+
+    def forward(self, x):
+        t = self.m @ np.ascontiguousarray(x.T, dtype=self._dt)  # (k, B)
+        return t.T.astype(np.float64) @ self.w
+
+    def adjoint(self, z):
+        s = (z @ self.w.T).astype(self._dt)  # (B, k)
+        return (s @ self.m).astype(np.float64)
+
+
+class _WhtSubsetOp:
+    """Orthonormal Walsh-Hadamard rows selected by index; fast transform."""
+
+    def __init__(self, indices, width, height):
+        self.idx = np.asarray(indices)
+        self.width, self.height = width, height
+        self.k = len(self.idx)
+        self.n = width * height
+
+    def rhs(self, y):
+        return _checked(y, self.k).astype(np.float64)
+
+    def forward(self, x):
+        t = wht2(x.reshape(-1, self.height, self.width))
+        return t.reshape(-1, self.n)[:, self.idx]
+
+    def adjoint(self, z):
+        grid = np.zeros((z.shape[0], self.n))
+        grid[:, self.idx] = z
+        return wht2(grid.reshape(-1, self.height, self.width)).reshape(-1, self.n)
+
+
+class _NoiseletSubsetOp:
+    """Orthonormalized real view of complex noiselet rows.
+
+    The squared noiselet matrix is the index-reversal permutation, so row
+    n-1-i is the conjugate of row i. Of every sampled reversal pair only the
+    first-sampled row is kept; the stacked rows sqrt(2)*[Re; Im] are then
+    exactly orthonormal, and for a real image the pair's two samples are
+    conjugate duplicates, averaged by rhs into the kept one.
+    """
+
+    def __init__(self, indices, width, height):
+        idx = np.asarray(indices, dtype=np.int64)
+        self.width, self.height = width, height
+        self.n = width * height
+        self.k = len(idx)
+        pos = np.full(self.n, -1)
+        pos[idx] = np.arange(self.k)
+        partner = pos[self.n - 1 - idx]
+        first = (partner < 0) | (partner >= np.arange(self.k))
+        self._keep = np.flatnonzero(first)       # positions of the kept samples
+        self._partner = partner[first]           # their partners' positions, -1 if unsampled
+        self.idx = idx[first]
+        self.kd = len(self.idx)
+
+    def rhs(self, y):       # y: complex (..., k) or stacked [Re; Im] (..., 2k)
+        y = np.asarray(y)
+        if not np.iscomplexobj(y):
+            y = _checked(y, 2 * self.k)
+            y = y[..., : self.k] + 1j * y[..., self.k:]
+        v = _checked(y, self.k)[..., self._keep]
+        v = np.where(self._partner >= 0, 0.5 * (v + np.conj(y[..., self._partner])), v)
+        return np.concatenate([v.real, v.imag], axis=-1) * np.sqrt(2.0)
+
+    def forward(self, x):
+        t = noiselet2(x.reshape(-1, self.height, self.width).astype(np.complex128))
+        sel = t.reshape(-1, self.n)[:, self.idx] * np.sqrt(2.0)
+        return np.concatenate([sel.real, sel.imag], axis=1)
+
+    def adjoint(self, z):
+        w = z[:, : self.kd] + 1j * z[:, self.kd:]
+        grid = np.zeros((z.shape[0], self.n), dtype=np.complex128)
+        grid[:, self.idx] = np.conj(w) * np.sqrt(2.0)
+        return noiselet2(grid.reshape(-1, self.height, self.width)) \
+            .real.reshape(-1, self.n)
+
+
+def linear_model(source, rank_tol=DEFAULT_RANK_TOL, height=None, width=None):
+    """The linear model of `source`: a semiorthogonal operator with rhs().
+
+    `source` is a PatternSet, an SvdFactors (the dense reference), or an
+    effective row matrix (float32 or float64) already built for a
+    height x width grid (default 1 x n). Morlet sets hold M in float32 when
+    k * n > _DENSE_LIMIT.
+    """
+    if isinstance(source, SvdFactors):
+        return _DenseVtOp(source)
+    if isinstance(source, PatternSet):
+        if source.kind == "walsh-hadamard":
+            return _WhtSubsetOp(source.row_meta, source.width, source.height)
+        if source.kind == "noiselet":
+            return _NoiseletSubsetOp(source.row_meta, source.width, source.height)
+        height, width = source.height, source.width
+        dtype = np.float32 if source.k * source.n > _DENSE_LIMIT else np.float64
+        source = effective_matrix(source, dtype)
+    m_rows = np.asarray(source)
+    if m_rows.ndim != 2 or m_rows.dtype not in (np.float32, np.float64):
+        raise TypeError("expected a PatternSet, SvdFactors or a real 2D row matrix")
+    if width is None:
+        height, width = 1, m_rows.shape[1]
+    return _GramVtOp(m_rows, *gram_orthogonalize(m_rows, rank_tol), width, height)
+
+
+def _as_model(source):
+    return source if hasattr(source, "rhs") else linear_model(source)
+
+
+# --------------------------------------------------------------------------
+# pseudoinverse
+# --------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class PinvMatrix:
     """Dense Moore-Penrose pseudoinverse (n x k), truncated at rank_tol."""
@@ -161,23 +338,21 @@ def pinv_matrix(f: SvdFactors) -> PinvMatrix:
                       rank_tol=f.rank_tol, width=f.width, height=f.height)
 
 
-def pinv_reconstruct(f, y, width=None, height=None) -> Image:
-    """X ~= M+ Y via the truncated SVD (or a precomputed PinvMatrix)."""
-    y = np.asarray(y, dtype=np.float64)
-    if isinstance(f, PinvMatrix):
-        if y.shape[0] != f.k:
-            raise ValueError(f"measurement length {y.shape[0]} != k={f.k}")
-        x = f.data @ y
-    elif isinstance(f, SvdFactors):
-        if y.shape[0] != f.k:
-            raise ValueError(f"measurement length {y.shape[0]} != k={f.k}")
-        u_r, d_r, vt_r = f.truncated()
-        x = vt_r.T @ ((u_r.T @ y) / d_r)
+def pinv_reconstruct(model, y):
+    """X ~= M+ Y for one effective measurement (k,) or a batch (B, k).
+
+    `model` is a PinvMatrix, a linear model, or anything linear_model
+    accepts; for a model M+ Y = A^T rhs(Y) because A A^T = I. Returns an
+    Image for a single measurement, a (B, h, w) array for a batch.
+    """
+    if isinstance(model, PinvMatrix):
+        y = _checked(np.asarray(y, dtype=np.float64), model.k)
+        x = (model.data @ y.T).T
     else:
-        raise TypeError("expected SvdFactors or PinvMatrix")
-    w = width or f.width
-    h = height or f.height
-    return Image(x.reshape(h, w))
+        model = _as_model(model)
+        x = model.adjoint(np.atleast_2d(model.rhs(y)))
+    x = x.reshape(-1, model.height, model.width)
+    return Image(x[0]) if np.ndim(y) == 1 else x
 
 
 class PinvStream:
@@ -189,13 +364,11 @@ class PinvStream:
     the batch product M+ Y.
     """
 
-    def __init__(self, pinv: PinvMatrix, width=None, height=None):
+    def __init__(self, pinv: PinvMatrix):
         self._pinv = pinv
         self._acc = np.zeros(pinv.n)
         self._comp = np.zeros(pinv.n)
         self._seen = np.zeros(pinv.k, dtype=bool)
-        self._width = width or pinv.width
-        self._height = height or pinv.height
 
     def update(self, j, y_j):
         if not 0 <= j < self._pinv.k:
@@ -214,7 +387,7 @@ class PinvStream:
         return bool(self._seen.all())
 
     def image(self) -> Image:
-        return Image(self._acc.reshape(self._height, self._width))
+        return Image(self._acc.reshape(self._pinv.height, self._pinv.width))
 
 
 # --------------------------------------------------------------------------
@@ -231,152 +404,47 @@ def save_pinv(pm: PinvMatrix, path):
 def load_pinv(path, width=None, height=None) -> PinvMatrix:
     with open(path, "rb") as fh:
         buf = fh.read()
+    if len(buf) < _SPIV_HEADER.size:
+        raise FormatError(f"truncated SPIV header ({len(buf)} bytes)")
     magic, version, n, k, rank_tol, digest = _SPIV_HEADER.unpack_from(buf)
     if magic != SPIV_MAGIC:
-        raise ValueError("bad SPIV magic")
+        raise FormatError("bad SPIV magic")
     if version != SPIV_VERSION:
-        raise ValueError(f"unsupported SPIV version {version}")
+        raise FormatError(f"unsupported SPIV version {version}")
+    need = _SPIV_HEADER.size + 8 * n * k
+    if len(buf) != need:
+        raise FormatError(f"SPIV file is {len(buf)} bytes, header says {need}")
     payload = np.frombuffer(buf, dtype="<f8", count=n * k, offset=_SPIV_HEADER.size)
     data = payload.reshape(n, k, order="F").copy()
     return PinvMatrix(data=data, source_hash=digest, rank_tol=rank_tol,
                       width=width or n, height=height or 1)
 
 
-def cached_pinv(ps: PatternSet, cache_dir, rank_tol=DEFAULT_RANK_TOL) -> PinvMatrix:
-    """Load the pseudoinverse for `ps` from cache_dir, computing it on a miss."""
-    import os
+def cached_pinv(ps: PatternSet, cache_dir, rank_tol=DEFAULT_RANK_TOL):
+    """The pseudoinverse of `ps`, cached in cache_dir as <content hash>.spiv.
 
+    An unreadable or short file, or one with another hash or rank_tol, is a
+    miss. A miss on a Gram model writes M^T (W W^T), W = U/d, via a temp
+    file; a fast-transform model is returned as is (M+ = A^T rhs), unwritten.
+    """
     digest = ps.content_hash()
     path = os.path.join(cache_dir, digest.hex() + ".spiv")
-    if os.path.exists(path):
+    try:
         pm = load_pinv(path, width=ps.width, height=ps.height)
         if pm.source_hash == digest and pm.rank_tol == rank_tol:
             return pm
-    pm = pinv_matrix(factorize(ps, rank_tol=rank_tol))
+    except (OSError, ValueError):
+        pass
+    model = linear_model(ps, rank_tol)
+    if not isinstance(model, _GramVtOp):
+        return model
+    pm = PinvMatrix(data=((model.w @ model.w.T) @ model.m).T, source_hash=digest,
+                    rank_tol=rank_tol, width=ps.width, height=ps.height)
     os.makedirs(cache_dir, exist_ok=True)
-    save_pinv(pm, path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    save_pinv(pm, tmp)
+    os.replace(tmp, path)
     return pm
-
-
-# --------------------------------------------------------------------------
-# semiorthogonal operators for the TV solver
-# --------------------------------------------------------------------------
-
-class _DenseVtOp:
-    """A = Vt (r x n) with orthonormal rows, dense."""
-
-    def __init__(self, vt):
-        self.vt = vt
-        self.r, self.n = vt.shape
-
-    def forward(self, x):   # (B, n) -> (B, r)
-        return x @ self.vt.T
-
-    def adjoint(self, z):   # (B, r) -> (B, n)
-        return z @ self.vt
-
-
-class _GramVtOp:
-    """A = D^-1 U^T M without materializing V; M may be float32.
-
-    U, d come from the eigendecomposition of the Gram matrix M M^T, so
-    A A^T = I to factorization accuracy while only k x k dense factors and
-    the row matrix itself are kept in memory.
-    """
-
-    def __init__(self, m_rows, u_r, d_r):
-        self.m = m_rows
-        self.w = np.ascontiguousarray(u_r / d_r)  # (k, r)
-        self.r = self.w.shape[1]
-        self.n = m_rows.shape[1]
-        self._dt = m_rows.dtype
-
-    def forward(self, x):
-        t = self.m @ np.ascontiguousarray(x.T, dtype=self._dt)  # (k, B)
-        return t.T.astype(np.float64) @ self.w
-
-    def adjoint(self, z):
-        s = (z @ self.w.T).astype(self._dt)  # (B, k)
-        return (s @ self.m).astype(np.float64)
-
-
-class _WhtSubsetOp:
-    """Orthonormal Walsh-Hadamard rows selected by index; fast transform."""
-
-    def __init__(self, indices, width, height):
-        self.idx = np.asarray(indices)
-        self.width, self.height = width, height
-        self.r = len(self.idx)
-        self.n = width * height
-
-    def forward(self, x):
-        t = wht2(x.reshape(-1, self.height, self.width))
-        return t.reshape(-1, self.n)[:, self.idx]
-
-    def adjoint(self, z):
-        grid = np.zeros((z.shape[0], self.n))
-        grid[:, self.idx] = z
-        return wht2(grid.reshape(-1, self.height, self.width)).reshape(-1, self.n)
-
-
-class _NoiseletSubsetOp:
-    """Orthonormalized real view of complex noiselet rows.
-
-    The squared noiselet matrix is the index-reversal permutation, so row
-    n-1-i is the conjugate of row i. After dropping reversal duplicates the
-    stacked rows sqrt(2)*[Re; Im] are exactly orthonormal.
-    """
-
-    def __init__(self, indices_dedup, width, height):
-        self.idx = np.asarray(indices_dedup)
-        self.width, self.height = width, height
-        self.kd = len(self.idx)
-        self.r = 2 * self.kd
-        self.n = width * height
-
-    def forward(self, x):
-        t = noiselet2(x.reshape(-1, self.height, self.width).astype(np.complex128))
-        sel = t.reshape(-1, self.n)[:, self.idx] * np.sqrt(2.0)
-        return np.concatenate([sel.real, sel.imag], axis=1)
-
-    def adjoint(self, z):
-        w = z[:, : self.kd] + 1j * z[:, self.kd:]
-        grid = np.zeros((z.shape[0], self.n), dtype=np.complex128)
-        grid[:, self.idx] = np.conj(w) * np.sqrt(2.0)
-        return noiselet2(grid.reshape(-1, self.height, self.width)) \
-            .real.reshape(-1, self.n)
-
-
-def _dedup_noiselet_indices(indices, n):
-    """Drop the later member of every reversal pair (i, n-1-i)."""
-    keep = []
-    seen = set()
-    for i in indices:
-        if (n - 1 - i) in seen:
-            continue
-        seen.add(i)
-        keep.append(i)
-    return keep
-
-
-def _noiselet_orthonormal_b(ps: PatternSet, values):
-    """Dedup indices and the matching right-hand side sqrt(2)*[Re; Im].
-
-    Reversal-pair samples are conjugate duplicates for a real image; they
-    are averaged into the representative index.
-    """
-    n = ps.n
-    pos = {idx: a for a, idx in enumerate(ps.row_meta)}
-    keep = _dedup_noiselet_indices(ps.row_meta, n)
-    y = np.empty(len(keep), dtype=np.complex128)
-    for a, idx in enumerate(keep):
-        v = values[pos[idx]]
-        partner = pos.get(n - 1 - idx)
-        if partner is not None:
-            v = 0.5 * (v + np.conj(values[partner]))
-        y[a] = v
-    b = np.concatenate([y.real, y.imag]) * np.sqrt(2.0)
-    return keep, b
 
 
 # --------------------------------------------------------------------------
@@ -434,11 +502,17 @@ class TvOptions:
 
 @dataclass
 class TvResult:
-    image: Image
+    """Solutions (B, h, w); stage_tv has per stage a float (one solve) or (B,)."""
+
+    images: np.ndarray
     converged: bool
     monotone: bool
     stage_tv: list = field(default_factory=list)
     iterations: int = 0
+
+    @property
+    def image(self) -> Image:
+        return Image(self.images[0])
 
 
 def _project(op, v, av, b, eps):
@@ -500,13 +574,10 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
     return y, bool(done.all()), iters
 
 
-def _nesta_solve(op, b, height, width, opts: TvOptions, x_init=None):
+def _nesta_solve(op, b, opts: TvOptions):
     """Continuation-wrapped NESTA; b is (B, r), returns (B, h, w) iterates."""
     batch = b.shape[0]
-    if x_init is None:
-        x = op.adjoint(b).reshape(batch, height, width)
-    else:
-        x = np.array(x_init, dtype=np.float64).reshape(batch, height, width)
+    x = op.adjoint(b).reshape(batch, op.height, op.width)
     dyn = x.max(axis=(1, 2)) - x.min(axis=(1, 2))
     dyn = np.where(dyn > 0, dyn, 1.0)
     mu0 = opts.mu_start_frac * dyn
@@ -534,109 +605,24 @@ def _monotone_stages(stage_tv, rel_slack=1e-6):
     return bool(np.all(nxt <= prev * (1.0 + rel_slack) + 1e-12))
 
 
-def tv_reconstruct(f, y, opts: TvOptions = TvOptions()) -> TvResult:
-    """TV minimization on the orthogonalized system V* x = D+ U* Y.
+def tv_reconstruct(model, y, opts: TvOptions = TvOptions()) -> TvResult:
+    """TV minimization on the orthogonalized system A x = rhs(Y).
 
-    `f` is an SvdFactors (y then being the effective measurement vector) or
-    a PatternSet of a deterministic kind (y being Measurement.values).
-    Returns the last feasible iterate with convergence/monotonicity flags.
+    `model` is a linear model or anything linear_model accepts; y is one
+    effective measurement (k,) or a batch (B, k) solved together. Returns
+    the last feasible iterates with convergence/monotonicity flags over the
+    whole batch.
     """
-    if isinstance(f, SvdFactors):
-        u_r, d_r, vt_r = f.truncated()
-        if f.effective_rank < 1:
-            raise ValueError("effective rank is zero; nothing to reconstruct from")
-        op = _DenseVtOp(np.ascontiguousarray(vt_r))
-        b = ((u_r.T @ np.asarray(y, dtype=np.float64)) / d_r)[None, :]
-        h, w = f.height, f.width
-    elif isinstance(f, PatternSet) and f.kind in DETERMINISTIC_KINDS:
-        h, w = f.height, f.width
-        if f.kind == "walsh-hadamard":
-            op = _WhtSubsetOp(f.row_meta, f.width, f.height)
-            b = np.asarray(y, dtype=np.float64)[None, :]
-        else:
-            keep, bvec = _noiselet_orthonormal_b(f, np.asarray(y))
-            op = _NoiseletSubsetOp(keep, f.width, f.height)
-            b = bvec[None, :]
-    else:
-        raise TypeError("expected SvdFactors or a deterministic-kind PatternSet")
-    x, converged, stage_tv, iters = _nesta_solve(op, b, h, w, opts)
-    return TvResult(image=Image(x[0]), converged=converged,
-                    monotone=_monotone_stages(stage_tv),
-                    stage_tv=[float(v[0]) for v in stage_tv], iterations=iters)
+    model = _as_model(model)
+    b = np.atleast_2d(model.rhs(y))
+    x, converged, stage_tv, iters = _nesta_solve(model, b, opts)
+    if np.ndim(y) == 1:
+        stage_tv = [float(v[0]) for v in stage_tv]
+    return TvResult(images=x, converged=converged, monotone=_monotone_stages(stage_tv),
+                    stage_tv=stage_tv, iterations=iters)
 
 
-# --------------------------------------------------------------------------
-# large-problem path shared with the sweep harness
-# --------------------------------------------------------------------------
-
-def gram_orthogonalize(m_rows, rank_tol=DEFAULT_RANK_TOL):
-    """(u_r, d_r) from the eigendecomposition of M M^T, truncated.
-
-    Yields the same U, D as the SVD without ever forming V; combined with
-    _GramVtOp this handles measurement matrices too large for dense SVD.
-    Squaring the singular values halves the usable precision, so the
-    truncation threshold is floored at sqrt(eps) of the input dtype: Gram
-    eigenvalues below eps * lambda_0 are pure rounding noise and inverting
-    them injects garbage into the orthogonalized system.
-    """
-    g = (m_rows @ m_rows.T).astype(np.float64)
-    w, u = np.linalg.eigh(g)
-    w = w[::-1]
-    u = u[:, ::-1]
-    d = np.sqrt(np.maximum(w, 0.0))
-    floor = max(rank_tol, 3.0 * np.sqrt(float(np.finfo(m_rows.dtype).eps)))
-    rank = int(np.count_nonzero(d > floor * d[0])) if d[0] > 0 else 0
-    if rank == 0:
-        raise ValueError("degenerate all-zero measurement matrix")
-    return np.ascontiguousarray(u[:, :rank]), d[:rank]
-
-
-def gram_pinv_apply(m_rows, u_r, d_r, y):
-    """M+ y = M^T U D^-2 U^T y without materializing M+ (y is (k,) or (k, B))."""
-    y = np.asarray(y, dtype=np.float64)
-    t = (u_r / (d_r * d_r)) @ (u_r.T @ y)
-    x = (np.atleast_2d(t.T).astype(m_rows.dtype, copy=False) @ m_rows).T
-    x = x.astype(np.float64)
-    return x[:, 0] if y.ndim == 1 else x
-
-
-def tv_reconstruct_batch_gram(m_rows, u_r, d_r, y_batch, height, width,
-                              opts: TvOptions = TvOptions(), x_init=None):
-    """Batched TV solve against Gram-orthogonalized factors.
-
-    y_batch is (B, k) of effective measurements; returns ((B, h, w) array,
-    converged, monotone).
-    """
-    op = _GramVtOp(m_rows, u_r, d_r)
-    b = (y_batch @ (u_r / d_r)).astype(np.float64)
-    x, converged, stage_tv, iters = _nesta_solve(op, b, height, width, opts, x_init)
-    return x, converged, _monotone_stages(stage_tv)
-
-
-def tv_reconstruct_batch_basis(ps: PatternSet, values_batch, opts: TvOptions = TvOptions()):
-    """Batched TV solve for deterministic kinds via fast-transform operators."""
-    if ps.kind == "walsh-hadamard":
-        op = _WhtSubsetOp(ps.row_meta, ps.width, ps.height)
-        b = np.asarray(values_batch, dtype=np.float64)
-    elif ps.kind == "noiselet":
-        rows = [
-            _noiselet_orthonormal_b(ps, np.asarray(v)) for v in values_batch
-        ]
-        keep = rows[0][0]
-        op = _NoiseletSubsetOp(keep, ps.width, ps.height)
-        b = np.stack([bv for _, bv in rows])
-    else:
-        raise ValueError(f"no basis operator for kind {ps.kind!r}")
-    x, converged, stage_tv, iters = _nesta_solve(op, b, ps.height, ps.width, opts)
-    return x, converged, _monotone_stages(stage_tv)
-
-
-def pinv_reconstruct_basis(ps: PatternSet, values) -> Image:
-    """Fast pseudoinverse for deterministic kinds: M+ = M* via the inverse transform."""
-    values = values.values if isinstance(values, Measurement) else np.asarray(values)
-    grid = np.zeros(ps.n, dtype=np.complex128 if ps.is_complex else np.float64)
-    grid[np.asarray(ps.row_meta)] = values
-    grid = grid.reshape(ps.height, ps.width)
-    if ps.kind == "walsh-hadamard":
-        return Image(wht2(grid))
-    return Image(noiselet2_inverse(grid).real)
+# Earlier per-path names, kept because the benchmark's span table
+# (bench/layers.py) wraps them; tests also call pinv_reconstruct_basis.
+tv_reconstruct_batch_gram = tv_reconstruct_batch_basis = tv_reconstruct
+gram_pinv_apply = pinv_reconstruct_basis = pinv_reconstruct

@@ -4,7 +4,7 @@ import pytest
 from spisim.acquire import (Measurement, NoiseModel, combine_differential,
                             load_measurement, measure, measure_differential,
                             measurement_to_csv, save_measurement)
-from spisim.imgcore import Image
+from spisim.imgcore import FormatError, Image
 from spisim.patterns import gen_pattern_set, wht2
 
 
@@ -152,6 +152,17 @@ class TestSerialization:
         save_measurement(m, tmp_path / "m.spim")
         back = load_measurement(tmp_path / "m.spim")
         assert np.array_equal(back.values, m.values)
+
+    @pytest.mark.parametrize("differential", [False, True])
+    def test_wrong_length_is_a_format_error(self, rng, binary_set, tmp_path,
+                                            differential):
+        take = measure_differential if differential else measure
+        save_measurement(take(Image(rng.random((16, 16))), binary_set), tmp_path / "m.spim")
+        raw = (tmp_path / "m.spim").read_bytes()
+        for bad in (raw[:-1], raw + b"\0"):
+            (tmp_path / "bad.spim").write_bytes(bad)
+            with pytest.raises(FormatError, match="header says"):
+                load_measurement(tmp_path / "bad.spim")
 
     def test_csv_export(self, rng, binary_set, tmp_path):
         m = measure_differential(Image(rng.random((16, 16))), binary_set)

@@ -93,6 +93,44 @@ class TestMeasureReconstruct:
                    "--out", str(tmp_path / "pi.pgm")) == 0
         assert len(list(cache.glob("*.spiv"))) == 1
 
+    def _gen_measure(self, tmp_path, pgm16, kind="morlet-binary", k="12"):
+        ps, m = tmp_path / "p.spip", tmp_path / "m.spim"
+        assert run("gen", "--kind", kind, "--size", "16x16", "--k", k,
+                   "--out", str(ps)) == 0
+        assert run("measure", "--image", pgm16, "--patterns", str(ps),
+                   "--out", str(m)) == 0
+        return ps, m
+
+    def _reconstruct(self, tmp_path, ps, m, *extra):
+        return run("reconstruct", "--patterns", str(ps), "--measurement", str(m),
+                   "--out", str(tmp_path / "r.pgm"), *extra)
+
+    def test_truncated_measurement_is_an_error_line(self, tmp_path, pgm16, capsys):
+        ps, m = self._gen_measure(tmp_path, pgm16)
+        m.write_bytes(m.read_bytes()[:5])
+        assert self._reconstruct(tmp_path, ps, m) == 2
+        assert "error: truncated SPIM header" in capsys.readouterr().err
+
+    def test_bad_pattern_kind_code_is_an_error_line(self, tmp_path, pgm16, capsys):
+        ps, m = self._gen_measure(tmp_path, pgm16, kind="walsh-hadamard")
+        raw = bytearray(ps.read_bytes())
+        raw[6] = 9  # kind byte after magic and version
+        ps.write_bytes(bytes(raw))
+        assert self._reconstruct(tmp_path, ps, m) == 2
+        assert "error: unknown SPIP kind code 9" in capsys.readouterr().err
+
+    def test_short_pinv_cache_file_is_recomputed(self, tmp_path, pgm16):
+        from spisim.patterns import load_pattern_set
+
+        ps, m = self._gen_measure(tmp_path, pgm16)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        spiv = cache / (load_pattern_set(ps).content_hash().hex() + ".spiv")
+        spiv.write_bytes(bytes(20))
+        assert self._reconstruct(tmp_path, ps, m, "--cache-dir", str(cache)) == 0
+        assert spiv.stat().st_size == 54 + 8 * 256 * 12  # header + n x k float64
+        assert [f.name for f in cache.iterdir()] == [spiv.name]
+
     def test_inputs_not_mutated(self, tmp_path, pgm16):
         ps = tmp_path / "p.spip"
         m = tmp_path / "m.spim"

@@ -10,6 +10,7 @@ from spisim.patterns import (ParamDistribution, basis_row_2d,
                              fast_noiselet_inverse, fast_wht, gen_morlet_pattern,
                              gen_pattern_set, load_pattern_set, noiselet2,
                              splitmix64, wht2)
+from spisim.imgcore import FormatError
 from spisim.wavelets import MorletParams
 
 
@@ -265,6 +266,24 @@ class TestSerialization:
             np.testing.assert_allclose(back.dense(), ps.dense(), atol=0)
         else:
             assert np.array_equal(back.dense(), ps.dense())
+
+    @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary",
+                                      "walsh-hadamard", "noiselet"])
+    def test_wrong_length_is_a_format_error(self, kind, tmp_path):
+        gen_pattern_set(kind, 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = (tmp_path / "p.spip").read_bytes()
+        for bad in (raw[:-1], raw + b"\0"):
+            (tmp_path / "bad.spip").write_bytes(bad)
+            with pytest.raises(FormatError, match="header says"):
+                load_pattern_set(tmp_path / "bad.spip")
+
+    def test_basis_index_out_of_range(self, tmp_path):
+        gen_pattern_set("walsh-hadamard", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        raw[28:36] = (32).to_bytes(8, "little")  # first row index := n
+        (tmp_path / "p.spip").write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="basis row indices"):
+            load_pattern_set(tmp_path / "p.spip")
 
     def test_bitpacked_roundtrip_exact(self, tmp_path):
         ps = gen_pattern_set("morlet-binary", 10, 6, 7, master_seed=33)

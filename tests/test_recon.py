@@ -5,12 +5,12 @@ from conftest import block_phantom
 from spisim import recon
 from spisim.acquire import NoiseModel, measure, measure_differential
 from spisim.analyze import psnr
-from spisim.imgcore import Image
+from spisim.imgcore import FormatError, Image
 from spisim.patterns import gen_pattern_set
-from spisim.recon import (PinvStream, TvOptions, cached_pinv, effective_matrix,
-                          effective_measurement, factorize, load_pinv,
-                          pinv_matrix, pinv_reconstruct, save_pinv,
-                          tv_norm, tv_reconstruct)
+from spisim.recon import (PinvMatrix, PinvStream, TvOptions, cached_pinv,
+                          effective_matrix, effective_measurement, factorize,
+                          linear_model, load_pinv, pinv_matrix, pinv_reconstruct,
+                          save_pinv, tv_norm, tv_reconstruct)
 
 
 def svd_invariants(f):
@@ -276,13 +276,13 @@ class TestEffectiveMeasurement:
         f = factorize(ps)
         rec_svd = pinv_reconstruct(f, effective_measurement(ps, m))
         rec_fast = recon.pinv_reconstruct_basis(ps, m.values)
-        # both are linear estimates; the SVD one is least-squares over the
-        # stacked system, the fast one is the adjoint; they agree on the
-        # deduplicated row space
+        # the SVD estimate is least-squares over the stacked system; the fast
+        # one is the adjoint of the deduplicated, pair-averaged system, which
+        # is the same least-squares estimate
         res_a = tv_reconstruct(f, effective_measurement(ps, m), TvOptions(max_inner=300))
         res_b = tv_reconstruct(ps, m.values, TvOptions(max_inner=300))
         assert np.abs(res_a.image.data - res_b.image.data).max() < 1e-3
-        assert rec_svd.data.shape == rec_fast.data.shape
+        assert np.abs(rec_fast.data - rec_svd.data).max() < 1e-10
 
 
 class TestSpivCache:
@@ -303,3 +303,86 @@ class TestSpivCache:
         b = cached_pinv(ps, tmp_path)
         assert np.array_equal(a.data, b.data)
         assert files[0].name == ps.content_hash().hex() + ".spiv"
+
+    def test_truncated_cache_file_is_recomputed(self, tmp_path):
+        ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
+        fresh = cached_pinv(ps, tmp_path / "fresh")
+        cached_pinv(ps, tmp_path)
+        path, = tmp_path.glob("*.spiv")
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[: full // 2])
+        again = cached_pinv(ps, tmp_path)
+        assert np.array_equal(again.data, fresh.data)
+        assert path.stat().st_size == full
+        assert np.array_equal(load_pinv(path).data, fresh.data)
+
+    def test_short_file_is_a_format_error(self, tmp_path):
+        (tmp_path / "p.spiv").write_bytes(b"SPIV" + bytes(16))
+        with pytest.raises(FormatError, match="truncated"):
+            load_pinv(tmp_path / "p.spiv")
+
+    def test_cached_pinv_matches_svd_reference(self, tmp_path):
+        ps = gen_pattern_set("morlet-binary", 16, 16, 20, master_seed=4)
+        pm = cached_pinv(ps, tmp_path)
+        assert np.abs(pm.data - pinv_matrix(factorize(ps)).data).max() < 1e-10
+
+    @pytest.mark.parametrize("kind", ["walsh-hadamard", "noiselet"])
+    def test_fast_kinds_write_no_file(self, tmp_path, kind):
+        ps = gen_pattern_set(kind, 8, 8, 10, master_seed=4)
+        model = cached_pinv(ps, tmp_path)
+        assert not isinstance(model, PinvMatrix)
+        assert not list(tmp_path.iterdir())
+
+
+KINDS_AT_8 = [("morlet-real", 20), ("morlet-binary", 20), ("walsh-hadamard", 20),
+              ("noiselet", 12)]
+
+
+def _measure_eff(img, ps):
+    if ps.kind == "morlet-binary":
+        return effective_measurement(ps, measure_differential(img, ps))
+    return effective_measurement(ps, measure(img, ps))
+
+
+class TestLinearModel:
+    @pytest.mark.parametrize("kind,k", KINDS_AT_8)
+    def test_semiorthogonal_and_pinv_matches_svd(self, rng, kind, k):
+        ps = gen_pattern_set(kind, 8, 8, k, master_seed=3)
+        model = linear_model(ps)
+        a = model.forward(np.eye(64)).T            # A as an r x n matrix
+        assert np.abs(a @ a.T - np.eye(a.shape[0])).max() < 1e-10
+        np.testing.assert_allclose(model.adjoint(np.eye(a.shape[0])), a, atol=1e-12)
+        y = _measure_eff(Image(rng.random((8, 8))), ps)
+        rec = pinv_reconstruct(model, y)
+        ref = pinv_reconstruct(factorize(ps), y)
+        assert np.abs(rec.data - ref.data).max() < 1e-10
+
+    @pytest.mark.parametrize("kind,k", KINDS_AT_8)
+    def test_batch_equals_single_solves(self, rng, kind, k):
+        ps = gen_pattern_set(kind, 8, 8, k, master_seed=3)
+        model = linear_model(ps)
+        ys = np.stack([_measure_eff(Image(rng.random((8, 8))), ps) for _ in range(3)])
+        opts = TvOptions(max_inner=20, mu_stages=2)
+        batch = tv_reconstruct(model, ys, opts)
+        pinv = pinv_reconstruct(model, ys)
+        assert batch.images.shape == pinv.shape == (3, 8, 8)
+        for i, y in enumerate(ys):
+            assert np.abs(tv_reconstruct(model, y, opts).image.data
+                          - batch.images[i]).max() < 1e-10
+            assert np.abs(pinv_reconstruct(model, y).data - pinv[i]).max() < 1e-12
+
+    def test_float32_rows_above_dense_limit(self, monkeypatch):
+        ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=3)
+        assert linear_model(ps).m.dtype == np.float64
+        monkeypatch.setattr(recon, "_DENSE_LIMIT", 10 * 64 - 1)
+        assert linear_model(ps).m.dtype == np.float32
+
+    @pytest.mark.parametrize("kind,k", KINDS_AT_8)
+    def test_wrong_measurement_length(self, kind, k):
+        model = linear_model(gen_pattern_set(kind, 8, 8, k, master_seed=3))
+        with pytest.raises(ValueError, match="measurement length"):
+            pinv_reconstruct(model, np.zeros(3))
+
+    def test_rejects_non_matrix_source(self):
+        with pytest.raises(TypeError):
+            linear_model(np.zeros(5))
