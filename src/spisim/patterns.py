@@ -27,14 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imgcore import FormatError, real_matrix
-from .wavelets import MorletParams, morlet_wavelet
+# morlet_wavelet is not called here; it stays importable from this module
+# because the benchmark's span table wraps patterns.morlet_wavelet
+from .wavelets import MorletParams, morlet_spectrum, morlet_wavelet  # noqa: F401
 
 KINDS = ("morlet-real", "morlet-binary", "walsh-hadamard", "noiselet")
 MORLET_KINDS = ("morlet-real", "morlet-binary")
 DETERMINISTIC_KINDS = ("walsh-hadamard", "noiselet")
 
 SPIP_MAGIC = b"SPIP"
-SPIP_VERSION = 1
+SPIP_VERSION = 2  # 2: rows from the separable Morlet spectrum
 _FLAG_PACKED = 0x01
 _FLAG_FLOAT64 = 0x02
 _FLAG_PROCEDURAL = 0x04
@@ -122,11 +124,12 @@ def gen_morlet_pattern(p: MorletParams, seed: int, width: int, height: int):
     Morlet wavelet, computed in the frequency domain with the wavelet
     cyclically shifted to the origin. Taking the real part of the complex
     convolution equals convolving with Re(g), so the whole product runs in
-    real FFTs. Because the wavelet has exactly zero discrete mean, the
-    output has no DC component.
+    real FFTs. The kernel spectrum comes from the separable 1D factors of
+    the wavelet (`morlet_spectrum`), up to a positive scale that the final
+    normalization cancels, so no wavelet grid or norm is formed. Because the
+    wavelet has exactly zero discrete mean, the output has no DC component.
     """
-    g = morlet_wavelet(p, width, height)
-    kernel_hat = np.fft.rfft2(np.fft.ifftshift(g.real))
+    kernel_hat = morlet_spectrum(p, width, height)
     noise = np.random.default_rng(seed).standard_normal((height, width))
     pattern = np.fft.irfft2(np.fft.rfft2(noise) * kernel_hat, s=(height, width))
     norm = np.linalg.norm(pattern)
@@ -261,6 +264,10 @@ class MorletRowMeta:
 
 
 MorletRowMeta.CONSTANT = MorletRowMeta(0.0, 0.0, 0.0, 0)
+
+
+# largest uint8 temporary bipolar_rows allocates
+_UNPACK_BYTES = 1 << 20
 
 
 def _pack_row_bits(bits):
@@ -439,12 +446,19 @@ def iter_morlet_rows(width, height, k, dist, master_seed, start=0):
         yield meta, gen_morlet_pattern(params, noise_seed, width, height)
 
 
-def bipolar_rows(ps: PatternSet, dtype=np.float32, block=256):
+def bipolar_rows(ps: PatternSet, dtype=np.float32):
     """Unpack a binary set's rows to the bipolar 2P-1 form without a dense
-    {0,1} float intermediate (block-wise)."""
+    {0,1} float intermediate.
+
+    Blocks of rows are sized so each unpacked uint8 temporary stays within
+    _UNPACK_BYTES: freeing a larger one raises glibc's dynamic mmap
+    threshold, and later large arrays then come from a fragmenting heap
+    (peak RSS of a 256x256 sweep grew by ~25 MB from its second cycle on).
+    """
     if not ps.is_binary:
         raise ValueError("bipolar_rows needs a morlet-binary set")
     out = np.empty((ps.k, ps.n), dtype=dtype)
+    block = max(1, _UNPACK_BYTES // ps.n)
     for lo in range(0, ps.k, block):
         hi = min(lo + block, ps.k)
         bits = np.unpackbits(ps.rows[lo:hi], axis=1, count=ps.n, bitorder="little")

@@ -398,24 +398,25 @@ def save_pinv(pm: PinvMatrix, path):
     with open(path, "wb") as fh:
         fh.write(_SPIV_HEADER.pack(SPIV_MAGIC, SPIV_VERSION, pm.n, pm.k,
                                    pm.rank_tol, pm.source_hash))
-        fh.write(np.asfortranarray(pm.data).tobytes(order="F"))
+        # the transpose of the column-major matrix is C-contiguous: no copy
+        np.asfortranarray(pm.data, "<f8").T.tofile(fh)
 
 
 def load_pinv(path, width=None, height=None) -> PinvMatrix:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < _SPIV_HEADER.size:
-        raise FormatError(f"truncated SPIV header ({len(buf)} bytes)")
-    magic, version, n, k, rank_tol, digest = _SPIV_HEADER.unpack_from(buf)
-    if magic != SPIV_MAGIC:
-        raise FormatError("bad SPIV magic")
-    if version != SPIV_VERSION:
-        raise FormatError(f"unsupported SPIV version {version}")
-    need = _SPIV_HEADER.size + 8 * n * k
-    if len(buf) != need:
-        raise FormatError(f"SPIV file is {len(buf)} bytes, header says {need}")
-    payload = np.frombuffer(buf, dtype="<f8", count=n * k, offset=_SPIV_HEADER.size)
-    data = payload.reshape(n, k, order="F").copy()
+        head = fh.read(_SPIV_HEADER.size)
+        if len(head) < _SPIV_HEADER.size:
+            raise FormatError(f"truncated SPIV header ({len(head)} bytes)")
+        magic, version, n, k, rank_tol, digest = _SPIV_HEADER.unpack(head)
+        if magic != SPIV_MAGIC:
+            raise FormatError("bad SPIV magic")
+        if version != SPIV_VERSION:
+            raise FormatError(f"unsupported SPIV version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        need = _SPIV_HEADER.size + 8 * n * k
+        if size != need:
+            raise FormatError(f"SPIV file is {size} bytes, header says {need}")
+        data = np.fromfile(fh, dtype="<f8", count=n * k).reshape(k, n).T
     return PinvMatrix(data=data, source_hash=digest, rank_tol=rank_tol,
                       width=width or n, height=height or 1)
 

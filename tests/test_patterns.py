@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import dense_transform_2d, dense_transform_matrix
+from spisim import patterns
 from spisim.patterns import (ParamDistribution, basis_row_2d,
                              binarize, bipolar_rows, fast_noiselet,
                              fast_noiselet_inverse, fast_wht, gen_morlet_pattern,
@@ -125,8 +128,35 @@ class TestBinarize:
         assert np.array_equal(a[nz], 1 - b[nz])
 
 
+def _dense_path_pattern(p, seed, width, height):
+    """gen_morlet_pattern before the separable spectrum: the full complex
+    wavelet grid, normalized, then its rfft2 as the kernel spectrum."""
+    dx, dy = np.meshgrid(np.arange(width) - (width - 1) / 2.0,
+                         np.arange(height) - (height - 1) / 2.0)
+    env = np.exp(-(dx * dx + dy * dy) / (2.0 * p.sigma * p.sigma))
+    freq = np.pi * p.n_p / (2.0 * p.sigma)
+    carrier = np.exp(1j * freq * (dx * np.cos(p.theta) + dy * np.sin(p.theta)))
+    g = env * (carrier - (env * carrier).sum() / env.sum())
+    kernel_hat = np.fft.rfft2(np.fft.ifftshift((g / np.linalg.norm(g)).real))
+    noise = np.random.default_rng(seed).standard_normal((height, width))
+    pattern = np.fft.irfft2(np.fft.rfft2(noise) * kernel_hat, s=(height, width))
+    return pattern / np.linalg.norm(pattern)
+
+
 class TestMorletPattern:
     P = MorletParams(sigma=3.0, n_p=2.0, theta=0.9)
+
+    @pytest.mark.parametrize("width,height", [(64, 64), (37, 50), (50, 37)])
+    def test_matches_dense_path_oracle(self, width, height):
+        dist = ParamDistribution.default_for(width, height)
+        rng = np.random.default_rng(width * height)
+        for seed in range(1, 31):
+            p = dist.sample(rng)
+            pat = gen_morlet_pattern(p, seed, width, height)
+            ref = _dense_path_pattern(p, seed, width, height)
+            assert np.abs(pat - ref).max() <= 1e-14
+            if width == height == 64:
+                assert np.array_equal(binarize(pat), binarize(ref))
 
     def test_deterministic(self):
         a = gen_morlet_pattern(self.P, 42, 32, 32)
@@ -296,6 +326,34 @@ class TestSerialization:
         ps = gen_pattern_set("morlet-binary", 16, 8, 9, master_seed=3)
         np.testing.assert_allclose(bipolar_rows(ps, dtype=np.float64),
                                    2.0 * ps.dense() - 1.0, atol=0)
+
+    @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
+    @pytest.mark.parametrize("width,height,k", [(5, 3, 7), (47, 45, 1200)])
+    def test_bipolar_rows_ragged_bits_and_blocks(self, width, height, k):
+        ps = gen_pattern_set("morlet-binary", width, height, k, master_seed=5)
+        block = patterns._UNPACK_BYTES // ps.n
+        assert ps.n % 8 and k % block  # a padded last byte, a short last block
+        expected = 2.0 * ps.dense() - 1.0
+        for dtype in (np.float32, np.float64):
+            out = bipolar_rows(ps, dtype=dtype)
+            assert out.dtype == dtype
+            assert np.array_equal(out, expected)
+
+    def test_version_1_file_is_a_format_error(self, tmp_path):
+        # v1 rows came from the dense wavelet grid and differ in the last ulp
+        gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        assert struct.unpack_from("<H", raw, 4) == (2,)
+        struct.pack_into("<H", raw, 4, 1)
+        (tmp_path / "p.spip").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported SPIP version 1"):
+            load_pattern_set(tmp_path / "p.spip")
+
+    def test_content_hash_names_the_generator_version(self, monkeypatch):
+        ps = gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21)
+        v2 = ps.content_hash()
+        monkeypatch.setattr(patterns, "SPIP_VERSION", 1)
+        assert ps.content_hash() != v2
 
 
 def test_splitmix64_is_stable():

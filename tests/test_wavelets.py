@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spisim.patterns import gen_morlet_pattern
 from spisim.wavelets import (GaborParams, MorletParams, gabor_filter,
-                             morlet_wavelet, morlet_zero_mean_constant)
+                             morlet_spectrum, morlet_wavelet,
+                             morlet_zero_mean_constant)
 
 # closed-form continuous limit of the zero-mean constant at n_p = 1,
 # exp(-(pi/2)^2/2), confirmed by fine-grid quadrature
@@ -97,3 +99,62 @@ class TestMorlet:
     def test_truncation_warning(self):
         with pytest.warns(UserWarning, match="8\\*sigma"):
             morlet_wavelet(MorletParams(sigma=8.0, n_p=1.0, theta=0.0), 32, 32)
+
+    @pytest.mark.parametrize("make", [morlet_spectrum, morlet_zero_mean_constant,
+                                      lambda p, w, h: gen_morlet_pattern(p, 1, w, h)],
+                             ids=["spectrum", "kappa", "pattern"])
+    def test_truncation_warning_on_every_path(self, make):
+        with pytest.warns(UserWarning, match="8\\*sigma"):
+            make(MorletParams(sigma=8.0, n_p=1.0, theta=0.0), 32, 32)
+
+    @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
+    @pytest.mark.parametrize("width,height,theta", [(1, 16, 0.0), (16, 1, np.pi / 2)])
+    def test_constant_carrier_grid_is_degenerate(self, width, height, theta):
+        # the carrier varies along the one-pixel axis only, so kappa cancels
+        # it and rounding is all that is left; scaled to unit norm, that
+        # rounding had |mean| 0.17 and 0.14
+        p = MorletParams(sigma=2.0, n_p=1.0, theta=theta)
+        for make in (morlet_wavelet, morlet_spectrum):
+            with pytest.raises(ValueError, match="degenerate"):
+                make(p, width, height)
+        with pytest.raises(ValueError, match="degenerate"):
+            gen_morlet_pattern(p, 1, width, height)
+
+    @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
+    @pytest.mark.parametrize("width,height,theta", [(2, 8, 0.0), (2, 1, 0.7)])
+    def test_vanishing_real_part_is_degenerate_for_patterns(self, width, height, theta):
+        # a two-pixel axis under a carrier symmetric about the center leaves
+        # Re g = 0; the pattern used to be normalized rounding noise with
+        # mean 0.24 and -0.71
+        p = MorletParams(sigma=2.0, n_p=1.0, theta=theta)
+        assert np.linalg.norm(morlet_wavelet(p, width, height).real) < 1e-13
+        with pytest.raises(ValueError, match="degenerate"):
+            gen_morlet_pattern(p, 1, width, height)
+
+
+class TestMorletSpectrum:
+    @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(p=morlet_strategy(), width=st.integers(1, 40), height=st.integers(1, 40))
+    @example(p=MorletParams(2.0, 1.5, 0.7), width=1, height=1)
+    @example(p=MorletParams(2.0, 1.5, 0.7), width=40, height=40)
+    @example(p=MorletParams(3.0, 2.0, 1.2), width=7, height=12)
+    @example(p=MorletParams(3.0, 2.0, 2.5), width=40, height=1)
+    def test_proportional_to_dense_wavelet_spectrum(self, p, width, height):
+        try:
+            g = morlet_wavelet(p, width, height)
+        except ValueError:
+            with pytest.raises(ValueError, match="degenerate"):
+                morlet_spectrum(p, width, height)
+            return
+        try:
+            spec = morlet_spectrum(p, width, height)
+        except ValueError:
+            # only Re g may vanish where g does not
+            assert np.linalg.norm(g.real) < 1e-11
+            return
+        ref = np.fft.rfft2(np.fft.ifftshift(g.real))
+        assert spec.shape == ref.shape == (height, width // 2 + 1)
+        scale = np.vdot(ref, spec).real / np.vdot(ref, ref).real
+        assert scale > 0
+        assert np.linalg.norm(spec - scale * ref) <= 1e-12 * np.linalg.norm(spec)
