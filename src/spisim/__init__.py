@@ -7,7 +7,7 @@ total-variation minimization.
 """
 
 from .imgcore import Image, FormatError, load_image, save_image, save_spif
-from .wavelets import GaborParams, MorletParams, gabor_filter, morlet_wavelet
+from .wavelets import MorletParams, morlet_wavelet
 from .patterns import (KINDS, ParamDistribution, PatternSet, basis_row_2d,
                        binarize, fast_noiselet, fast_wht, gen_morlet_pattern,
                        gen_pattern_set, load_pattern_set)

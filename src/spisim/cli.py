@@ -57,10 +57,16 @@ class RunConfig:
     def from_json(cls, path):
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("kinds", "crs", "methods", "corpus_paths"):
+            if key in raw and not isinstance(raw[key], list):
+                raise ValueError(f"config key {key!r} must be a list, "
+                                 f"got {type(raw[key]).__name__}")
         return cls(**raw)
 
     def noise_model(self):

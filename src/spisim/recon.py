@@ -266,7 +266,7 @@ class _NoiseletSubsetOp:
         return np.concatenate([v.real, v.imag], axis=-1) * np.sqrt(2.0)
 
     def forward(self, x):
-        t = noiselet2(x.reshape(-1, self.height, self.width).astype(np.complex128))
+        t = noiselet2(x.reshape(-1, self.height, self.width))
         sel = t.reshape(-1, self.n)[:, self.idx] * np.sqrt(2.0)
         return np.concatenate([sel.real, sel.imag], axis=1)
 

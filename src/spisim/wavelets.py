@@ -1,11 +1,12 @@
-"""Discrete 2D Gabor filters and zero-mean unit-norm Morlet wavelets.
+"""Discrete 2D zero-mean unit-norm Morlet wavelets.
 
-Both are generated on pixel grids. The Morlet wavelet is the zero-mean,
-normalized variant of the Gabor filter; its correction constant and
-normalization are computed on the discrete grid itself so that the discrete
-mean is exactly zero and the discrete L2 norm exactly one, not just their
-continuous-integral approximations. That matters downstream: any residual DC
-component would leak into every sampling pattern built from the wavelet.
+The wavelet is generated on a pixel grid: a Gaussian envelope times a
+complex carrier, minus a constant multiple of the envelope. That correction
+constant and the normalization are computed on the discrete grid itself, so
+that the discrete mean is exactly zero and the discrete L2 norm exactly one,
+not just their continuous-integral approximations. That matters downstream:
+any residual DC component would leak into every sampling pattern built from
+the wavelet.
 
 The Morlet envelope and carrier both factor over x and y, so the wavelet is
 built from 1D vectors: with envelopes ex, ey and windowed carriers
@@ -27,28 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imgcore import complex_grid
-
-
-@dataclass(frozen=True)
-class GaborParams:
-    """Gabor filter parameters.
-
-    x0, y0 : center, pixels
-    a      : envelope scale, inverse pixels
-    u0, v0 : modulation frequency, cycles/pixel (sub-Nyquist: |.| < 0.5)
-    """
-
-    x0: float
-    y0: float
-    a: float
-    u0: float
-    v0: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"envelope scale a must be > 0, got {self.a}")
-        if abs(self.u0) >= 0.5 or abs(self.v0) >= 0.5:
-            raise ValueError(f"modulation ({self.u0}, {self.v0}) at or above Nyquist")
 
 
 @dataclass(frozen=True)
@@ -78,22 +57,6 @@ class MorletParams:
             raise ValueError(
                 f"aliasing guard violated: n_p={self.n_p} > 2*sigma={2.0 * self.sigma}"
             )
-
-
-def gabor_filter(p: GaborParams, width: int, height: int):
-    """Complex Gabor filter sampled at integer pixel centers, unit L2 norm."""
-    if width < 1 or height < 1:
-        raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
-    x = np.arange(width, dtype=np.float64) - p.x0
-    y = np.arange(height, dtype=np.float64) - p.y0
-    dx, dy = np.meshgrid(x, y)  # row-major: [y, x]
-    env = np.exp(-np.pi * (dx * dx + dy * dy) * (p.a * p.a))
-    phase = -2.0 * np.pi * (p.u0 * dx + p.v0 * dy)
-    g = env * np.exp(1j * phase)
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
-        raise ValueError("Gabor envelope underflowed to zero on this grid")
-    return complex_grid(g / norm)
 
 
 def _morlet_factors(p: MorletParams, width: int, height: int):

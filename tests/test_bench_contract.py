@@ -8,6 +8,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -31,3 +33,38 @@ def test_layer_spans_install_and_restore(monkeypatch):
     params = list(inspect.signature(recon._nesta_stage).parameters)
     assert params == ["op", "b", "x0", "mu", "eps", "opts"]
     assert analyze._DENSE_LIMIT == recon._DENSE_LIMIT
+
+
+def test_operators_and_measure_go_through_transform_names(monkeypatch):
+    # bench/layers.py times patterns.transform by wrapping these names only
+    # where they exist; an operator calling a renamed transform would report
+    # patterns.transform_* as 0 instead of failing
+    from spisim import acquire, recon
+    from spisim.imgcore import Image
+    from spisim.patterns import gen_pattern_set
+
+    calls = []
+    for owner in (recon, acquire):
+        for name in ("wht2", "noiselet2"):
+            fn = getattr(owner, name, None)
+            assert callable(fn), f"{owner.__name__}.{name} is missing"
+
+            def counted(*a, _fn=fn, _key=f"{owner.__name__}.{name}", **kw):
+                calls.append(_key)
+                return _fn(*a, **kw)
+            monkeypatch.setattr(owner, name, counted)
+
+    img = Image(np.random.default_rng(0).random((8, 16)))
+    for kind, name in (("walsh-hadamard", "wht2"), ("noiselet", "noiselet2")):
+        ps = gen_pattern_set(kind, 16, 8, 40, master_seed=3)
+        op = recon.linear_model(ps)
+        x = img.data.reshape(1, -1)
+        calls.clear()
+        z = op.forward(x)
+        assert calls == [f"spisim.recon.{name}"]
+        calls.clear()
+        op.adjoint(z)
+        assert calls == [f"spisim.recon.{name}"]
+        calls.clear()
+        acquire.measure(img, ps)
+        assert calls == [f"spisim.acquire.{name}"]

@@ -188,6 +188,20 @@ class TestSweepAndFeatures:
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_json(bad)
 
+    @pytest.mark.parametrize("raw,message", [
+        (5, "config must be a JSON object, got int"),
+        ([["size", 8]], "config must be a JSON object, got list"),
+        ({"kinds": "noiselet"}, "config key 'kinds' must be a list, got str"),
+        ({"crs": 0.1}, "config key 'crs' must be a list, got float"),
+        ({"methods": {"pinv": 1}}, "config key 'methods' must be a list, got dict"),
+        ({"corpus_paths": "a.pgm"}, "config key 'corpus_paths' must be a list, got str"),
+    ])
+    def test_malformed_config_is_an_error_line(self, tmp_path, capsys, raw, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert run("sweep", "--config", str(cfg)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_analyze_features_cli(self, tmp_path, rng):
         paths = []
         for i in range(2):

@@ -83,6 +83,114 @@ class TestFastNoiselet:
             assert np.abs(h[::-1] - np.conj(h)).max() < 1e-12
 
 
+def _butterfly_oracle(a, combine):
+    """The radix-2 butterfly the Kronecker-factor transforms replaced."""
+    m = a.shape[-1]
+    lead = a.shape[:-1]
+    span = m
+    while span > 1:
+        half = span // 2
+        b = a.reshape(lead + (m // span, 2, half))
+        top = b[..., 0, :]
+        bot = b[..., 1, :]
+        b[..., 0, :], b[..., 1, :] = combine(top, bot)
+        span = half
+    return a.reshape(lead + (m,))
+
+
+def wht_oracle(v):
+    a = np.array(v, dtype=np.float64 if not np.iscomplexobj(v) else np.complex128)
+    a = _butterfly_oracle(a, lambda t, b: (t + b, t - b))
+    return a * a.shape[-1] ** -0.5
+
+
+def noiselet_oracle(v):
+    a = np.array(v, dtype=np.complex128)
+    p = a.shape[-1].bit_length() - 1
+    a = _butterfly_oracle(a, lambda t, b: (t + 1j * b, 1j * t + b))
+    return a * ((1.0 - 1.0j) / 2.0) ** p
+
+
+def transform2_oracle(transform, grid):
+    """Rows, then columns: the 2D transform before the flattened-grid form."""
+    return np.swapaxes(transform(np.swapaxes(transform(grid), -1, -2)), -1, -2)
+
+
+TRANSFORMS = [(fast_wht, wht_oracle), (fast_noiselet, noiselet_oracle)]
+TRANSFORMS_2D = [(wht2, wht_oracle), (noiselet2, noiselet_oracle)]
+
+
+def _signal(seed, shape, complex_):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape)
+    return v + 1j * rng.standard_normal(shape) if complex_ else v
+
+
+class TestKroneckerTransformsMatchButterfly:
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(0, 12), lead=st.sampled_from([(), (3,), (2, 3)]),
+           complex_=st.booleans(), pair=st.sampled_from(TRANSFORMS),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_butterfly_oracle(self, p, lead, complex_, pair, seed):
+        fast, oracle = pair
+        v = _signal(seed, lead + (2 ** p,), complex_)
+        out = fast(v)
+        assert out.shape == v.shape
+        assert np.abs(out - oracle(v)).max() <= 1e-13
+
+    @pytest.mark.parametrize("fast,oracle", TRANSFORMS)
+    def test_matches_butterfly_oracle_at_2_16(self, fast, oracle):
+        v = _signal(7, 2 ** 16, complex_=False)
+        assert np.abs(fast(v) - oracle(v)).max() <= 1e-13
+
+    @pytest.mark.parametrize("fast,oracle", TRANSFORMS_2D)
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("height,width", [(1, 2), (2, 1), (4, 8), (32, 2),
+                                              (8, 256), (128, 64)])
+    def test_2d_matches_rows_then_columns(self, fast, oracle, lead, height, width):
+        x = _signal(height * width, lead + (height, width), complex_=False)
+        out = fast(x)
+        assert out.shape == x.shape
+        assert np.abs(out - transform2_oracle(oracle, x)).max() <= 1e-13
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_])
+    def test_output_dtypes_for_real_input(self, dtype):
+        v = np.arange(16).astype(dtype)
+        assert fast_wht(v).dtype == np.float64
+        assert fast_noiselet(v).dtype == np.complex128
+        assert wht2(v.reshape(4, 4)).dtype == np.float64
+        assert noiselet2(v.reshape(4, 4)).dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_output_dtypes_for_complex_input(self, dtype):
+        v = (np.arange(16) * (1 + 2j)).astype(dtype)
+        assert fast_wht(v).dtype == np.complex128
+        assert fast_noiselet(v).dtype == np.complex128
+
+    @pytest.mark.parametrize("transform", [fast_wht, fast_noiselet, wht2, noiselet2])
+    @pytest.mark.parametrize("m", [1, 2, 16, 64, 512])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
+    def test_input_unchanged_and_not_aliased(self, transform, m, dtype):
+        v = _signal(m, (3, m, 1) if transform in (wht2, noiselet2) else (3, m),
+                    complex_=dtype is np.complex128).astype(dtype)
+        before = v.copy()
+        out = transform(v)
+        np.testing.assert_array_equal(v, before)
+        assert not np.shares_memory(out, v)
+
+    @pytest.mark.parametrize("transform", [fast_wht, fast_noiselet])
+    @pytest.mark.parametrize("m", [0, 3, 12, 48, 65535])
+    def test_non_power_of_two_length_raises(self, transform, m):
+        with pytest.raises(ValueError, match="not a power of 2"):
+            transform(np.zeros((2, m)))
+
+    @pytest.mark.parametrize("transform", [wht2, noiselet2])
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (6, 6), (0, 4)])
+    def test_2d_non_power_of_two_side_raises(self, transform, shape):
+        with pytest.raises(ValueError, match="not a power of 2"):
+            transform(np.zeros(shape))
+
+
 class TestBasisRow2d:
     def test_wh_row0_constant(self):
         g = basis_row_2d("walsh-hadamard", 0, 8, 4)

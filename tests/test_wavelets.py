@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spisim.patterns import gen_morlet_pattern
-from spisim.wavelets import (GaborParams, MorletParams, gabor_filter,
-                             morlet_spectrum, morlet_wavelet,
+from spisim.wavelets import (MorletParams, morlet_spectrum, morlet_wavelet,
                              morlet_zero_mean_constant)
 
 # closed-form continuous limit of the zero-mean constant at n_p = 1,
@@ -24,42 +23,6 @@ def morlet_strategy(max_sigma=6.0):
         np_frac=st.floats(0.0, 1.0),
         theta=st.floats(0.0, np.pi, exclude_max=True),
     )
-
-
-class TestGabor:
-    def test_zero_frequency_is_real_gaussian(self):
-        p = GaborParams(x0=31.5, y0=31.5, a=0.1, u0=0.0, v0=0.0)
-        g = gabor_filter(p, 64, 64)
-        assert np.abs(g.imag).max() == 0.0
-        # oracle: the direct formula, normalized
-        dx, dy = np.meshgrid(np.arange(64) - 31.5, np.arange(64) - 31.5)
-        ref = np.exp(-np.pi * (dx ** 2 + dy ** 2) * 0.01)
-        ref /= np.linalg.norm(ref)
-        np.testing.assert_allclose(g.real, ref, atol=1e-14)
-        assert g.real.min() > 0
-
-    @settings(max_examples=25, deadline=None)
-    @given(a=st.floats(0.02, 0.5), u0=st.floats(-0.45, 0.45), v0=st.floats(-0.45, 0.45))
-    def test_unit_norm(self, a, u0, v0):
-        g = gabor_filter(GaborParams(15.5, 15.5, a, u0, v0), 32, 32)
-        assert abs(np.sum(np.abs(g) ** 2) - 1.0) < 1e-12
-
-    @pytest.mark.parametrize("u0,v0", [(0.125, 0.0), (0.0, -0.25), (0.2, 0.3)])
-    def test_fourier_peak_at_modulation_frequency(self, u0, v0):
-        # DFT oracle: the carrier exp(-2*pi*i*(u0 x + v0 y)) lands in the
-        # numpy forward-FFT bin whose fftfreq is (-u0, -v0)
-        p = GaborParams(x0=31.5, y0=31.5, a=0.08, u0=u0, v0=v0)
-        g = gabor_filter(p, 64, 64)
-        spec = np.abs(np.fft.fft2(g))
-        ky, kx = np.unravel_index(np.argmax(spec), spec.shape)
-        assert kx == round(-u0 * 64) % 64
-        assert ky == round(-v0 * 64) % 64
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            GaborParams(0, 0, a=-1.0, u0=0, v0=0)
-        with pytest.raises(ValueError):
-            GaborParams(0, 0, a=0.1, u0=0.6, v0=0)
 
 
 class TestMorlet:
