@@ -229,6 +229,7 @@ def cmd_sweep(args):
     from .analyze import run_sweep
 
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
+    tv_opts = cfg.tv_options()
     corpus = _load_sweep_corpus(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.perf_counter()
@@ -240,7 +241,7 @@ def cmd_sweep(args):
 
     result = run_sweep(corpus, cfg.kinds, cfg.crs, cfg.methods,
                        nm=cfg.noise_model(), seed=cfg.seed, dist=cfg.distribution(),
-                       tv_opts=cfg.tv_options(), progress=progress)
+                       tv_opts=tv_opts, progress=progress)
     cells_csv = os.path.join(cfg.output_dir, "sweep_cells.csv")
     summary_csv = os.path.join(cfg.output_dir, "sweep_summary.csv")
     result.to_csv(cells_csv)

@@ -5,8 +5,9 @@ operator A (A A^T = I) and the map b = rhs(Y) from an effective measurement
 to the orthogonalized system A x = b. For M = U D V*, A = V* and
 b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
 (`pinv_reconstruct`) and total-variation minimization runs on A x = b
-(`tv_reconstruct`), where projection is a single forward/adjoint pair. Both
-take one measurement or a batch. Morlet models get U, D from the Gram
+(`tv_reconstruct`), where each NESTA iteration costs one forward and one
+adjoint; iterates carry their residual's back-projection. Both take one
+measurement or a batch. Morlet models get U, D from the Gram
 matrix M M* and never form V (float32 M above `_DENSE_LIMIT` entries);
 Walsh-Hadamard and noiselet models use their fast transforms. The dense SVD
 (`factorize`) is the test oracle; `linear_model` accepts its factors too.
@@ -24,9 +25,11 @@ change of the smoothed objective against a trailing window.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -467,22 +470,33 @@ def tv_norm(x):
 
 
 def _tv_grad(x, mu):
-    """Huber-smoothed isotropic TV value and gradient, batched over axis 0."""
+    """Huber-smoothed isotropic TV value and gradient, batched over axis 0.
+
+    With m = min(|d|, mu) the Huber term of a difference d is
+    m (2|d| - m) / (2 mu): |d|^2 / (2 mu) below mu and |d| - mu / 2 above.
+    """
     dx = np.zeros_like(x)
     dy = np.zeros_like(x)
-    dx[:, :, :-1] = x[:, :, 1:] - x[:, :, :-1]
-    dy[:, :-1, :] = x[:, 1:, :] - x[:, :-1, :]
-    mag = np.sqrt(dx * dx + dy * dy)
+    np.subtract(x[:, :, 1:], x[:, :, :-1], out=dx[:, :, :-1])
+    np.subtract(x[:, 1:, :], x[:, :-1, :], out=dy[:, :-1, :])
     mu3 = mu[:, None, None]
-    val = np.where(mag <= mu3, mag * mag / (2.0 * mu3), mag - mu3 / 2.0).sum(axis=(1, 2))
-    den = np.maximum(mag, mu3)
-    wx = dx / den
-    wy = dy / den
-    g = np.zeros_like(x)
-    g[:, :, :-1] -= wx[:, :, :-1]
-    g[:, :, 1:] += wx[:, :, :-1]
-    g[:, :-1, :] -= wy[:, :-1, :]
-    g[:, 1:, :] += wy[:, :-1, :]
+    mag = dx * dx
+    g = np.multiply(dy, dy)
+    mag += g
+    np.sqrt(mag, out=mag)
+    m = np.minimum(mag, mu3, out=g)     # g's buffer, zeroed before the gradient
+    huber = np.multiply(mag, 2.0)
+    huber -= m
+    huber *= m
+    val = huber.sum(axis=(1, 2)) / (2.0 * mu)
+    np.maximum(mag, mu3, out=mag)
+    dx /= mag
+    dy /= mag
+    g.fill(0.0)
+    g[:, :, :-1] -= dx[:, :, :-1]
+    g[:, :, 1:] += dx[:, :, :-1]
+    g[:, :-1, :] -= dy[:, :-1, :]
+    g[:, 1:, :] += dy[:, :-1, :]
     return val, g
 
 
@@ -500,6 +514,24 @@ class TvOptions:
     epsilon: float = 0.0
     window: int = 10
 
+    def __post_init__(self):
+        for f in fields(self):       # values may come from a JSON config
+            value = getattr(self, f.name)
+            integral = f.type == "int"
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                what = "an integer" if integral else "a number"
+                raise ValueError(f"TV {f.name} must be {what}, got {value!r}")
+        for name in ("mu_start_frac", "mu_final"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"TV {name} must be positive and finite, got {value!r}")
+        for name, low in (("mu_stages", 1), ("window", 1), ("max_inner", 0),
+                          ("tol", 0), ("epsilon", 0)):
+            value = getattr(self, name)
+            if not value >= low:   # also rejects NaN
+                raise ValueError(f"TV {name} must be >= {low}, got {value!r}")
+
 
 @dataclass
 class TvResult:
@@ -516,54 +548,77 @@ class TvResult:
         return Image(self.images[0])
 
 
-def _project(op, v, av, b, eps):
-    """Project v (with known forward image av) onto {x: ||b - A x|| <= eps}."""
-    r = b - av
-    if eps > 0:
-        nrm = np.linalg.norm(r, axis=1, keepdims=True)
-        c = np.maximum(0.0, 1.0 - eps / np.maximum(nrm, 1e-300))
-        r = c * r
-    return v + op.adjoint(r), av + r
+def _shrink(r, eps):
+    """c such that v + c A^T r projects v onto {x: ||b - A x|| <= eps}.
+
+    r = b - A v, (B, r); c is (B, 1), or 1.0 for the exact constraint.
+    """
+    if eps == 0:
+        return 1.0
+    nrm = np.linalg.norm(r, axis=1, keepdims=True)
+    return np.maximum(0.0, 1.0 - eps / np.maximum(nrm, 1e-300))
 
 
 def _nesta_stage(op, b, x0, mu, eps, opts):
-    """One continuation stage; returns the last projected iterate."""
+    """One continuation stage; returns the last projected iterate.
+
+    Every iterate v carries its residual r_v = b - A v and the residual's
+    back-projection e_v = A^T r_v. Projecting v onto the constraint set is
+    v + c e_v and leaves (1 - c) r_v and (1 - c) e_v. Because A^T is linear,
+    the y- and z-steps update e from p = A^T A g, so an iteration costs one
+    forward and one adjoint. r and e of the unprojected points vy, vz are
+    kept and the (1 - c) factors enter when x is mixed from them; six
+    (B, n) arrays are updated in place.
+    """
     batch, h, w = x0.shape
     n = h * w
-    L = 8.0 / mu
-    x = x0.copy()
-    x0f = x0.reshape(batch, n)
-    a_x0 = op.forward(x0f)
-    a_x = a_x0.copy()
-    cum = np.zeros((batch, n))
-    cum_a = np.zeros_like(a_x0)
+    invl = (1.0 / (8.0 / mu))[:, None]          # 1 / L, L = 8 / mu
+    x = x0.reshape(batch, n).copy()
+    r_x = b - op.forward(x)
+    e_x = op.adjoint(r_x)
+    vz, r_vz, e_vz = x.copy(), r_x.copy(), e_x.copy()   # x0 - sum alpha g / L
+    y = x.copy()
+    tmp = np.empty_like(x)
     hist = np.full((opts.window, batch), np.inf)
     done = np.zeros(batch, dtype=bool)
-    y = x0.copy()
     iters = 0
     for it in range(opts.max_inner):
         iters = it + 1
-        fval, g = _tv_grad(x, mu)
-        gf = g.reshape(batch, n)
-        a_g = op.forward(gf)
-        invl = (1.0 / L)[:, None]
+        fval, g = _tv_grad(x.reshape(batch, h, w), mu)
+        g = g.reshape(batch, n)
+        a_g = op.forward(g)
+        p_g = op.adjoint(a_g)
+        g *= invl
+        a_g *= invl
+        p_g *= invl
 
-        vy = x.reshape(batch, n) - gf * invl
-        a_vy = a_x - a_g * invl
-        yf, a_y = _project(op, vy, a_vy, b, eps)
+        # y: projection of vy = x - g / L, whose residual is r_x + A g / L;
+        # e_x holds e_vy until x is mixed
+        r_vy = r_x + a_g
+        e_x += p_g
+        c_y = _shrink(r_vy, eps)
+        np.subtract(x, g, out=y)
+        y += e_x if eps == 0 else np.multiply(e_x, c_y, out=tmp)
 
+        # z: projection of vz = x0 - sum_i alpha_i g_i / L
         alpha = 0.5 * (it + 1)
-        cum += alpha * gf
-        cum_a += alpha * a_g
-        vz = x0f - cum * invl
-        a_vz = a_x0 - cum_a * invl
-        zf, a_z = _project(op, vz, a_vz, b, eps)
+        vz -= np.multiply(g, alpha, out=tmp)
+        e_vz += np.multiply(p_g, alpha, out=tmp)
+        r_vz += alpha * a_g
+        c_z = _shrink(r_vz, eps)
 
+        # x = tau z + (1 - tau) y, with residuals mixed the same way
         tau = 2.0 / (it + 3)
-        xf = tau * zf + (1.0 - tau) * yf
-        a_x = tau * a_z + (1.0 - tau) * a_y
-        x = xf.reshape(batch, h, w)
-        y = yf.reshape(batch, h, w)
+        np.add(vz, e_vz if eps == 0 else np.multiply(e_vz, c_z, out=tmp), out=x)
+        x *= tau
+        x += np.multiply(y, 1.0 - tau, out=tmp)
+        s_z, s_y = tau * (1.0 - c_z), (1.0 - tau) * (1.0 - c_y)
+        r_x = s_z * r_vz + s_y * r_vy
+        if eps == 0:
+            e_x.fill(0.0)       # every projected iterate is feasible
+        else:
+            e_x *= s_y
+            e_x += np.multiply(e_vz, s_z, out=tmp)
 
         ref = hist.mean(axis=0)
         with np.errstate(invalid="ignore"):
@@ -572,7 +627,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
         hist[it % opts.window] = fval
         if done.all():
             break
-    return y, bool(done.all()), iters
+    return y.reshape(batch, h, w), bool(done.all()), iters
 
 
 def _nesta_solve(op, b, opts: TvOptions):
@@ -583,7 +638,7 @@ def _nesta_solve(op, b, opts: TvOptions):
     dyn = np.where(dyn > 0, dyn, 1.0)
     mu0 = opts.mu_start_frac * dyn
     mu_end = np.minimum(np.full(batch, opts.mu_final), mu0)
-    stages = max(1, opts.mu_stages)
+    stages = opts.mu_stages
     converged = True
     stage_tv = []
     total_iters = 0

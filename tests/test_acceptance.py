@@ -194,7 +194,17 @@ def test_criterion_7_streaming_recovery(rng):
                   f"(< 1 s)")
 
 
-def test_criterion_8_moore_penrose_identities(rng):
+def _moore_penrose_residual(m, p):
+    mp, pm = m @ p, p @ m
+    return max(
+        np.linalg.norm(m @ pm - m) / np.linalg.norm(m),
+        np.linalg.norm(p @ mp - p) / np.linalg.norm(p),
+        np.linalg.norm(mp - mp.T) / np.linalg.norm(mp),
+        np.linalg.norm(pm - pm.T) / np.linalg.norm(pm),
+    )
+
+
+def test_criterion_8_moore_penrose_identities(rng, tmp_path):
     mats = []
     shapes = [(3, 7), (8, 8), (10, 40), (16, 64), (24, 24), (32, 100), (40, 160),
               (64, 256), (64, 640), (80, 300), (100, 1000), (128, 512),
@@ -202,26 +212,25 @@ def test_criterion_8_moore_penrose_identities(rng):
               (320, 3000), (400, 2000), (512, 4096)]
     for k, n in shapes:
         mats.append(("random", rng.standard_normal((k, n))))
-    for k, w, h in [(16, 16, 16), (40, 32, 32), (64, 32, 64), (128, 64, 64),
-                    (512, 64, 64)]:
-        ps = gen_pattern_set("morlet-binary", w, h, k, master_seed=k)
+    binary_sets = [gen_pattern_set("morlet-binary", w, h, k, master_seed=k)
+                   for k, w, h in [(16, 16, 16), (40, 32, 32), (64, 32, 64), (128, 64, 64),
+                                   (512, 64, 64)]]
+    for ps in binary_sets:
         mats.append(("morlet-binary", effective_matrix(ps)))
 
     worst = 0.0
     for _, m in mats:
-        p = recon.pinv_matrix(recon.factorize(m)).data
-        mp, pm = m @ p, p @ m
-        worst = max(
-            worst,
-            np.linalg.norm(m @ pm - m) / np.linalg.norm(m),
-            np.linalg.norm(p @ mp - p) / np.linalg.norm(p),
-            np.linalg.norm(mp - mp.T) / np.linalg.norm(mp),
-            np.linalg.norm(pm - pm.T) / np.linalg.norm(pm),
-        )
-    ok = worst < 1e-8
+        worst = max(worst, _moore_penrose_residual(m, recon.pinv_matrix(recon.factorize(m)).data))
+    # the n x k matrix cached_pinv ships, built from Gram factors without an SVD
+    worst_gram = 0.0
+    for ps in binary_sets:
+        p = recon.cached_pinv(ps, tmp_path).data
+        worst_gram = max(worst_gram, _moore_penrose_residual(effective_matrix(ps), p))
+    ok = worst < 1e-8 and worst_gram < 1e-8
     report(8, ok, f"Moore-Penrose identities on 20 random + 5 morlet-binary "
                   f"matrices up to 512x4096: worst relative residual "
-                  f"{worst:.2e} (< 1e-8)")
+                  f"{worst:.2e} (< 1e-8); Gram-built cached pinv of the 5 "
+                  f"morlet-binary sets {worst_gram:.2e} (< 1e-8)")
 
 
 def test_criterion_9_feature_decomposition(corpus):

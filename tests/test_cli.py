@@ -119,6 +119,18 @@ class TestMeasureReconstruct:
         assert self._reconstruct(tmp_path, ps, m) == 2
         assert "error: unknown SPIP kind code 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tv-epsilon", "-1", "TV epsilon must be >= 0, got -1.0"),
+        ("--tv-tol", "-1e-6", "TV tol must be >= 0, got -1e-06"),
+        ("--tv-max-inner", "-1", "TV max_inner must be >= 0, got -1"),
+    ])
+    def test_invalid_tv_option_is_an_error_line(self, tmp_path, pgm16, capsys,
+                                                flag, value, message):
+        ps, m = self._gen_measure(tmp_path, pgm16, kind="walsh-hadamard")
+        assert self._reconstruct(tmp_path, ps, m, "--method", "tv", f"{flag}={value}") == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r.pgm").exists()
+
     def test_short_pinv_cache_file_is_recomputed(self, tmp_path, pgm16):
         from spisim.patterns import load_pattern_set
 
@@ -201,6 +213,25 @@ class TestSweepAndFeatures:
         cfg.write_text(json.dumps(raw))
         assert run("sweep", "--config", str(cfg)) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("tv_mu_start_frac", 0, "TV mu_start_frac must be positive and finite, got 0"),
+        ("tv_mu_final", -1e-4, "TV mu_final must be positive and finite, got -0.0001"),
+        ("tv_mu_stages", 0, "TV mu_stages must be >= 1, got 0"),
+        ("tv_max_inner", "60", "TV max_inner must be an integer, got '60'"),
+    ])
+    def test_invalid_tv_config_is_an_error_line(self, tmp_path, rng, capsys,
+                                                key, value, message):
+        img = tmp_path / "c.pgm"
+        save_image(Image(rng.random((16, 16))), img, depth=8)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "kinds": ["walsh-hadamard"], "crs": [0.5], "methods": ["tv"], "size": 16,
+            "corpus_paths": [str(img)], "use_standard_corpus": False,
+            "output_dir": str(tmp_path / "out"), key: value}))
+        assert run("sweep", "--config", str(cfg)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_analyze_features_cli(self, tmp_path, rng):
         paths = []

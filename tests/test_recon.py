@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import block_phantom
 from spisim import recon
@@ -234,6 +236,193 @@ class TestTvReconstruct:
         tight = tv_reconstruct(f, y, TvOptions(epsilon=0.0))
         loose = tv_reconstruct(f, y, TvOptions(epsilon=0.5))
         assert tv_norm(loose.image.data) <= tv_norm(tight.image.data) + 1e-9
+
+
+class TestTvOptionsValidation:
+    @pytest.mark.parametrize("name,value", [
+        ("mu_start_frac", 0.0), ("mu_start_frac", -0.1), ("mu_start_frac", float("nan")),
+        ("mu_start_frac", float("inf")), ("mu_final", -1e-4), ("mu_final", 0.0),
+        ("mu_final", float("nan")), ("window", 0), ("epsilon", -1.0),
+        ("epsilon", float("nan")), ("tol", -1e-6), ("max_inner", -1), ("mu_stages", 0),
+        ("mu_final", "1e-4"), ("epsilon", None), ("tol", True), ("max_inner", 60.0),
+        ("window", "10"),
+    ])
+    def test_values_that_break_the_solver_raise(self, name, value):
+        with pytest.raises(ValueError, match=f"TV {name} must be"):
+            TvOptions(**{name: value})
+
+    def test_boundary_values_are_accepted(self):
+        TvOptions(mu_stages=1, window=1, max_inner=0, tol=0, epsilon=0)
+        TvOptions(mu_stages=np.int64(2), epsilon=np.float32(0.1), mu_final=1)
+
+    def test_zero_iterations_return_the_pinv_start(self, rng):
+        ps = gen_pattern_set("walsh-hadamard", 16, 16, 60, master_seed=2)
+        y = measure(Image(rng.random((16, 16))), ps).values
+        res = tv_reconstruct(ps, y, TvOptions(max_inner=0, mu_stages=2))
+        assert res.iterations == 0
+        assert np.abs(res.image.data - pinv_reconstruct(ps, y).data).max() < 1e-12
+
+
+def _reference_project(op, v, av, b, eps):
+    r = b - av
+    if eps > 0:
+        nrm = np.linalg.norm(r, axis=1, keepdims=True)
+        r = np.maximum(0.0, 1.0 - eps / np.maximum(nrm, 1e-300)) * r
+    return v + op.adjoint(r), av + r
+
+
+def _reference_stage(op, b, x0, mu, eps, opts):
+    """The NESTA stage with two adjoints per iteration (one per projection)."""
+    batch, h, w = x0.shape
+    n = h * w
+    L = 8.0 / mu
+    x = x0.copy()
+    x0f = x0.reshape(batch, n)
+    a_x0 = op.forward(x0f)
+    a_x = a_x0.copy()
+    cum = np.zeros((batch, n))
+    cum_a = np.zeros_like(a_x0)
+    hist = np.full((opts.window, batch), np.inf)
+    done = np.zeros(batch, dtype=bool)
+    y = x0.copy()
+    iters = 0
+    for it in range(opts.max_inner):
+        iters = it + 1
+        fval, g = recon._tv_grad(x, mu)
+        gf = g.reshape(batch, n)
+        a_g = op.forward(gf)
+        invl = (1.0 / L)[:, None]
+        yf, a_y = _reference_project(op, x.reshape(batch, n) - gf * invl,
+                                     a_x - a_g * invl, b, eps)
+        alpha = 0.5 * (it + 1)
+        cum += alpha * gf
+        cum_a += alpha * a_g
+        zf, a_z = _reference_project(op, x0f - cum * invl, a_x0 - cum_a * invl, b, eps)
+        tau = 2.0 / (it + 3)
+        x = (tau * zf + (1.0 - tau) * yf).reshape(batch, h, w)
+        a_x = tau * a_z + (1.0 - tau) * a_y
+        y = yf.reshape(batch, h, w)
+        ref = hist.mean(axis=0)
+        with np.errstate(invalid="ignore"):
+            rel = np.abs(fval - ref) / np.maximum(np.abs(ref), 1e-300)
+        done |= np.isfinite(ref) & (rel <= opts.tol)
+        hist[it % opts.window] = fval
+        if done.all():
+            break
+    return y, bool(done.all()), iters
+
+
+def _stage_model(name):
+    if name == "gram-float64":
+        return linear_model(gen_pattern_set("morlet-real", 16, 16, 60, master_seed=2))
+    if name == "gram-float32":
+        ps = gen_pattern_set("morlet-binary", 16, 16, 60, master_seed=2)
+        return linear_model(effective_matrix(ps, np.float32), height=16, width=16)
+    if name == "wht":
+        return linear_model(gen_pattern_set("walsh-hadamard", 16, 16, 60, master_seed=2))
+    return linear_model(gen_pattern_set("noiselet", 16, 16, 40, master_seed=2))
+
+
+def _stage_inputs(op, batch, seed):
+    rng = np.random.default_rng(seed)
+    b = op.forward(rng.random((batch, 256)))
+    # start off the constraint set so that every projection moves the iterate
+    x0 = op.adjoint(b).reshape(batch, 16, 16) + 0.05 * rng.standard_normal((batch, 16, 16))
+    return b, x0, np.full(batch, 0.02)
+
+
+class TestNestaStageOracle:
+    # the float32 Gram model rounds each adjoint to float32 separately, so
+    # the two bookkeepings differ at that precision (2.8e-7 at most, measured)
+    FLOAT32_BOUND = 2e-6
+
+    @pytest.mark.parametrize("name", ["gram-float64", "gram-float32", "wht", "noiselet"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("eps_frac", [0.0, 0.05])
+    @pytest.mark.parametrize("opts", [TvOptions(max_inner=40, tol=1e-12),
+                                      TvOptions(max_inner=400, tol=1e-3, window=3)],
+                             ids=["budget", "early-stop"])
+    def test_matches_two_adjoint_stage(self, name, batch, eps_frac, opts):
+        op = _stage_model(name)
+        b, x0, mu = _stage_inputs(op, batch, seed=batch)
+        eps = eps_frac * float(np.linalg.norm(b[0]))
+        want, want_done, want_iters = _reference_stage(op, b, x0, mu, eps, opts)
+        got, done, iters = recon._nesta_stage(op, b, x0, mu, eps, opts)
+        assert (done, iters) == (want_done, want_iters)
+        # the budget case runs out of iterations, the early-stop case stops on tol
+        assert done == (iters < opts.max_inner) == (opts.max_inner == 400)
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel <= (self.FLOAT32_BOUND if name == "gram-float32" else 1e-9)
+        if eps > 0:
+            # the constraint is active: the iterate sits on the eps-ball
+            res = np.linalg.norm(b - op.forward(got.reshape(batch, -1)), axis=1)
+            assert np.all(np.abs(res - eps) <= 1e-6 * eps)
+
+    @pytest.mark.parametrize("name", ["gram-float64", "wht", "noiselet"])
+    @pytest.mark.parametrize("eps_frac", [0.0, 0.05])
+    def test_one_forward_and_one_adjoint_per_iteration(self, monkeypatch, name, eps_frac):
+        op = _stage_model(name)
+        calls = {"forward": 0, "adjoint": 0}
+        for direction in calls:
+            def counted(z, _fn=getattr(op, direction), _key=direction):
+                calls[_key] += 1
+                return _fn(z)
+            monkeypatch.setattr(op, direction, counted)
+        b, x0, mu = _stage_inputs(op, 3, seed=0)
+        eps = eps_frac * float(np.linalg.norm(b[0]))
+        for opts in (TvOptions(max_inner=25, tol=1e-12), TvOptions(tol=1e-3, window=3)):
+            calls.update(forward=0, adjoint=0)
+            _, _, iters = recon._nesta_stage(op, b, x0, mu, eps, opts)
+            assert calls == {"forward": iters + 1, "adjoint": iters + 1}
+        calls.update(forward=0, adjoint=0)
+        iters = recon._nesta_solve(op, b, TvOptions(max_inner=7, mu_stages=3))[3]
+        assert iters == 21
+        # one adjoint for the pinv start, then iterations + 1 per stage
+        assert calls == {"forward": 21 + 3, "adjoint": 21 + 3 + 1}
+
+
+def _reference_tv_grad(x, mu):
+    dx = np.zeros_like(x)
+    dy = np.zeros_like(x)
+    dx[:, :, :-1] = x[:, :, 1:] - x[:, :, :-1]
+    dy[:, :-1, :] = x[:, 1:, :] - x[:, :-1, :]
+    mag = np.sqrt(dx * dx + dy * dy)
+    mu3 = mu[:, None, None]
+    val = np.where(mag <= mu3, mag * mag / (2.0 * mu3), mag - mu3 / 2.0).sum(axis=(1, 2))
+    den = np.maximum(mag, mu3)
+    wx = dx / den
+    wy = dy / den
+    g = np.zeros_like(x)
+    g[:, :, :-1] -= wx[:, :, :-1]
+    g[:, :, 1:] += wx[:, :, :-1]
+    g[:, :-1, :] -= wy[:, :-1, :]
+    g[:, 1:, :] += wy[:, :-1, :]
+    return val, g
+
+
+class TestTvGrad:
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(1, 33), w=st.integers(1, 17), batch=st.integers(1, 3),
+           log_mu=st.lists(st.floats(-4.0, 2.0), min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_where_formula(self, h, w, batch, log_mu, seed):
+        x = np.random.default_rng(seed).random((batch, h, w))
+        # differences of a uniform image lie in (-1, 1): mu spans both regimes
+        mu = 10.0 ** np.array(log_mu[:batch])
+        want_val, want_g = _reference_tv_grad(x, mu)
+        val, g = recon._tv_grad(x, mu)
+        assert g.tobytes() == want_g.tobytes()
+        np.testing.assert_allclose(val, want_val, rtol=1e-12, atol=0)
+
+    def test_gradient_is_central_difference_of_value(self, rng):
+        x = rng.random((2, 9, 7))
+        mu = np.array([0.05, 0.3])
+        _, g = recon._tv_grad(x, mu)
+        d = rng.standard_normal(x.shape)
+        step = 1e-6
+        fd = (recon._tv_grad(x + step * d, mu)[0] - recon._tv_grad(x - step * d, mu)[0]) \
+            / (2 * step)
+        np.testing.assert_allclose(fd, (g * d).sum(axis=(1, 2)), rtol=1e-6)
 
 
 class TestNoiseRobustness:
