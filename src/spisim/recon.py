@@ -277,8 +277,8 @@ class _NoiseletSubsetOp:
         w = z[:, : self.kd] + 1j * z[:, self.kd:]
         grid = np.zeros((z.shape[0], self.n), dtype=np.complex128)
         grid[:, self.idx] = np.conj(w) * np.sqrt(2.0)
-        return noiselet2(grid.reshape(-1, self.height, self.width)) \
-            .real.reshape(-1, self.n)
+        img = noiselet2(grid.reshape(-1, self.height, self.width))
+        return np.ascontiguousarray(img.real).reshape(-1, self.n)
 
 
 def linear_model(source, rank_tol=DEFAULT_RANK_TOL, height=None, width=None):
@@ -551,10 +551,8 @@ class TvResult:
 def _shrink(r, eps):
     """c such that v + c A^T r projects v onto {x: ||b - A x|| <= eps}.
 
-    r = b - A v, (B, r); c is (B, 1), or 1.0 for the exact constraint.
+    r = b - A v, (B, r); c is (B, 1), exactly 1 for the exact constraint.
     """
-    if eps == 0:
-        return 1.0
     nrm = np.linalg.norm(r, axis=1, keepdims=True)
     return np.maximum(0.0, 1.0 - eps / np.maximum(nrm, 1e-300))
 
@@ -598,7 +596,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
         e_x += p_g
         c_y = _shrink(r_vy, eps)
         np.subtract(x, g, out=y)
-        y += e_x if eps == 0 else np.multiply(e_x, c_y, out=tmp)
+        y += np.multiply(e_x, c_y, out=tmp)
 
         # z: projection of vz = x0 - sum_i alpha_i g_i / L
         alpha = 0.5 * (it + 1)
@@ -609,16 +607,13 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
 
         # x = tau z + (1 - tau) y, with residuals mixed the same way
         tau = 2.0 / (it + 3)
-        np.add(vz, e_vz if eps == 0 else np.multiply(e_vz, c_z, out=tmp), out=x)
+        np.add(vz, np.multiply(e_vz, c_z, out=tmp), out=x)
         x *= tau
         x += np.multiply(y, 1.0 - tau, out=tmp)
         s_z, s_y = tau * (1.0 - c_z), (1.0 - tau) * (1.0 - c_y)
         r_x = s_z * r_vz + s_y * r_vy
-        if eps == 0:
-            e_x.fill(0.0)       # every projected iterate is feasible
-        else:
-            e_x *= s_y
-            e_x += np.multiply(e_vz, s_z, out=tmp)
+        e_x *= s_y
+        e_x += np.multiply(e_vz, s_z, out=tmp)
 
         ref = hist.mean(axis=0)
         with np.errstate(invalid="ignore"):
