@@ -358,6 +358,14 @@ class TestNestaStageOracle:
             res = np.linalg.norm(b - op.forward(got.reshape(batch, -1)), axis=1)
             assert np.all(np.abs(res - eps) <= 1e-6 * eps)
 
+    @pytest.mark.parametrize("name", ["gram-float64", "gram-float32", "wht", "noiselet"])
+    def test_adjoint_is_contiguous_float64(self, name):
+        # the stage keeps an adjoint's result and updates it in place
+        op = _stage_model(name)
+        b, _, _ = _stage_inputs(op, 3, seed=0)
+        e = op.adjoint(b)
+        assert e.dtype == np.float64 and e.shape == (3, 256) and e.flags.c_contiguous
+
     @pytest.mark.parametrize("name", ["gram-float64", "wht", "noiselet"])
     @pytest.mark.parametrize("eps_frac", [0.0, 0.05])
     def test_one_forward_and_one_adjoint_per_iteration(self, monkeypatch, name, eps_frac):
