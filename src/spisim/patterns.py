@@ -157,35 +157,34 @@ def _check_pow2(m):
         raise ValueError(f"length {m} is not a power of 2")
 
 
-# 2x2 stage kernels; each transform of length 2^p is the tensor power K^(x)p
-_STAGE_KERNELS = {
-    "walsh-hadamard": np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
-    "noiselet": (1.0 - 1.0j) / 2.0 * np.array([[1.0, 1.0j], [1.0j, 1.0]]),
-}
+# 2x2 Walsh-Hadamard stage kernel; the transform of length 2^p is H2^(x)p
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 _FACTOR_BITS = 4  # dense factors of 2^4 = 16 points
 
 
 @functools.cache
-def _kron_factor(kind, bits, dtype):
-    """Dense 2^bits-point factor K^(x)bits of `kind`'s transform, read-only."""
-    kernel = _STAGE_KERNELS[kind]
-    f = np.ones((1, 1), dtype=kernel.dtype)
+def _kron_factor(bits, dtype):
+    """Dense 2^bits-point factor H2^(x)bits, read-only."""
+    f = np.ones((1, 1))
     for _ in range(bits):
-        f = np.kron(kernel, f)
+        f = np.kron(_H2, f)
     f = f.astype(dtype)
     f.flags.writeable = False
     return f
 
 
-def _kron_transform(v, kind, dtype):
-    """Apply K^(x)p along the last axis of `v` as dense Kronecker factors.
+def fast_wht(v):
+    """Orthonormal Walsh-Hadamard transform along the last axis, O(m log m).
 
-    With m = 2^p split into 16-point factors plus one 2^(p mod 4) remainder,
-    K^(x)p = F_1 (x) F_2 (x) ..., and each F_j is applied to the (pre, f, post)
-    view of its index bits by one BLAS matmul: O(16 m) work per 16-point
-    factor, O(m log m) in all. Returns a new `dtype` array.
+    Matches the Kronecker construction H(2m) = H2 (x) H(m) with
+    H2 = [[1, 1], [1, -1]]/sqrt(2). With m = 2^p split into 16-point factors
+    plus one 2^(p mod 4) remainder, H(m) = F_1 (x) F_2 (x) ..., and each F_j
+    is applied to the (pre, f, post) view of its index bits by one BLAS
+    matmul: O(16 m) work per factor. Involutive. Returns a new float64 array
+    for real input and complex128 for complex input.
     """
     a = np.asarray(v)
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     m = a.shape[-1]
     _check_pow2(m)
     if m == 1:
@@ -196,7 +195,7 @@ def _kron_transform(v, kind, dtype):
     for bits in ([r] if r else []) + [_FACTOR_BITS] * q:
         f = 1 << bits
         post //= f
-        factor = _kron_factor(kind, bits, dtype)
+        factor = _kron_factor(bits, dtype)
         if post == 1:
             x = x.reshape(-1, f) @ factor.T
         else:
@@ -204,36 +203,39 @@ def _kron_transform(v, kind, dtype):
     return x.reshape(a.shape)
 
 
-def fast_wht(v):
-    """Orthonormal Walsh-Hadamard transform along the last axis, O(m log m).
-
-    Matches the Kronecker construction H(2m) = H2 (x) H(m) with
-    H2 = [[1, 1], [1, -1]]/sqrt(2), applied as 16-point dense Kronecker
-    factors through BLAS. Involutive: applying it twice is the identity.
-    Returns float64 for real input and complex128 for complex input.
-    """
-    dtype = np.complex128 if np.iscomplexobj(v) else np.float64
-    return _kron_transform(v, "walsh-hadamard", dtype)
+@functools.cache
+def noiselet_signs(m):
+    """q_j = (-1)^floor(popcount(j) / 2) for j < m, float64, read-only."""
+    j = np.arange(m)
+    popcount = sum((j >> b) & 1 for b in range(m.bit_length()))
+    q = 1.0 - 2.0 * ((popcount >> 1) & 1)
+    q.flags.writeable = False
+    return q
 
 
 def fast_noiselet(v):
     """Unitary noiselet transform along the last axis, O(m log m).
 
-    Tensor power of the stage kernel (1-i)/2 * [[1, i], [i, 1]], applied as
-    16-point dense Kronecker factors through BLAS. Returns complex128.
+    The tensor power of the stage kernel (1-i)/2 * [[1, i], [i, 1]] =
+    H2 diag(1, -i) H2 is N = H D H with D = diag((-i)^popcount(j)). D splits
+    into a real sign vector q (`noiselet_signs`) and the parity E of
+    popcount(j), and H E H is the index reversal R, so
+
+        N = ((1 - i) I + (1 + i) R) / 2 . H diag(q) H:
+
+    two real Walsh-Hadamard transforms and a reversal. Returns complex128.
     """
-    return _kron_transform(v, "noiselet", np.complex128)
-
-
-def fast_noiselet_inverse(v):
-    """Inverse (conjugate-transpose) noiselet transform along the last axis."""
-    return np.conj(fast_noiselet(np.conj(v)))
+    h = fast_wht(v)
+    h *= noiselet_signs(h.shape[-1])
+    h = fast_wht(h)
+    return ((1 - 1j) * h + (1 + 1j) * h[..., ::-1]) / 2
 
 
 def _transform2(transform, grid):
     """2D transform H_h (x) H_w of (..., h, w) grids.
 
-    Both kernels satisfy H_h (x) H_w = H_(h*w), so the 2D transform is the
+    Both transforms are tensor powers of a 2x2 kernel and satisfy
+    H_h (x) H_w = H_(h*w), so the 2D transform is the
     1D transform of the row-major flattened grid (h*w is a power of 2 exactly
     when h and w both are).
     """
@@ -250,10 +252,6 @@ def wht2(grid):
 def noiselet2(grid):
     """2D unitary noiselet transform of (..., h, w) grids."""
     return _transform2(fast_noiselet, grid)
-
-
-def noiselet2_inverse(grid):
-    return np.conj(noiselet2(np.conj(grid)))
 
 
 def basis_row_2d(kind, index, width, height):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import block_phantom
+from test_patterns import noiselet_oracle, transform2_oracle
 from spisim import recon
 from spisim.acquire import NoiseModel, measure, measure_differential
 from spisim.analyze import psnr
@@ -583,3 +584,58 @@ class TestLinearModel:
     def test_rejects_non_matrix_source(self):
         with pytest.raises(TypeError):
             linear_model(np.zeros(5))
+
+
+def _noiselet_indices(n, seed):
+    """Distinct row indices over n pixels with sampled reversal pairs."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(n, size=max(1, n // 3), replace=False)
+    pairs = n - 1 - idx[: max(1, len(idx) // 2)]
+    return list(dict.fromkeys([int(i) for i in np.concatenate([idx, pairs])]))
+
+
+class TestNoiseletSubsetOp:
+    @pytest.mark.parametrize("height,width", [(1, 1), (1, 2), (2, 1), (4, 8), (16, 16)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_dense_oracle_rows(self, height, width, batch):
+        n = height * width
+        indices = _noiselet_indices(n, seed=n)
+        op = recon._NoiseletSubsetOp(indices, width, height)
+        # every grid but 1 x 1 samples a reversal pair, so some samples are dropped
+        assert (op.kd < len(indices)) == (n > 1)
+        units = np.eye(n).reshape(n, height, width)
+        rows = transform2_oracle(noiselet_oracle, units).reshape(n, n)[op.idx]
+        a = np.sqrt(2.0) * np.vstack([rows.real, rows.imag])      # (2 kd, n)
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, n))
+        z = rng.standard_normal((batch, 2 * op.kd))
+        ax, atz = op.forward(x), op.adjoint(z)
+        assert ax.dtype == atz.dtype == np.float64
+        assert np.abs(ax - x @ a.T).max() <= 1e-12 * max(1.0, np.abs(ax).max())
+        assert np.abs(atz - z @ a).max() <= 1e-12 * max(1.0, np.abs(atz).max())
+        np.testing.assert_allclose(np.sum(ax * z, axis=1), np.sum(x * atz, axis=1),
+                                   rtol=1e-12, atol=1e-12)
+
+
+class TestBlockedGramForward:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 2, 6])
+    def test_equals_one_product(self, dtype, batch):
+        # k, n are not multiples of the 64-row and 1 MB blocks
+        k, n = 150, 5000
+        rng = np.random.default_rng(batch)
+        if dtype is np.float64:
+            m = rng.standard_normal((k, n))
+            xt = rng.standard_normal((n, batch))
+        else:
+            # bipolar rows and small integers: every float32 partial sum is
+            # exact, so the block order cannot round differently
+            m = rng.choice([-1.0, 1.0], size=(k, n)).astype(np.float32)
+            xt = rng.integers(-8, 9, size=(n, batch)).astype(np.float32)
+        want = m @ xt
+        got = recon._blocked_matmul(m, xt)
+        assert got.dtype == dtype and got.shape == (k, batch)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        op = recon._GramVtOp(m, np.eye(k), np.ones(k), n, 1)
+        fwd = op.forward(np.ascontiguousarray(xt.T, dtype=np.float64))
+        assert np.abs(fwd - want.T).max() <= 1e-12 * np.abs(want).max()
