@@ -187,29 +187,6 @@ class _DenseVtOp:
         return z @ self.vt
 
 
-_BLOCK_ROWS = 64
-_BLOCK_BYTES = 1 << 20
-
-
-def _blocked_matmul(m, xt):
-    """m @ xt for a few columns xt, over blocks of m of about _BLOCK_BYTES.
-
-    Each block (64 rows of m) stays in L2 while it meets every column of xt.
-    At k = 983, n = 16384, six float64 columns, this takes half the time of
-    one BLAS call on the whole of m; with one column the plain GEMV is faster.
-    """
-    k, n = m.shape
-    cols = max(1, _BLOCK_BYTES // (_BLOCK_ROWS * m.itemsize))
-    out = np.zeros((k, xt.shape[1]), dtype=m.dtype)
-    tmp = np.empty((_BLOCK_ROWS, xt.shape[1]), dtype=m.dtype)
-    for c0 in range(0, n, cols):
-        xb = xt[c0:c0 + cols]
-        for r0 in range(0, k, _BLOCK_ROWS):
-            r1 = min(r0 + _BLOCK_ROWS, k)
-            out[r0:r1] += np.matmul(m[r0:r1, c0:c0 + cols], xb, out=tmp[: r1 - r0])
-    return out
-
-
 class _GramVtOp:
     """A = D^-1 U^T M without materializing V; M may be float32.
 
@@ -229,8 +206,7 @@ class _GramVtOp:
         return _checked(y, self.k) @ self.w
 
     def forward(self, x):
-        xt = np.ascontiguousarray(x.T, dtype=self._dt)  # (n, B)
-        t = self.m @ xt if xt.shape[1] == 1 else _blocked_matmul(self.m, xt)
+        t = self.m @ np.ascontiguousarray(x.T, dtype=self._dt)  # (k, B)
         return t.T.astype(np.float64, copy=False) @ self.w
 
     def adjoint(self, z):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_phantom
-from test_patterns import noiselet_oracle, transform2_oracle
+from conftest import block_phantom, dense_transform_2d
 from spisim import recon
 from spisim.acquire import NoiseModel, measure, measure_differential
 from spisim.analyze import psnr
@@ -603,8 +602,7 @@ class TestNoiseletSubsetOp:
         op = recon._NoiseletSubsetOp(indices, width, height)
         # every grid but 1 x 1 samples a reversal pair, so some samples are dropped
         assert (op.kd < len(indices)) == (n > 1)
-        units = np.eye(n).reshape(n, height, width)
-        rows = transform2_oracle(noiselet_oracle, units).reshape(n, n)[op.idx]
+        rows = dense_transform_2d(width, height, "noiselet")[op.idx]
         a = np.sqrt(2.0) * np.vstack([rows.real, rows.imag])      # (2 kd, n)
         rng = np.random.default_rng(batch)
         x = rng.standard_normal((batch, n))
@@ -615,27 +613,3 @@ class TestNoiseletSubsetOp:
         assert np.abs(atz - z @ a).max() <= 1e-12 * max(1.0, np.abs(atz).max())
         np.testing.assert_allclose(np.sum(ax * z, axis=1), np.sum(x * atz, axis=1),
                                    rtol=1e-12, atol=1e-12)
-
-
-class TestBlockedGramForward:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("batch", [1, 2, 6])
-    def test_equals_one_product(self, dtype, batch):
-        # k, n are not multiples of the 64-row and 1 MB blocks
-        k, n = 150, 5000
-        rng = np.random.default_rng(batch)
-        if dtype is np.float64:
-            m = rng.standard_normal((k, n))
-            xt = rng.standard_normal((n, batch))
-        else:
-            # bipolar rows and small integers: every float32 partial sum is
-            # exact, so the block order cannot round differently
-            m = rng.choice([-1.0, 1.0], size=(k, n)).astype(np.float32)
-            xt = rng.integers(-8, 9, size=(n, batch)).astype(np.float32)
-        want = m @ xt
-        got = recon._blocked_matmul(m, xt)
-        assert got.dtype == dtype and got.shape == (k, batch)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        op = recon._GramVtOp(m, np.eye(k), np.ones(k), n, 1)
-        fwd = op.forward(np.ascontiguousarray(xt.T, dtype=np.float64))
-        assert np.abs(fwd - want.T).max() <= 1e-12 * np.abs(want).max()
