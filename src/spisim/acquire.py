@@ -49,11 +49,6 @@ class NoiseModel:
         if self.source_fluctuation_sigma < 0:
             raise ValueError("source_fluctuation_sigma must be >= 0")
 
-    @property
-    def is_noiseless(self):
-        return (self.additive_sigma == 0.0 and self.adc_bits == 0
-                and self.source_fluctuation_sigma == 0.0)
-
 
 @dataclass(frozen=True)
 class Measurement:

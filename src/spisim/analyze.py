@@ -264,7 +264,7 @@ def _gen_morlet_cell(kind, w, h, k, dist, cell_seed, dtype):
 
 def run_sweep(corpus, kinds, crs, methods, nm: NoiseModel = NoiseModel(), seed=0,
               dist: ParamDistribution = None, tv_opts: TvOptions = TvOptions(),
-              rank_tol=recon.DEFAULT_RANK_TOL, progress=None) -> SweepResult:
+              progress=None) -> SweepResult:
     """PSNR sweep over (kind x CR x method) for a named image corpus.
 
     `corpus` is a list of (name, Image) with identical dimensions. Morlet
@@ -292,7 +292,7 @@ def run_sweep(corpus, kinds, crs, methods, nm: NoiseModel = NoiseModel(), seed=0
             try:
                 cell_dist = dist or ParamDistribution.default_for(w, h)
                 _run_cell(result, names, images, kind, cr, k, cell_dist, cell_seed,
-                          nm, methods, tv_opts, rank_tol)
+                          nm, methods, tv_opts)
             except Exception as e:  # failed cells recorded, not fatal
                 result.errors.append((kind, cr, "*", f"{type(e).__name__}: {e}"))
             if progress:
@@ -301,19 +301,19 @@ def run_sweep(corpus, kinds, crs, methods, nm: NoiseModel = NoiseModel(), seed=0
 
 
 def _run_cell(result, names, images, kind, cr, k, dist, cell_seed, nm, methods,
-              tv_opts, rank_tol):
+              tv_opts):
     h, w = images[0].data.shape
     if kind in MORLET_KINDS:
         dtype = np.float32 if k * h * w > _DENSE_LIMIT else np.float64
         m_rows = _gen_morlet_cell(kind, w, h, k, dist, cell_seed, dtype)
         y = np.stack(_measure_effective(images, kind, m_rows, nm, cell_seed))
-        model = recon.linear_model(m_rows, rank_tol, height=h, width=w)
+        model = recon.linear_model(m_rows, height=h, width=w)
     else:
         ps = gen_pattern_set(kind, w, h, k, master_seed=cell_seed)
         y = np.stack([recon.effective_measurement(
             ps, measure(img, ps, _image_noise_model(nm, cell_seed, i)))
             for i, img in enumerate(images)])
-        model = recon.linear_model(ps, rank_tol)
+        model = recon.linear_model(ps)
 
     for method in ("pinv", "tv"):
         if method not in methods:
@@ -338,6 +338,22 @@ STANDARD_CORPUS_NAMES = (
 )
 
 
+def _square(a, size):
+    """Center-crop a 2D array to a square, resize it to (size, size) with
+    anti-aliasing when shrinking, and clip to [0, 1]."""
+    side = min(a.shape)
+    top, left = (a.shape[0] - side) // 2, (a.shape[1] - side) // 2
+    a = a[top:top + side, left:left + side]
+    if side != size:
+        try:
+            from skimage.transform import resize
+        except ImportError as e:
+            raise ImportError("resizing a corpus needs scikit-image "
+                              "(pip install spisim[corpus])") from e
+        a = resize(a, (size, size), anti_aliasing=side > size)
+    return Image(np.clip(a, 0.0, 1.0))
+
+
 def standard_corpus(size=512, names=STANDARD_CORPUS_NAMES):
     """Standard grayscale test images shipped with scikit-image.
 
@@ -347,7 +363,6 @@ def standard_corpus(size=512, names=STANDARD_CORPUS_NAMES):
     """
     try:
         from skimage import data as skdata
-        from skimage.transform import resize
     except ImportError as e:  # pragma: no cover
         raise ImportError("standard_corpus needs scikit-image "
                           "(pip install spisim[corpus])") from e
@@ -358,13 +373,7 @@ def standard_corpus(size=512, names=STANDARD_CORPUS_NAMES):
             img = img @ np.array([0.2126, 0.7152, 0.0722])
         if img.max() > 1.0:
             img = img / 255.0
-        hh, ww = img.shape
-        side = min(hh, ww)
-        top, left = (hh - side) // 2, (ww - side) // 2
-        img = img[top:top + side, left:left + side]
-        if side != size:
-            img = resize(img, (size, size), anti_aliasing=side > size)
-        out.append((name, Image(np.clip(img, 0.0, 1.0))))
+        out.append((name, _square(img, size)))
     return out
 
 
@@ -375,18 +384,7 @@ def load_corpus(paths, size=None):
     out = []
     for path in paths:
         img = load_image(path)
-        a = img.data
-        if size is not None and a.shape != (size, size):
-            side = min(a.shape)
-            top = (a.shape[0] - side) // 2
-            left = (a.shape[1] - side) // 2
-            a = a[top:top + side, left:left + side]
-            if side != size:
-                try:
-                    from skimage.transform import resize
-                except ImportError as e:
-                    raise ImportError("resizing a corpus needs scikit-image") from e
-                a = resize(a, (size, size), anti_aliasing=side > size)
-            img = Image(np.clip(a, 0.0, 1.0))
+        if size is not None and img.data.shape != (size, size):
+            img = _square(img.data, size)
         out.append((str(path), img))
     return out

@@ -2,9 +2,8 @@
 
 Subcommands: gen, measure, reconstruct, sweep, analyze-features. Every
 command is deterministic given its flags/config (all seeds explicit), and no
-command mutates its inputs. A JSON config file can be passed with --config;
-config values override flags. SPI_THREADS caps numerical thread pools
-through threadpoolctl when it is installed.
+command mutates its inputs. `sweep` reads its settings from a JSON
+RunConfig file given with --config.
 """
 
 from __future__ import annotations
@@ -36,22 +35,19 @@ class RunConfig:
     methods: list = field(default_factory=lambda: ["pinv", "tv"])
     size: int = 256
     seed: int = 0
-    corpus_paths: list = field(default_factory=list)
-    use_standard_corpus: bool = True
+    corpus_paths: list = field(default_factory=list)  # empty: the standard corpus
     output_dir: str = "."
     sigma_range: list = None
     np_range: list = None
     additive_sigma: float = 0.0
     adc_bits: int = 0
     source_fluctuation_sigma: float = 0.0
-    noise_seed: int = 0
     tv_mu_stages: int = 5
     tv_mu_start_frac: float = 0.1
     tv_mu_final: float = 1e-4
     tv_tol: float = 1e-6
     tv_max_inner: int = 3000
     tv_epsilon: float = 0.0
-    frame_rate: float = DEFAULT_FRAME_RATE
 
     @classmethod
     def from_json(cls, path):
@@ -73,8 +69,7 @@ class RunConfig:
         from .acquire import NoiseModel
 
         return NoiseModel(additive_sigma=self.additive_sigma, adc_bits=self.adc_bits,
-                          source_fluctuation_sigma=self.source_fluctuation_sigma,
-                          seed=self.noise_seed)
+                          source_fluctuation_sigma=self.source_fluctuation_sigma)
 
     def tv_options(self):
         from .recon import TvOptions
@@ -92,19 +87,6 @@ class RunConfig:
         return ParamDistribution(
             sigma_range=tuple(self.sigma_range or base.sigma_range),
             np_range=tuple(self.np_range or base.np_range))
-
-
-def _cap_threads():
-    cap = os.environ.get("SPI_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-    except ImportError:
-        print("warning: SPI_THREADS needs threadpoolctl; set OPENBLAS_NUM_THREADS "
-              "or OMP_NUM_THREADS before launch instead", file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(int(cap))
 
 
 def _parse_size(text):
@@ -215,22 +197,15 @@ def cmd_reconstruct(args):
     return 0
 
 
-def _load_sweep_corpus(cfg: RunConfig):
-    from .analyze import load_corpus, standard_corpus
-
-    if cfg.corpus_paths:
-        return load_corpus(cfg.corpus_paths, size=cfg.size)
-    if cfg.use_standard_corpus:
-        return standard_corpus(size=cfg.size)
-    raise ValueError("config has neither corpus_paths nor use_standard_corpus")
-
-
 def cmd_sweep(args):
-    from .analyze import run_sweep
+    from .analyze import load_corpus, run_sweep, standard_corpus
 
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
     tv_opts = cfg.tv_options()
-    corpus = _load_sweep_corpus(cfg)
+    if cfg.corpus_paths:
+        corpus = load_corpus(cfg.corpus_paths, size=cfg.size)
+    else:
+        corpus = standard_corpus(size=cfg.size)
     os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.perf_counter()
 
@@ -256,7 +231,8 @@ def cmd_sweep(args):
 
 
 def cmd_analyze_features(args):
-    from .analyze import decompose_features, load_corpus, standard_corpus
+    from .analyze import (decompose_features, histogram_concentration, load_corpus,
+                          standard_corpus)
     from .patterns import ParamDistribution
 
     if args.corpus:
@@ -269,8 +245,11 @@ def cmd_analyze_features(args):
         dist = ParamDistribution(sigma_range=args.dist_sigma, np_range=dist.np_range)
     hist = decompose_features(images, args.dict_size, dist, seed=args.seed)
     hist.to_csv(args.out)
+    frac, mask = histogram_concentration(hist)
     print(f"wrote {args.out} ({hist.values.shape[0]}x{hist.values.shape[1]} bins, "
           f"corpus={hist.corpus_size})")
+    print(f"histogram_concentration={frac:.4f} "
+          f"({mask.sum()} of {mask.size} bins in one contiguous region)")
     return 0
 
 
@@ -340,7 +319,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _cap_threads()
     args = build_parser().parse_args(argv)
     if getattr(args, "kind", None) == "wh":
         args.kind = "walsh-hadamard"

@@ -93,10 +93,6 @@ class Image:
     def height(self):
         return self.data.shape[0]
 
-    @property
-    def n_pixels(self):
-        return self.data.size
-
     def vector(self):
         """Row-major flattening used by the linear measurement model."""
         return self.data.ravel()

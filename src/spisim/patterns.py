@@ -38,10 +38,10 @@ DETERMINISTIC_KINDS = ("walsh-hadamard", "noiselet")
 
 SPIP_MAGIC = b"SPIP"
 SPIP_VERSION = 2  # 2: rows from the separable Morlet spectrum
-_FLAG_PACKED = 0x01
-_FLAG_FLOAT64 = 0x02
-_FLAG_PROCEDURAL = 0x04
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
+# flags byte of each kind: 0x01 bit-packed rows, 0x02 float64 rows, 0x04 procedural
+_KIND_FLAGS = {"morlet-real": 0x02, "morlet-binary": 0x01,
+               "walsh-hadamard": 0x04, "noiselet": 0x04}
 
 _SPIP_HEADER = struct.Struct("<4sHBIIIQB")
 _MORLET_META = struct.Struct("<dddQ")
@@ -254,29 +254,6 @@ def noiselet2(grid):
     return _transform2(fast_noiselet, grid)
 
 
-def basis_row_2d(kind, index, width, height):
-    """Row `index` of the 2D transform matrix H_h (x) H_w, as a (h, w) grid.
-
-    Row-major pairing: index = iy * width + ix, and the grid value at (y, x)
-    is H_h[iy, y] * H_w[ix, x]. Computed with the fast transforms applied to
-    unit vectors (both matrices are symmetric, so rows equal columns).
-    """
-    if kind not in DETERMINISTIC_KINDS:
-        raise ValueError(f"no deterministic basis for kind {kind!r}")
-    n = width * height
-    if not 0 <= index < n:
-        raise ValueError(f"row index {index} out of range for {width}x{height}")
-    _check_pow2(width)
-    _check_pow2(height)
-    iy, ix = divmod(int(index), width)
-    transform = fast_wht if kind == "walsh-hadamard" else fast_noiselet
-    ey = np.zeros(height)
-    ey[iy] = 1.0
-    ex = np.zeros(width)
-    ex[ix] = 1.0
-    return np.outer(transform(ey), transform(ex))
-
-
 # --------------------------------------------------------------------------
 # pattern sets
 # --------------------------------------------------------------------------
@@ -294,23 +271,12 @@ class MorletRowMeta:
     def is_constant(self):
         return self.seed == 0 and self.sigma == 0.0
 
-    def params(self):
-        return MorletParams(sigma=self.sigma, n_p=self.n_p, theta=self.theta)
-
 
 MorletRowMeta.CONSTANT = MorletRowMeta(0.0, 0.0, 0.0, 0)
 
 
 # largest uint8 temporary bipolar_rows allocates
 _UNPACK_BYTES = 1 << 20
-
-
-def _pack_row_bits(bits):
-    return np.packbits(bits, bitorder="little")
-
-
-def _unpack_row_bits(packed, n):
-    return np.unpackbits(packed, count=n, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -353,45 +319,31 @@ class PatternSet:
     def is_binary(self):
         return self.kind == "morlet-binary"
 
-    @property
-    def is_complex(self):
-        return self.kind == "noiselet"
-
-    def row_grid(self, i, dtype=np.float64):
-        """Row i materialized as a (height, width) grid."""
-        if self.kind in DETERMINISTIC_KINDS:
-            return basis_row_2d(self.kind, self.row_meta[i], self.width, self.height)
-        if self.kind == "morlet-real":
-            return self.rows[i].reshape(self.height, self.width).astype(dtype, copy=False)
-        bits = _unpack_row_bits(self.rows[i], self.n)
-        return bits.reshape(self.height, self.width).astype(dtype)
-
     def dense(self, dtype=np.float64):
-        """Full (k, n) matrix. Binary rows come out as {0, 1} values."""
+        """Full (k, n) matrix. Binary rows come out as {0, 1} values; noiselet
+        rows are complex128.
+
+        Both 2D transforms T are symmetric, so basis row i is T e_i: one
+        transform of the k unit vectors at row_meta (the 2D transform of a
+        grid is the 1D transform of its row-major flattening, see _transform2).
+        """
         if self.kind == "morlet-real":
             return self.rows.astype(dtype, copy=False)
         if self.kind == "morlet-binary":
-            return _unpack_row_bits(self.rows.ravel(), self.rows.shape[0] * self.rows.shape[1] * 8) \
-                .reshape(self.k, -1)[:, : self.n].astype(dtype)
-        out_dtype = np.complex128 if self.is_complex else dtype
-        out = np.empty((self.k, self.n), dtype=out_dtype)
-        for i in range(self.k):
-            out[i] = self.row_grid(i).ravel()
-        return out
+            return np.unpackbits(self.rows, axis=1, count=self.n,
+                                 bitorder="little").astype(dtype)
+        units = np.zeros((self.k, self.n))
+        units[np.arange(self.k), np.asarray(self.row_meta)] = 1.0
+        if self.kind == "noiselet":
+            return fast_noiselet(units)
+        return fast_wht(units).astype(dtype, copy=False)
 
     # -- serialization ------------------------------------------------------
 
     def _header_bytes(self):
-        flags = 0
-        if self.kind == "morlet-real":
-            flags |= _FLAG_FLOAT64
-        elif self.kind == "morlet-binary":
-            flags |= _FLAG_PACKED
-        else:
-            flags |= _FLAG_PROCEDURAL
         return _SPIP_HEADER.pack(SPIP_MAGIC, SPIP_VERSION, _KIND_CODES[self.kind],
                                  self.width, self.height, self.k,
-                                 self.master_seed, flags)
+                                 self.master_seed, _KIND_FLAGS[self.kind])
 
     def _meta_bytes(self):
         if self.kind in DETERMINISTIC_KINDS:
@@ -434,13 +386,15 @@ def load_pattern_set(path) -> PatternSet:
     if kind_code >= len(KINDS):
         raise FormatError(f"unknown SPIP kind code {kind_code}")
     kind = KINDS[kind_code]
+    if flags != _KIND_FLAGS[kind]:
+        raise FormatError(f"SPIP flags 0x{flags:02x} do not match kind {kind!r}")
     n = width * height
+    row_bytes = (n + 7) // 8 if kind == "morlet-binary" else 8 * n
     pos = _SPIP_HEADER.size
     if kind in DETERMINISTIC_KINDS:
         need = pos + 8 * k
     else:
-        payload = k * ((n + 7) // 8 if flags & _FLAG_PACKED else 8 * n)
-        need = pos + k * _MORLET_META.size + payload
+        need = pos + k * (_MORLET_META.size + row_bytes)
     if len(buf) != need:
         raise FormatError(f"SPIP file is {len(buf)} bytes, header says {need}")
 
@@ -455,10 +409,8 @@ def load_pattern_set(path) -> PatternSet:
         meta.append(MorletRowMeta(sigma, n_p, theta, seed))
         pos += _MORLET_META.size
 
-    if flags & _FLAG_PACKED:
-        row_bytes = (n + 7) // 8
-        need = k * row_bytes
-        payload = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos)
+    if kind == "morlet-binary":
+        payload = np.frombuffer(buf, dtype=np.uint8, count=k * row_bytes, offset=pos)
         rows = payload.reshape(k, row_bytes).copy()
     else:
         payload = np.frombuffer(buf, dtype="<f8", count=k * n, offset=pos)
@@ -532,21 +484,21 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     if k < 2:
         raise ValueError("morlet sets need k >= 2 (constant row + patterns)")
 
+    # rows are written in place: a row list plus np.stack would hold them twice
+    binary = kind == "morlet-binary"
     meta = [MorletRowMeta.CONSTANT]
-    if kind == "morlet-binary":
-        row_list = [_pack_row_bits(np.ones(n, dtype=np.uint8))]
+    if binary:
+        rows = np.empty((k, (n + 7) // 8), dtype=np.uint8)
+        rows[0] = np.packbits(np.ones(n, dtype=np.uint8), bitorder="little")
     else:
-        row_list = [np.full(n, n ** -0.5)]
-    for row_meta, grid in iter_morlet_rows(width, height, k, dist, master_seed,
-                                           start=1):
+        rows = np.empty((k, n))
+        rows[0] = n ** -0.5
+    rows_iter = iter_morlet_rows(width, height, k, dist, master_seed, start=1)
+    for i, (row_meta, grid) in enumerate(rows_iter, start=1):
         meta.append(row_meta)
-        pat = grid.ravel()
-        if kind == "morlet-binary":
-            row_list.append(_pack_row_bits(binarize(pat)))
-        else:
-            row_list.append(pat)
-    rows = np.stack(row_list)
+        rows[i] = np.packbits(binarize(grid.ravel()), bitorder="little") if binary \
+            else grid.ravel()
     rows.flags.writeable = False
-    if kind == "morlet-real":
+    if not binary:
         real_matrix(rows)  # finite-entry check
     return PatternSet(kind, width, height, k, master_seed, tuple(meta), rows)

@@ -136,10 +136,3 @@ def morlet_spectrum(p: MorletParams, width: int, height: int):
     rows = np.fft.fft(np.roll(ys, -(height // 2), axis=1))
     return rows.T @ cols
 
-
-def morlet_zero_mean_constant(p: MorletParams, width: int, height: int) -> complex:
-    """The discrete zero-mean constant used by morlet_wavelet.
-
-    Converges to exp(-(pi*n_p/2)**2 / 2) as the grid grows.
-    """
-    return complex(_morlet_factors(p, width, height)[4])

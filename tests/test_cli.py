@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +121,17 @@ class TestMeasureReconstruct:
         assert self._reconstruct(tmp_path, ps, m) == 2
         assert "error: unknown SPIP kind code 9" in capsys.readouterr().err
 
+    def test_flags_disagreeing_with_kind_is_an_error_line(self, tmp_path, pgm16, capsys):
+        # a morlet-real file relabelled morlet-binary used to load float64
+        # rows and die in np.unpackbits with a TypeError traceback
+        ps, _ = self._gen_measure(tmp_path, pgm16, kind="morlet-real")
+        raw = bytearray(ps.read_bytes())
+        raw[6] = 1  # kind byte := morlet-binary
+        ps.write_bytes(bytes(raw))
+        assert run("measure", "--image", pgm16, "--patterns", str(ps),
+                   "--out", str(tmp_path / "m2.spim")) == 2
+        assert "error: SPIP flags" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--tv-epsilon", "-1", "TV epsilon must be >= 0, got -1.0"),
         ("--tv-tol", "-1e-6", "TV tol must be >= 0, got -1e-06"),
@@ -164,7 +177,7 @@ class TestSweepAndFeatures:
         cfg = {
             "kinds": ["walsh-hadamard"], "crs": [1.0], "methods": ["pinv"],
             "size": 16, "seed": 1, "corpus_paths": paths,
-            "use_standard_corpus": False, "output_dir": str(tmp_path / "out"),
+            "output_dir": str(tmp_path / "out"),
         }
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -182,7 +195,7 @@ class TestSweepAndFeatures:
         cfg = {
             "kinds": ["morlet-real", "morlet-binary"], "crs": [0.2, 0.4],
             "methods": ["pinv", "tv"], "size": 16, "seed": 2,
-            "corpus_paths": paths, "use_standard_corpus": False,
+            "corpus_paths": paths,
             "output_dir": str(tmp_path / "out"), "tv_max_inner": 60,
         }
         cfg_path = tmp_path / "grid.json"
@@ -227,13 +240,22 @@ class TestSweepAndFeatures:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "kinds": ["walsh-hadamard"], "crs": [0.5], "methods": ["tv"], "size": 16,
-            "corpus_paths": [str(img)], "use_standard_corpus": False,
+            "corpus_paths": [str(img)],
             "output_dir": str(tmp_path / "out"), key: value}))
         assert run("sweep", "--config", str(cfg)) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_analyze_features_cli(self, tmp_path, rng):
+    def test_readme_configs_load(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```json\n(.*?)^```", readme, re.S | re.M)
+        assert blocks
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.json"
+            path.write_text(block)
+            RunConfig.from_json(path)
+
+    def test_analyze_features_cli(self, tmp_path, rng, capsys):
         paths = []
         for i in range(2):
             p = tmp_path / f"c{i}.pgm"
@@ -244,3 +266,5 @@ class TestSweepAndFeatures:
                    "--dict-size", "48", "--out", str(out)) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("sigma_lo")
+        text = capsys.readouterr().out
+        assert re.search(r"^histogram_concentration=[01]\.\d{4} ", text, re.M)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,18 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import dense_transform_2d, dense_transform_matrix
 from spisim import patterns
-from spisim.patterns import (ParamDistribution, basis_row_2d,
+from spisim.patterns import (ParamDistribution, PatternSet,
                              binarize, bipolar_rows, fast_noiselet, fast_wht,
                              gen_morlet_pattern, gen_pattern_set,
                              load_pattern_set, noiselet2, splitmix64, wht2)
 from spisim.imgcore import FormatError
 from spisim.wavelets import MorletParams
+
+
+# SPIP header: the flags byte ends it; each kind has one flags value
+FLAGS_BYTE = 27
+SPIP_FLAGS = {"morlet-real": 0x02, "morlet-binary": 0x01,
+              "walsh-hadamard": 0x04, "noiselet": 0x04}
 
 
 class TestFastWht:
@@ -191,22 +198,34 @@ class TestKroneckerTransformsMatchButterfly:
             transform(np.zeros(shape))
 
 
+def basis_set(kind, width, height, indices):
+    return PatternSet(kind, width, height, len(indices), 0, tuple(indices))
+
+
 class TestBasisRow2d:
     def test_wh_row0_constant(self):
-        g = basis_row_2d("walsh-hadamard", 0, 8, 4)
-        np.testing.assert_allclose(g, np.full((4, 8), 32 ** -0.5), atol=1e-14)
+        g = basis_set("walsh-hadamard", 8, 4, range(32)).dense()[0]
+        np.testing.assert_allclose(g, np.full(32, 32 ** -0.5), atol=1e-14)
 
     def test_wh_rows_are_two_valued(self):
+        dense = basis_set("walsh-hadamard", 8, 4, range(32)).dense()
         for idx in (3, 17, 30):
-            g = basis_row_2d("walsh-hadamard", idx, 8, 4)
-            np.testing.assert_allclose(np.abs(g), 32 ** -0.5, atol=1e-14)
+            np.testing.assert_allclose(np.abs(dense[idx]), 32 ** -0.5, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["walsh-hadamard", "noiselet"])
     def test_rows_match_dense_2d_kronecker_oracle(self, kind):
-        dense = dense_transform_2d(4, 4, kind)
-        for idx in range(16):
-            g = basis_row_2d(kind, idx, 4, 4).ravel()
-            assert np.abs(g - dense[idx]).max() < 1e-12
+        for width, height in ((4, 4), (8, 4)):
+            oracle = dense_transform_2d(width, height, kind)
+            n = width * height
+            order = np.random.default_rng(n).permutation(n)
+            dense = basis_set(kind, width, height, order).dense()
+            assert dense.dtype == (np.complex128 if kind == "noiselet" else np.float64)
+            for i, idx in enumerate(order):
+                assert np.abs(dense[i] - oracle[idx]).max() < 1e-12
+
+    def test_wh_dense_keeps_dtype(self):
+        dense = basis_set("walsh-hadamard", 8, 4, range(32)).dense(np.float32)
+        assert dense.dtype == np.float32
 
     def test_2d_transform_matches_dense(self, rng):
         x = rng.standard_normal((4, 8))
@@ -217,7 +236,7 @@ class TestBasisRow2d:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            basis_row_2d("walsh-hadamard", 16, 4, 4)
+            basis_set("walsh-hadamard", 4, 4, [0, 16])
 
 
 class TestBinarize:
@@ -346,8 +365,18 @@ class TestGenPatternSet:
 
     def test_binary_row0_all_ones(self):
         ps = gen_pattern_set("morlet-binary", 16, 16, 8, master_seed=1)
-        assert ps.row_grid(0).min() == 1.0
+        assert ps.dense()[0].min() == 1.0
         assert ps.row_meta[0].is_constant
+
+    def test_rows_are_held_once(self):
+        # a row list followed by np.stack peaked at 2.2x the rows
+        tracemalloc.start()
+        try:
+            ps = gen_pattern_set("morlet-real", 64, 64, 400, master_seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ps.rows.nbytes
 
     def test_deterministic_bytes(self, tmp_path):
         for kind in ("morlet-real", "morlet-binary", "walsh-hadamard", "noiselet"):
@@ -413,6 +442,29 @@ class TestSerialization:
         for bad in (raw[:-1], raw + b"\0"):
             (tmp_path / "bad.spip").write_bytes(bad)
             with pytest.raises(FormatError, match="header says"):
+                load_pattern_set(tmp_path / "bad.spip")
+
+    @pytest.mark.parametrize("kind", list(SPIP_FLAGS))
+    def test_flags_of_another_kind_are_a_format_error(self, kind, tmp_path):
+        gen_pattern_set(kind, 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        assert raw[FLAGS_BYTE] == SPIP_FLAGS[kind]
+        for flags in set(SPIP_FLAGS.values()) - {SPIP_FLAGS[kind]}:
+            raw[FLAGS_BYTE] = flags
+            (tmp_path / "bad.spip").write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match="flags"):
+                load_pattern_set(tmp_path / "bad.spip")
+
+    @pytest.mark.parametrize("kind", list(SPIP_FLAGS))
+    def test_kind_byte_of_another_layout_is_a_format_error(self, kind, tmp_path):
+        gen_pattern_set(kind, 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        for code, other in enumerate(SPIP_FLAGS):
+            if SPIP_FLAGS[other] == SPIP_FLAGS[kind]:
+                continue
+            raw[6] = code  # kind byte after magic and version
+            (tmp_path / "bad.spip").write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match="flags"):
                 load_pattern_set(tmp_path / "bad.spip")
 
     def test_basis_index_out_of_range(self, tmp_path):

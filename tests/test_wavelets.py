@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spisim.patterns import gen_morlet_pattern
 from spisim.wavelets import (MorletParams, _morlet_factors, morlet_spectrum,
-                             morlet_wavelet, morlet_zero_mean_constant)
+                             morlet_wavelet)
 
 # closed-form continuous limit of the zero-mean constant at n_p = 1,
 # exp(-(pi/2)^2/2), confirmed by fine-grid quadrature
@@ -35,7 +35,7 @@ class TestMorlet:
 
     def test_continuous_limit_zero_mean_constant(self):
         p = MorletParams(sigma=16.0, n_p=1.0, theta=0.3)
-        kappa = morlet_zero_mean_constant(p, 512, 512)
+        kappa = _morlet_factors(p, 512, 512)[4]
         assert abs(kappa - KAPPA_NP1) < 1e-9
 
     def test_theta_zero_reflection_symmetry(self):
@@ -63,7 +63,8 @@ class TestMorlet:
         with pytest.warns(UserWarning, match="8\\*sigma"):
             morlet_wavelet(MorletParams(sigma=8.0, n_p=1.0, theta=0.0), 32, 32)
 
-    @pytest.mark.parametrize("make", [morlet_spectrum, morlet_zero_mean_constant,
+    @pytest.mark.parametrize("make", [morlet_spectrum,
+                                      lambda p, w, h: _morlet_factors(p, w, h)[4],
                                       lambda p, w, h: gen_morlet_pattern(p, 1, w, h)],
                              ids=["spectrum", "kappa", "pattern"])
     def test_truncation_warning_on_every_path(self, make):
