@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imgcore import FormatError
-from .patterns import PatternSet, noiselet2, wht2
+from .patterns import PatternSet, _row_blocks, noiselet2, wht2
 
 SPIM_MAGIC = b"SPIM"
 SPIM_VERSION = 1
@@ -75,14 +75,18 @@ class Measurement:
 
 
 def _raw_dot_products(img, ps: PatternSet):
-    x = img.vector()
+    """<X, row_i> for every row: basis kinds by one fast transform, morlet
+    kinds over float64 row blocks of at most 1 MB. Dense float64 copies of
+    all rows would take 8 k n bytes (92 MiB for the 1.3 MiB of packed rows
+    at 128 x 128, k = 655)."""
     if ps.kind == "walsh-hadamard":
         t = wht2(img.data).ravel()
         return t[np.asarray(ps.row_meta)]
     if ps.kind == "noiselet":
         t = noiselet2(img.data).ravel()
         return t[np.asarray(ps.row_meta)]
-    return ps.dense() @ x
+    x = img.vector()
+    return np.concatenate([ps.dense(rows=sl) @ x for sl in _row_blocks(ps.k, 8 * ps.n)])
 
 
 def _quantize(values, step):
@@ -136,9 +140,8 @@ def measure_differential(img, ps: PatternSet, nm: NoiseModel = NoiseModel()) -> 
         raise ValueError(f"differential measurement needs a binary set, got {ps.kind!r}")
     if (img.width, img.height) != (ps.width, ps.height):
         raise ValueError("image dimensions do not match pattern set")
-    x = img.vector()
-    raw_y = ps.dense() @ x
-    raw_ybar = x.sum() - raw_y
+    raw_y = _raw_dot_products(img, ps)
+    raw_ybar = img.vector().sum() - raw_y
     (values, values_bar), full_scale = apply_noise_chain([raw_y, raw_ybar], nm)
     return Measurement(values=values, values_bar=values_bar,
                        pattern_set_hash=ps.content_hash(), noise_model=nm,

@@ -7,10 +7,10 @@ for binary kinds), reconstructs, and records PSNR and wall time. Cell RNG
 streams derive from (seed, kind, CR) only, so any subset of cells recomputed
 in isolation reproduces the full run.
 
-Every cell reconstructs through its pattern kind's linear model
-(recon.linear_model) with the whole corpus as one batch: morlet cells use
-Gram factors of the row matrix (float64, or float32 above recon's
-_DENSE_LIMIT entries), deterministic kinds their fast transforms.
+A cell is the CLI pipeline (`spisim gen`, `measure`, `reconstruct`) with
+the whole corpus as one batch: gen_pattern_set, acquire.measure or
+measure_differential per image, recon.effective_measurement and
+recon.linear_model of the pattern set.
 """
 
 from __future__ import annotations
@@ -20,12 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquire import NoiseModel, apply_noise_chain, measure
+from . import acquire, recon
+from .acquire import NoiseModel
 from .imgcore import Image
-from .patterns import (KINDS, MORLET_KINDS, ParamDistribution, bipolar_rows,
-                       gen_pattern_set, iter_morlet_rows, splitmix64)
-from . import recon
-from .recon import _DENSE_LIMIT, TvOptions
+from .patterns import KINDS, ParamDistribution, gen_pattern_set, rows_for_cr, splitmix64
+from .recon import TvOptions
+
+# Not used here: these names stay importable from this module because the
+# benchmark's span table (bench/layers.py) wraps analyze.<name>, and
+# bench/worker.py reads analyze._DENSE_LIMIT.
+from .acquire import measure  # noqa: F401
+from .patterns import _DENSE_LIMIT, bipolar_rows, iter_morlet_rows  # noqa: F401
+_measure_effective = measure
 
 PSNR_INF = float("inf")
 
@@ -222,77 +228,28 @@ def _image_noise_model(nm, cell_seed, i):
                       seed=splitmix64(cell_seed, i))
 
 
-def _measure_effective(images, kind, m_rows, nm, cell_seed):
-    """Effective measurement vectors from the bipolar/real row matrix.
-
-    Reuses the acquire noise chain on the raw dot products; for binary sets
-    the differential pair is reconstructed from <X, 2P-1> and the total flux
-    so the noise semantics match measure_differential exactly.
-    """
-    ys = []
-    dt = m_rows.dtype
-    for i, img in enumerate(images):
-        x = img.vector()
-        raw_eff = (m_rows @ x.astype(dt)).astype(np.float64)
-        nm_i = _image_noise_model(nm, cell_seed, i)
-        if kind == "morlet-binary":
-            raw_y = 0.5 * (raw_eff + x.sum())
-            raw_ybar = x.sum() - raw_y
-            (vy, vybar), _ = apply_noise_chain([raw_y, raw_ybar], nm_i)
-            ys.append(vy - vybar)
-        else:
-            (vy,), _ = apply_noise_chain([raw_eff], nm_i)
-            ys.append(vy)
-    return ys
-
-
-def _gen_morlet_cell(kind, w, h, k, dist, cell_seed, dtype):
-    """Effective row matrix without dense float64 intermediates.
-
-    Matches gen_pattern_set row for row: row 0 is the constant pattern, the
-    rest come from the same per-row seed stream.
-    """
-    if kind == "morlet-binary":
-        ps = gen_pattern_set(kind, w, h, k, dist=dist, master_seed=cell_seed)
-        return bipolar_rows(ps, dtype=dtype)
-    m_rows = np.empty((k, w * h), dtype=dtype)
-    m_rows[0] = (w * h) ** -0.5
-    for i, (_, grid) in enumerate(iter_morlet_rows(w, h, k, dist, cell_seed, start=1)):
-        m_rows[i + 1] = grid.ravel()
-    return m_rows
-
-
 def run_sweep(corpus, kinds, crs, methods, nm: NoiseModel = NoiseModel(), seed=0,
               dist: ParamDistribution = None, tv_opts: TvOptions = TvOptions(),
               progress=None) -> SweepResult:
     """PSNR sweep over (kind x CR x method) for a named image corpus.
 
-    `corpus` is a list of (name, Image) with identical dimensions. Morlet
-    cells above _DENSE_LIMIT matrix entries hold their rows in float32. Each
-    cell reconstructs the corpus as one batch; runtimes are amortized per image.
-
-    The CR budget counts real-valued samples: a complex noiselet dot
-    product yields two (its real and imaginary parts, two detector frames
-    on binary hardware), so noiselet cells use round(cr*n/2) rows.
+    `corpus` is a list of (name, Image) with identical dimensions. Each
+    cell reconstructs the corpus as one batch; runtimes are amortized per
+    image. A cell at compression ratio cr has patterns.rows_for_cr rows, as
+    `spisim gen --cr` does: cr counts real samples, two per noiselet row.
     """
     corpus = list(corpus)
     if not corpus or not kinds or not crs or not methods:
         raise ValueError("corpus, kinds, crs, and methods must be non-empty")
     names = [name for name, _ in corpus]
     images = [img for _, img in corpus]
-    h, w = images[0].data.shape
-    n = h * w
     result = SweepResult()
 
     for kind in kinds:
         for cr in crs:
-            samples = cr * n / 2.0 if kind == "noiselet" else cr * n
-            k = max(2 if kind in MORLET_KINDS else 1, int(round(samples)))
-            cell_seed = _cell_seed(seed, kind, cr)
             try:
-                cell_dist = dist or ParamDistribution.default_for(w, h)
-                _run_cell(result, names, images, kind, cr, k, cell_dist, cell_seed,
-                          nm, methods, tv_opts)
+                _run_cell(result, names, images, kind, cr, dist,
+                          _cell_seed(seed, kind, cr), nm, methods, tv_opts)
             except Exception as e:  # failed cells recorded, not fatal
                 result.errors.append((kind, cr, "*", f"{type(e).__name__}: {e}"))
             if progress:
@@ -300,20 +257,15 @@ def run_sweep(corpus, kinds, crs, methods, nm: NoiseModel = NoiseModel(), seed=0
     return result
 
 
-def _run_cell(result, names, images, kind, cr, k, dist, cell_seed, nm, methods,
-              tv_opts):
+def _run_cell(result, names, images, kind, cr, dist, cell_seed, nm, methods, tv_opts):
     h, w = images[0].data.shape
-    if kind in MORLET_KINDS:
-        dtype = np.float32 if k * h * w > _DENSE_LIMIT else np.float64
-        m_rows = _gen_morlet_cell(kind, w, h, k, dist, cell_seed, dtype)
-        y = np.stack(_measure_effective(images, kind, m_rows, nm, cell_seed))
-        model = recon.linear_model(m_rows, height=h, width=w)
-    else:
-        ps = gen_pattern_set(kind, w, h, k, master_seed=cell_seed)
-        y = np.stack([recon.effective_measurement(
-            ps, measure(img, ps, _image_noise_model(nm, cell_seed, i)))
-            for i, img in enumerate(images)])
-        model = recon.linear_model(ps)
+    ps = gen_pattern_set(kind, w, h, rows_for_cr(kind, cr, h * w), dist=dist,
+                         master_seed=cell_seed)
+    take = acquire.measure_differential if ps.is_binary else acquire.measure
+    y = np.stack([recon.effective_measurement(
+        ps, take(img, ps, _image_noise_model(nm, cell_seed, i)))
+        for i, img in enumerate(images)])
+    model = recon.linear_model(ps)
 
     for method in ("pinv", "tv"):
         if method not in methods:

@@ -107,11 +107,11 @@ def _parse_range(text):
 # --------------------------------------------------------------------------
 
 def cmd_gen(args):
-    from .patterns import ParamDistribution, gen_pattern_set
+    from .patterns import ParamDistribution, gen_pattern_set, rows_for_cr, samples_per_row
 
     width, height = args.size
     n = width * height
-    k = args.k if args.k is not None else max(1, int(round(args.cr * n)))
+    k = args.k if args.k is not None else rows_for_cr(args.kind, args.cr, n)
     dist = None
     if args.dist_sigma or args.dist_np:
         base = ParamDistribution.default_for(width, height)
@@ -120,7 +120,7 @@ def cmd_gen(args):
     ps = gen_pattern_set(args.kind, width, height, k, dist=dist, master_seed=args.seed)
     ps.save(args.out)
     size_bytes = os.path.getsize(args.out)
-    print(f"kind={ps.kind} n={n} k={ps.k} cr={ps.k / n:.4%}")
+    print(f"kind={ps.kind} n={n} k={ps.k} cr={samples_per_row(ps.kind) * ps.k / n:.4%}")
     print(f"storage_bytes={size_bytes}")
     print(f"display_time_s={ps.k / args.frame_rate:.6g} (at {args.frame_rate:g} frames/s)")
     return 0
@@ -266,7 +266,8 @@ def build_parser():
     g.add_argument("--kind", required=True,
                    choices=["morlet-real", "morlet-binary", "walsh-hadamard", "noiselet", "wh"])
     g.add_argument("--size", required=True, type=_parse_size, help="WxH pixels")
-    g.add_argument("--cr", type=float, default=0.04, help="compression ratio k/n")
+    g.add_argument("--cr", type=float, default=0.04,
+                   help="compression ratio: real samples per pixel (two per noiselet row)")
     g.add_argument("--k", type=int, help="explicit row count (overrides --cr)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--dist-sigma", type=_parse_range, help="lo,hi pixels (log-uniform)")

@@ -29,24 +29,6 @@ def _require_finite(a, what):
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def real_matrix(data, rows=None, cols=None):
-    """Validated row-major real matrix: float64, finite, read-only.
-
-    ``data`` may be flat (then ``rows``/``cols`` are required) or 2D.
-    """
-    a = np.asarray(data, dtype=np.float64)
-    if rows is not None or cols is not None:
-        a = a.reshape(rows, cols)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"degenerate matrix shape {a.shape}")
-    _require_finite(a, "matrix")
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
-
-
 def complex_grid(data, width=None, height=None):
     """Validated row-major complex grid: complex128, finite, read-only."""
     a = np.asarray(data, dtype=np.complex128)

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import FormatError, real_matrix
+from .imgcore import FormatError
 # morlet_wavelet is not called here; it stays importable from this module
 # because the benchmark's span table wraps patterns.morlet_wavelet
 from .wavelets import MorletParams, morlet_spectrum, morlet_wavelet  # noqa: F401
@@ -37,7 +38,9 @@ MORLET_KINDS = ("morlet-real", "morlet-binary")
 DETERMINISTIC_KINDS = ("walsh-hadamard", "noiselet")
 
 SPIP_MAGIC = b"SPIP"
-SPIP_VERSION = 2  # 2: rows from the separable Morlet spectrum
+# 2: rows from the separable Morlet spectrum; 3: morlet-real rows above
+# _DENSE_LIMIT entries are generated in float32 (the payload stays f8)
+SPIP_VERSION = 3
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 # flags byte of each kind: 0x01 bit-packed rows, 0x02 float64 rows, 0x04 procedural
 _KIND_FLAGS = {"morlet-real": 0x02, "morlet-binary": 0x01,
@@ -45,6 +48,10 @@ _KIND_FLAGS = {"morlet-real": 0x02, "morlet-binary": 0x01,
 
 _SPIP_HEADER = struct.Struct("<4sHBIIIQB")
 _MORLET_META = struct.Struct("<dddQ")
+
+# morlet sets keep their model rows in float64 up to this many matrix
+# entries (k * n), float32 above (PatternSet.row_dtype)
+_DENSE_LIMIT = 1 << 25
 
 
 # --------------------------------------------------------------------------
@@ -134,8 +141,8 @@ def gen_morlet_pattern(p: MorletParams, seed: int, width: int, height: int):
     noise = np.random.default_rng(seed).standard_normal((height, width))
     pattern = np.fft.irfft2(np.fft.rfft2(noise) * kernel_hat, s=(height, width))
     norm = np.linalg.norm(pattern)
-    if norm == 0.0:
-        raise ValueError("degenerate pattern (zero norm)")
+    if not 0.0 < norm < np.inf:  # also catches NaN entries
+        raise ValueError(f"degenerate pattern (norm {norm})")
     out = np.ascontiguousarray(pattern / norm)
     out.flags.writeable = False
     return out
@@ -275,17 +282,27 @@ class MorletRowMeta:
 MorletRowMeta.CONSTANT = MorletRowMeta(0.0, 0.0, 0.0, 0)
 
 
-# largest uint8 temporary bipolar_rows allocates
+# largest temporary a loop over blocks of rows allocates
 _UNPACK_BYTES = 1 << 20
+
+
+def _row_blocks(k, row_bytes):
+    """Slices over k rows, each at most _UNPACK_BYTES of rows (>= 1 row)."""
+    step = max(1, _UNPACK_BYTES // row_bytes)
+    return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
+def _row_dtype(kind, k, n):
+    return np.float32 if kind in MORLET_KINDS and k * n > _DENSE_LIMIT else np.float64
 
 
 @dataclass(frozen=True)
 class PatternSet:
     """k rows of a measurement matrix over a width x height pixel grid.
 
-    ``rows`` holds the payload: (k, n) float64 for morlet-real, bit-packed
-    (k, ceil(n/8)) uint8 for morlet-binary, and None for the deterministic
-    kinds (regenerated from row indices on demand). ``row_meta`` is a tuple
+    ``rows`` holds the payload: (k, n) ``row_dtype`` for morlet-real,
+    bit-packed (k, ceil(n/8)) uint8 for morlet-binary, and None for the
+    deterministic kinds (regenerated from row indices on demand). ``row_meta`` is a tuple
     of MorletRowMeta or of int basis-row indices.
     """
 
@@ -319,21 +336,29 @@ class PatternSet:
     def is_binary(self):
         return self.kind == "morlet-binary"
 
-    def dense(self, dtype=np.float64):
-        """Full (k, n) matrix. Binary rows come out as {0, 1} values; noiselet
-        rows are complex128.
+    @property
+    def row_dtype(self):
+        """dtype of the rows the linear model multiplies: float32 for morlet
+        sets above _DENSE_LIMIT matrix entries, float64 otherwise. morlet-real
+        rows are generated and loaded in it, so the model uses them as they are."""
+        return _row_dtype(self.kind, self.k, self.n)
+
+    def dense(self, dtype=np.float64, rows=slice(None)):
+        """(k, n) matrix, or the rows selected by the slice `rows`. Binary
+        rows come out as {0, 1} values; noiselet rows are complex128.
 
         Both 2D transforms T are symmetric, so basis row i is T e_i: one
         transform of the k unit vectors at row_meta (the 2D transform of a
         grid is the 1D transform of its row-major flattening, see _transform2).
         """
         if self.kind == "morlet-real":
-            return self.rows.astype(dtype, copy=False)
+            return self.rows[rows].astype(dtype, copy=False)
         if self.kind == "morlet-binary":
-            return np.unpackbits(self.rows, axis=1, count=self.n,
+            return np.unpackbits(self.rows[rows], axis=1, count=self.n,
                                  bitorder="little").astype(dtype)
-        units = np.zeros((self.k, self.n))
-        units[np.arange(self.k), np.asarray(self.row_meta)] = 1.0
+        idx = np.asarray(self.row_meta)[rows]
+        units = np.zeros((len(idx), self.n))
+        units[np.arange(len(idx)), idx] = 1.0
         if self.kind == "noiselet":
             return fast_noiselet(units)
         return fast_wht(units).astype(dtype, copy=False)
@@ -363,60 +388,64 @@ class PatternSet:
         return h.digest()
 
     def save(self, path):
+        """Write the SPIP file; payloads are written in place, float32 rows
+        widened to the f8 payload one block at a time."""
         with open(path, "wb") as fh:
             fh.write(self._header_bytes())
             fh.write(self._meta_bytes())
             if self.kind == "morlet-real":
-                fh.write(np.ascontiguousarray(self.rows, dtype="<f8").tobytes())
+                for sl in _row_blocks(self.k, 8 * self.n):
+                    np.ascontiguousarray(self.rows[sl], dtype="<f8").tofile(fh)
             elif self.kind == "morlet-binary":
-                fh.write(self.rows.tobytes())
+                np.ascontiguousarray(self.rows).tofile(fh)
 
 
 def load_pattern_set(path) -> PatternSet:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < _SPIP_HEADER.size:
-        raise FormatError("truncated SPIP header")
-    magic, version, kind_code, width, height, k, master_seed, flags = \
-        _SPIP_HEADER.unpack_from(buf)
-    if magic != SPIP_MAGIC:
-        raise FormatError("bad SPIP magic")
-    if version != SPIP_VERSION:
-        raise FormatError(f"unsupported SPIP version {version}")
-    if kind_code >= len(KINDS):
-        raise FormatError(f"unknown SPIP kind code {kind_code}")
-    kind = KINDS[kind_code]
-    if flags != _KIND_FLAGS[kind]:
-        raise FormatError(f"SPIP flags 0x{flags:02x} do not match kind {kind!r}")
-    n = width * height
-    row_bytes = (n + 7) // 8 if kind == "morlet-binary" else 8 * n
-    pos = _SPIP_HEADER.size
-    if kind in DETERMINISTIC_KINDS:
-        need = pos + 8 * k
-    else:
-        need = pos + k * (_MORLET_META.size + row_bytes)
-    if len(buf) != need:
-        raise FormatError(f"SPIP file is {len(buf)} bytes, header says {need}")
+        head = fh.read(_SPIP_HEADER.size)
+        if len(head) < _SPIP_HEADER.size:
+            raise FormatError("truncated SPIP header")
+        magic, version, kind_code, width, height, k, master_seed, flags = \
+            _SPIP_HEADER.unpack(head)
+        if magic != SPIP_MAGIC:
+            raise FormatError("bad SPIP magic")
+        if version != SPIP_VERSION:
+            raise FormatError(f"unsupported SPIP version {version}")
+        if kind_code >= len(KINDS):
+            raise FormatError(f"unknown SPIP kind code {kind_code}")
+        kind = KINDS[kind_code]
+        if flags != _KIND_FLAGS[kind]:
+            raise FormatError(f"SPIP flags 0x{flags:02x} do not match kind {kind!r}")
+        n = width * height
+        if not 1 <= k <= n:
+            raise FormatError(f"SPIP header has k = {k} rows for n = {n} pixels")
+        row_bytes = (n + 7) // 8 if kind == "morlet-binary" else 8 * n
+        if kind in DETERMINISTIC_KINDS:
+            need = _SPIP_HEADER.size + 8 * k
+        else:
+            need = _SPIP_HEADER.size + k * (_MORLET_META.size + row_bytes)
+        size = os.fstat(fh.fileno()).st_size
+        if size != need:
+            raise FormatError(f"SPIP file is {size} bytes, header says {need}")
 
-    if kind in DETERMINISTIC_KINDS:
-        meta = np.frombuffer(buf, dtype="<u8", count=k, offset=pos)
-        return PatternSet(kind, width, height, k, master_seed,
-                          tuple(int(i) for i in meta), None)
+        if kind in DETERMINISTIC_KINDS:
+            meta = np.fromfile(fh, dtype="<u8", count=k)
+            return PatternSet(kind, width, height, k, master_seed,
+                              tuple(int(i) for i in meta), None)
 
-    meta = []
-    for _ in range(k):
-        sigma, n_p, theta, seed = _MORLET_META.unpack_from(buf, pos)
-        meta.append(MorletRowMeta(sigma, n_p, theta, seed))
-        pos += _MORLET_META.size
-
-    if kind == "morlet-binary":
-        payload = np.frombuffer(buf, dtype=np.uint8, count=k * row_bytes, offset=pos)
-        rows = payload.reshape(k, row_bytes).copy()
-    else:
-        payload = np.frombuffer(buf, dtype="<f8", count=k * n, offset=pos)
-        rows = payload.reshape(k, n).copy()
+        meta = tuple(MorletRowMeta(*m)
+                     for m in _MORLET_META.iter_unpack(fh.read(k * _MORLET_META.size)))
+        # payloads are read in place; f8 rows narrow to row_dtype one block at a time
+        if kind == "morlet-binary":
+            rows = np.fromfile(fh, dtype=np.uint8, count=k * row_bytes)
+            rows = rows.reshape(k, row_bytes)
+        else:
+            rows = np.empty((k, n), dtype=_row_dtype(kind, k, n))
+            for sl in _row_blocks(k, row_bytes):
+                rows[sl] = np.fromfile(fh, dtype="<f8", count=(sl.stop - sl.start) * n
+                                       ).reshape(-1, n)
     rows.flags.writeable = False
-    return PatternSet(kind, width, height, k, master_seed, tuple(meta), rows)
+    return PatternSet(kind, width, height, k, master_seed, meta, rows)
 
 
 def iter_morlet_rows(width, height, k, dist, master_seed, start=0):
@@ -445,13 +474,27 @@ def bipolar_rows(ps: PatternSet, dtype=np.float32):
     if not ps.is_binary:
         raise ValueError("bipolar_rows needs a morlet-binary set")
     out = np.empty((ps.k, ps.n), dtype=dtype)
-    block = max(1, _UNPACK_BYTES // ps.n)
-    for lo in range(0, ps.k, block):
-        hi = min(lo + block, ps.k)
-        bits = np.unpackbits(ps.rows[lo:hi], axis=1, count=ps.n, bitorder="little")
-        np.multiply(bits, 2.0, out=out[lo:hi], casting="unsafe")
-        out[lo:hi] -= 1.0
+    for sl in _row_blocks(ps.k, ps.n):
+        bits = np.unpackbits(ps.rows[sl], axis=1, count=ps.n, bitorder="little")
+        np.multiply(bits, 2.0, out=out[sl], casting="unsafe")
+        out[sl] -= 1.0
     return out
+
+
+def samples_per_row(kind):
+    """Real samples one row yields: a complex noiselet dot product gives two
+    (its real and imaginary parts, two detector frames on binary hardware)."""
+    return 2 if kind == "noiselet" else 1
+
+
+def rows_for_cr(kind, cr, n):
+    """Rows k of a set whose sample budget is cr * n real samples.
+
+    Morlet sets get at least 2 rows (the constant row and one pattern),
+    the basis kinds at least 1.
+    """
+    k = int(round(cr * n / samples_per_row(kind)))
+    return max(2 if kind in MORLET_KINDS else 1, k)
 
 
 def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> PatternSet:
@@ -462,6 +505,7 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     pattern (all-ones for morlet-binary, the unit-norm constant for
     morlet-real) so the image mean is measurable: every morlet row is
     exactly zero-mean, so a set without it could never recover the mean.
+    morlet-real rows are held in the set's row_dtype.
     Deterministic kinds: k distinct basis-row indices chosen uniformly at
     random, always including index 0 (the constant row).
     """
@@ -491,7 +535,7 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
         rows = np.empty((k, (n + 7) // 8), dtype=np.uint8)
         rows[0] = np.packbits(np.ones(n, dtype=np.uint8), bitorder="little")
     else:
-        rows = np.empty((k, n))
+        rows = np.empty((k, n), dtype=_row_dtype(kind, k, n))
         rows[0] = n ** -0.5
     rows_iter = iter_morlet_rows(width, height, k, dist, master_seed, start=1)
     for i, (row_meta, grid) in enumerate(rows_iter, start=1):
@@ -499,6 +543,4 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
         rows[i] = np.packbits(binarize(grid.ravel()), bitorder="little") if binary \
             else grid.ravel()
     rows.flags.writeable = False
-    if not binary:
-        real_matrix(rows)  # finite-entry check
     return PatternSet(kind, width, height, k, master_seed, tuple(meta), rows)

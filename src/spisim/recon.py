@@ -8,7 +8,8 @@ b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
 (`tv_reconstruct`), where each NESTA iteration costs one forward and one
 adjoint; iterates carry their residual's back-projection. Both take one
 measurement or a batch. Morlet models get U, D from the Gram
-matrix M M* and never form V (float32 M above `_DENSE_LIMIT` entries);
+matrix M M* and never form V (M in the set's `row_dtype`: float32 above
+`patterns._DENSE_LIMIT` entries);
 Walsh-Hadamard and noiselet models use their fast transforms, the noiselet
 one as two real Walsh-Hadamard transforms per call. The dense SVD
 (`factorize`) is the test oracle; `linear_model` accepts its factors too.
@@ -37,15 +38,16 @@ import numpy as np
 from .acquire import Measurement, combine_differential
 from .imgcore import FormatError, Image
 from .patterns import PatternSet, bipolar_rows, noiselet_signs, wht2
+# _DENSE_LIMIT is not used here; it stays importable from this module because
+# tests/test_bench_contract.py checks it against the analyze._DENSE_LIMIT
+# that bench/worker.py reads
+from .patterns import _DENSE_LIMIT  # noqa: F401
 
 SPIV_MAGIC = b"SPIV"
 SPIV_VERSION = 1
 _SPIV_HEADER = struct.Struct("<4sHIId32s")
 
 DEFAULT_RANK_TOL = 1e-10
-
-# morlet models keep M in float64 up to this many entries, float32 above
-_DENSE_LIMIT = 1 << 25
 
 
 # --------------------------------------------------------------------------
@@ -300,8 +302,8 @@ def linear_model(source, rank_tol=DEFAULT_RANK_TOL, height=None, width=None):
 
     `source` is a PatternSet, an SvdFactors (the dense reference), or an
     effective row matrix (float32 or float64) already built for a
-    height x width grid (default 1 x n). Morlet sets hold M in float32 when
-    k * n > _DENSE_LIMIT.
+    height x width grid (default 1 x n). Morlet sets hold M in their
+    row_dtype; morlet-real rows are used without a copy.
     """
     if isinstance(source, SvdFactors):
         return _DenseVtOp(source)
@@ -311,8 +313,7 @@ def linear_model(source, rank_tol=DEFAULT_RANK_TOL, height=None, width=None):
         if source.kind == "noiselet":
             return _NoiseletSubsetOp(source.row_meta, source.width, source.height)
         height, width = source.height, source.width
-        dtype = np.float32 if source.k * source.n > _DENSE_LIMIT else np.float64
-        source = effective_matrix(source, dtype)
+        source = effective_matrix(source, source.row_dtype)
     m_rows = np.asarray(source)
     if m_rows.ndim != 2 or m_rows.dtype not in (np.float32, np.float64):
         raise TypeError("expected a PatternSet, SvdFactors or a real 2D row matrix")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from spisim.acquire import (Measurement, NoiseModel, combine_differential,
                             load_measurement, measure, measure_differential,
                             measurement_to_csv, save_measurement)
 from spisim.imgcore import FormatError, Image
+from spisim import patterns
 from spisim.patterns import gen_pattern_set, wht2
 
 
@@ -30,6 +33,33 @@ class TestMeasure:
         m = measure(img, ps)
         oracle = wht2(img.data).ravel()[np.asarray(ps.row_meta)]
         assert np.abs(m.values - oracle).max() < 1e-10
+
+    @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary"])
+    def test_row_blocks_match_the_dense_product(self, rng, kind, monkeypatch):
+        # blocks of 3 rows with a short last block; float32 rows for morlet-real
+        monkeypatch.setattr(patterns, "_UNPACK_BYTES", 3 * 8 * 15 * 9)
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", 0)
+        ps = gen_pattern_set(kind, 15, 9, 11, master_seed=6)
+        img = Image(rng.random((9, 15)))
+        dense = ps.dense() @ img.vector()
+        np.testing.assert_allclose(measure(img, ps).values, dense, rtol=1e-14, atol=1e-13)
+        if ps.is_binary:
+            m = measure_differential(img, ps)
+            np.testing.assert_allclose(m.values, dense, rtol=1e-14, atol=1e-13)
+            np.testing.assert_allclose(m.values_bar, img.data.sum() - dense, atol=1e-12)
+
+    def test_morlet_measurement_memory_is_bounded(self, rng):
+        # a dense float64 copy of every row peaked at 92.1 MiB here
+        ps = gen_pattern_set("morlet-binary", 128, 128, 655, master_seed=1)
+        img = Image(rng.random((128, 128)))
+        for take in (measure, measure_differential):
+            tracemalloc.start()
+            try:
+                take(img, ps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2 ** 20, take.__name__
 
     def test_linearity(self, rng, binary_set):
         x1 = Image(rng.random((16, 16)))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from spisim.acquire import NoiseModel
-from spisim.analyze import (decompose_features, format_psnr,
-                            histogram_concentration, mse, psnr, run_sweep)
+from spisim import patterns
+from spisim.acquire import NoiseModel, measure, measure_differential
+from spisim.analyze import (_cell_seed, _image_noise_model, decompose_features,
+                            format_psnr, histogram_concentration, mse, psnr, run_sweep)
 from spisim.imgcore import Image
-from spisim.patterns import ParamDistribution, gen_pattern_set
+from spisim.patterns import ParamDistribution, gen_pattern_set, rows_for_cr
+from spisim.recon import effective_measurement, linear_model, pinv_reconstruct
 
 
 class TestMse:
@@ -172,3 +174,31 @@ class TestRunSweep:
         mean = res.mean_psnr("morlet-real", 0.5, "pinv")
         vals = [r.psnr_db for r in res.rows]
         assert mean == pytest.approx(np.mean(vals))
+
+    @pytest.mark.parametrize("kind,above", [
+        ("morlet-real", False), ("morlet-binary", False), ("walsh-hadamard", False),
+        ("noiselet", False), ("morlet-real", True), ("morlet-binary", True)])
+    def test_cell_is_the_cli_pipeline(self, rng, monkeypatch, kind, above):
+        # gen_pattern_set -> measure / measure_differential -> effective_measurement
+        # -> pinv_reconstruct(linear_model(ps)), as `spisim gen/measure/reconstruct`
+        if above:
+            monkeypatch.setattr(patterns, "_DENSE_LIMIT", 0)
+        corpus = tiny_corpus(rng)
+        nm = NoiseModel(additive_sigma=1e-2, adc_bits=12)
+        seed, cr = 5, 0.25
+        res = run_sweep(corpus, [kind], [cr], ["pinv"], nm=nm, seed=seed)
+        assert not res.errors
+
+        cell_seed = _cell_seed(seed, kind, cr)
+        ps = gen_pattern_set(kind, 16, 16, rows_for_cr(kind, cr, 256),
+                             master_seed=cell_seed)
+        assert ps.row_dtype == (np.float32 if above else np.float64)
+        take = measure_differential if ps.is_binary else measure
+        y = np.stack([effective_measurement(
+            ps, take(img, ps, _image_noise_model(nm, cell_seed, i)))
+            for i, (_, img) in enumerate(corpus)])
+        xs = pinv_reconstruct(linear_model(ps), y)
+        want = [psnr(Image(x), img) for x, (_, img) in zip(xs, corpus)]
+        got = [r.psnr_db for r in res.rows]
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)

@@ -70,3 +70,37 @@ def test_operators_and_measure_go_through_transform_names(monkeypatch):
         calls.clear()
         acquire.measure(img, ps)
         assert calls == [f"spisim.acquire.{name}"]
+
+
+def test_no_span_opens_inside_a_span_of_the_same_name(monkeypatch, rng):
+    # a measurement wrapped twice under one name (say acquire.measure around
+    # analyze._measure_effective calling measure) counts its time twice
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from spans import Tracer
+    from spisim.analyze import run_sweep
+    from spisim.imgcore import Image
+    from spisim.patterns import KINDS
+    from spisim.recon import TvOptions
+
+    nested = []
+
+    class NestingTracer(Tracer):
+        def open(self, name):
+            if any(frame[0] == name for frame in self._stack):
+                nested.append(name)
+            super().open(name)
+
+    tr = NestingTracer()
+    corpus = [(f"img{i}", Image(rng.random((16, 16)))) for i in range(2)]
+    try:
+        layers.install(tr)
+        res = run_sweep(corpus, list(KINDS), [0.25], ["pinv", "tv"],
+                        tv_opts=TvOptions(max_inner=3, mu_stages=2))
+    finally:
+        tr.restore()
+        for name in ("layers", "spans"):
+            sys.modules.pop(name, None)
+    assert not res.errors
+    assert nested == []
+    assert tr.calls["acquire.measure"] == len(KINDS) * len(corpus)

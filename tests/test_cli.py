@@ -48,6 +48,40 @@ class TestGen:
                    "--cr", "0.06", "--out", str(tmp_path / "p.spip")) == 0
         assert "k=3932" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind,size,cr,k,printed", [
+        ("noiselet", "64x64", "0.04", 82, "cr=4.0039%"),       # two samples per row
+        ("morlet-binary", "16x16", "0.001", 2, "cr=0.7812%"),  # constant row + one
+        ("morlet-binary", "128x128", "0.04", 655, "cr=3.9978%"),
+    ])
+    def test_cr_counts_real_samples(self, tmp_path, capsys, kind, size, cr, k, printed):
+        assert run("gen", "--kind", kind, "--size", size, "--cr", cr,
+                   "--out", str(tmp_path / "p.spip")) == 0
+        out = capsys.readouterr().out
+        assert f"k={k} " in out and printed in out
+
+    def test_gen_cr_gives_the_rows_of_a_sweep_cell(self, tmp_path, capsys, rng,
+                                                   monkeypatch):
+        from spisim import analyze
+        from spisim.patterns import KINDS, load_pattern_set
+
+        cell_rows = {}
+
+        def spy(kind, width, height, k, **kw):
+            cell_rows[kind] = k
+            return real_gen(kind, width, height, k, **kw)
+        real_gen = analyze.gen_pattern_set
+        monkeypatch.setattr(analyze, "gen_pattern_set", spy)
+        corpus = [("a", Image(rng.random((16, 16))))]
+        for cr in (0.001, 0.1):
+            cell_rows.clear()
+            res = analyze.run_sweep(corpus, list(KINDS), [cr], ["pinv"])
+            assert not res.errors
+            for kind in KINDS:
+                out = tmp_path / f"{kind}.spip"
+                assert run("gen", "--kind", kind, "--size", "16x16", "--cr", str(cr),
+                           "--out", str(out)) == 0
+                assert load_pattern_set(out).k == cell_rows[kind], (kind, cr)
+
 
 class TestMeasureReconstruct:
     def test_pipeline_identity_at_cr1(self, tmp_path, pgm16, capsys):
@@ -143,6 +177,15 @@ class TestMeasureReconstruct:
         assert self._reconstruct(tmp_path, ps, m, "--method", "tv", f"{flag}={value}") == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r.pgm").exists()
+
+    def test_version_2_pattern_file_is_an_error_line(self, tmp_path, pgm16, capsys):
+        ps, _ = self._gen_measure(tmp_path, pgm16)
+        raw = bytearray(ps.read_bytes())
+        raw[4:6] = (2).to_bytes(2, "little")
+        ps.write_bytes(bytes(raw))
+        assert run("measure", "--image", pgm16, "--patterns", str(ps),
+                   "--out", str(tmp_path / "m2.spim")) == 2
+        assert "error: unsupported SPIP version 2" in capsys.readouterr().err
 
     def test_short_pinv_cache_file_is_recomputed(self, tmp_path, pgm16):
         from spisim.patterns import load_pattern_set

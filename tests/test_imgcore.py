@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spisim.imgcore import (FormatError, Image, complex_grid, load_image,
-                            real_matrix, save_image, save_spif)
+                            save_image, save_spif)
 
 
 def write(path, payload):
@@ -104,20 +104,10 @@ class TestValueTypes:
         with pytest.raises(AttributeError):
             random_image.data = np.zeros((2, 2))
 
-    def test_real_matrix_rejects_inf(self):
-        with pytest.raises(ValueError):
-            real_matrix([[1.0, np.inf]])
-
     def test_complex_grid_rejects_nan(self):
         with pytest.raises(ValueError):
             complex_grid([[1.0 + 1j, complex(np.nan, 0)]])
 
-    def test_real_matrix_reshapes_flat_data(self):
-        m = real_matrix(np.arange(6.0), rows=2, cols=3)
-        assert m.shape == (2, 3) and not m.flags.writeable
-
     def test_degenerate_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            real_matrix(np.zeros((0, 3)))
         with pytest.raises(ValueError):
             Image(np.zeros((0, 2)))

@@ -467,6 +467,17 @@ class TestSerialization:
             with pytest.raises(FormatError, match="flags"):
                 load_pattern_set(tmp_path / "bad.spip")
 
+    @pytest.mark.parametrize("kind", list(SPIP_FLAGS))
+    def test_empty_grid_is_a_format_error(self, kind, tmp_path):
+        # width 0 with a payload-free file of the length that width implies
+        gen_pattern_set(kind, 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        struct.pack_into("<I", raw, 7, 0)
+        meta = 8 if kind in ("walsh-hadamard", "noiselet") else 32
+        (tmp_path / "p.spip").write_bytes(bytes(raw[:FLAGS_BYTE + 1 + 5 * meta]))
+        with pytest.raises(FormatError, match="k = 5 rows for n = 0 pixels"):
+            load_pattern_set(tmp_path / "p.spip")
+
     def test_basis_index_out_of_range(self, tmp_path):
         gen_pattern_set("walsh-hadamard", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
         raw = bytearray((tmp_path / "p.spip").read_bytes())
@@ -503,11 +514,55 @@ class TestSerialization:
         # v1 rows came from the dense wavelet grid and differ in the last ulp
         gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
         raw = bytearray((tmp_path / "p.spip").read_bytes())
-        assert struct.unpack_from("<H", raw, 4) == (2,)
+        assert struct.unpack_from("<H", raw, 4) == (3,)
         struct.pack_into("<H", raw, 4, 1)
         (tmp_path / "p.spip").write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported SPIP version 1"):
             load_pattern_set(tmp_path / "p.spip")
+
+    def test_version_2_file_is_a_format_error(self, tmp_path):
+        # v2 held morlet-real rows above _DENSE_LIMIT entries in float64
+        gen_pattern_set("morlet-real", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        struct.pack_into("<H", raw, 4, 2)
+        (tmp_path / "p.spip").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported SPIP version 2"):
+            load_pattern_set(tmp_path / "p.spip")
+
+    def test_save_and_load_hold_the_rows_once(self, tmp_path):
+        # save wrote .tobytes() of the payload (1.00x the rows); load read the
+        # whole file and copied the payload out of it (2.01x)
+        ps = gen_pattern_set("morlet-real", 64, 64, 400, master_seed=2)
+        path = tmp_path / "p.spip"
+        tracemalloc.start()
+        try:
+            ps.save(path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = load_pattern_set(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert save_peak <= 0.2 * ps.rows.nbytes
+        assert load_peak <= 1.2 * ps.rows.nbytes
+        assert np.array_equal(back.rows, ps.rows)
+
+    def test_morlet_real_rows_held_in_row_dtype(self, monkeypatch, tmp_path):
+        below = gen_pattern_set("morlet-real", 16, 8, 9, master_seed=4)
+        assert below.row_dtype == below.rows.dtype == np.float64
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", 9 * 128 - 1)
+        above = gen_pattern_set("morlet-real", 16, 8, 9, master_seed=4)
+        assert above.row_dtype == above.rows.dtype == np.float32
+        assert np.array_equal(above.rows, below.rows.astype(np.float32))
+        assert gen_pattern_set("morlet-binary", 16, 8, 9).row_dtype == np.float32
+        assert gen_pattern_set("noiselet", 16, 8, 9).row_dtype == np.float64
+        # the payload stays f8; loading narrows it back exactly
+        above.save(tmp_path / "p.spip")
+        size = (tmp_path / "p.spip").stat().st_size
+        assert size == 28 + 9 * (32 + 8 * 128)
+        back = load_pattern_set(tmp_path / "p.spip")
+        assert back.rows.dtype == np.float32
+        assert np.array_equal(back.rows, above.rows)
 
     def test_content_hash_names_the_generator_version(self, monkeypatch):
         ps = gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import block_phantom, dense_transform_2d
-from spisim import recon
+from spisim import patterns, recon
 from spisim.acquire import NoiseModel, measure, measure_differential
 from spisim.analyze import psnr
 from spisim.imgcore import FormatError, Image
@@ -571,8 +571,15 @@ class TestLinearModel:
     def test_float32_rows_above_dense_limit(self, monkeypatch):
         ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=3)
         assert linear_model(ps).m.dtype == np.float64
-        monkeypatch.setattr(recon, "_DENSE_LIMIT", 10 * 64 - 1)
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", 10 * 64 - 1)
         assert linear_model(ps).m.dtype == np.float32
+
+    @pytest.mark.parametrize("limit", [1 << 25, 0])
+    def test_morlet_real_rows_used_without_copy(self, monkeypatch, limit):
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", limit)
+        ps = gen_pattern_set("morlet-real", 8, 8, 10, master_seed=3)
+        m = linear_model(ps).m
+        assert m.dtype == ps.row_dtype and np.shares_memory(m, ps.rows)
 
     @pytest.mark.parametrize("kind,k", KINDS_AT_8)
     def test_wrong_measurement_length(self, kind, k):
