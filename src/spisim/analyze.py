@@ -175,6 +175,11 @@ class SweepRow:
     image: str
     psnr_db: float
     runtime_s: float
+    # TV rows: the cell's batch solve (inner iterations over all stages,
+    # converged, monotone stage TV); None for pinv rows
+    iterations: int = None
+    converged: bool = None
+    monotone: bool = None
 
 
 @dataclass
@@ -206,10 +211,12 @@ class SweepResult:
 
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("kind,cr,method,image,psnr_db,runtime_s\n")
+            fh.write("kind,cr,method,image,psnr_db,runtime_s,iterations,converged,monotone\n")
             for r in self.rows:
+                tv = ",".join("" if v is None else str(int(v))
+                              for v in (r.iterations, r.converged, r.monotone))
                 fh.write(f"{r.kind},{r.cr!r},{r.method},{r.image},"
-                         f"{format_psnr(r.psnr_db)},{r.runtime_s!r}\n")
+                         f"{format_psnr(r.psnr_db)},{r.runtime_s!r},{tv}\n")
 
     def summary_to_csv(self, path):
         with open(path, "w") as fh:
@@ -272,12 +279,13 @@ def _run_cell(result, names, images, kind, cr, dist, cell_seed, nm, methods, tv_
             continue
         t0 = time.perf_counter()
         if method == "pinv":
-            xs = recon.pinv_reconstruct(model, y)
+            xs, tv = recon.pinv_reconstruct(model, y), ()
         else:
-            xs = recon.tv_reconstruct(model, y, tv_opts).images
+            res = recon.tv_reconstruct(model, y, tv_opts)
+            xs, tv = res.images, (res.iterations, res.converged, res.monotone)
         dt = (time.perf_counter() - t0) / len(images)
         for name, img, x in zip(names, images, xs):
-            result.rows.append(SweepRow(kind, cr, method, name, psnr(Image(x), img), dt))
+            result.rows.append(SweepRow(kind, cr, method, name, psnr(Image(x), img), dt, *tv))
 
 
 # --------------------------------------------------------------------------

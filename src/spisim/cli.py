@@ -174,14 +174,14 @@ def cmd_reconstruct(args):
 
     t0 = time.perf_counter()
     y = recon.effective_measurement(ps, m)
+    model = recon.cached_pinv(ps, args.cache_dir) if args.cache_dir \
+        else recon.linear_model(ps)
     if args.method == "pinv":
-        model = recon.cached_pinv(ps, args.cache_dir) if args.cache_dir \
-            else recon.linear_model(ps)
         img = recon.pinv_reconstruct(model, y)
     else:
         opts = recon.TvOptions(epsilon=args.tv_epsilon, tol=args.tv_tol,
                                max_inner=args.tv_max_inner)
-        res = recon.tv_reconstruct(recon.linear_model(ps), y, opts)
+        res = recon.tv_reconstruct(model, y, opts)
         if not res.converged:
             print("warning: TV solver hit the iteration budget before converging",
                   file=sys.stderr)
@@ -296,7 +296,8 @@ def build_parser():
     r.add_argument("--out", required=True)
     r.add_argument("--depth", type=int, choices=[8, 16], default=8)
     r.add_argument("--reference", help="original image; prints PSNR against it")
-    r.add_argument("--cache-dir", help="SPIV pseudoinverse cache directory")
+    r.add_argument("--cache-dir", help="directory caching the pattern set's orthogonalization "
+                   "(SPIV), used by both methods")
     r.add_argument("--tv-epsilon", type=float, default=0.0)
     r.add_argument("--tv-tol", type=float, default=1e-6)
     r.add_argument("--tv-max-inner", type=int, default=3000)

@@ -14,6 +14,12 @@ Walsh-Hadamard and noiselet models use their fast transforms, the noiselet
 one as two real Walsh-Hadamard transforms per call. The dense SVD
 (`factorize`) is the test oracle; `linear_model` accepts its factors too.
 
+A morlet model is its row matrix plus W = U_r / d_r (k x r), so W is all
+the orthogonalization there is to keep: `cached_pinv` stores it in a SPIV
+file named by the set's content hash, and one cached model serves both
+pinv and TV. No path forms or stores the n x k pseudoinverse, except
+`pinv_matrix`, the SVD oracle's.
+
 Binary pattern rows enter the linear model in bipolar form 2P - 1 (the
 constant row is unchanged by that map), pairing with the differential
 measurement Y - Ybar. Complex noiselet rows enter as stacked real and
@@ -27,6 +33,7 @@ change of the smoothed objective against a trailing window.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 import os
@@ -37,15 +44,16 @@ import numpy as np
 
 from .acquire import Measurement, combine_differential
 from .imgcore import FormatError, Image
-from .patterns import PatternSet, bipolar_rows, noiselet_signs, wht2
+from .patterns import DETERMINISTIC_KINDS, PatternSet, bipolar_rows, noiselet_signs, wht2
 # _DENSE_LIMIT is not used here; it stays importable from this module because
 # tests/test_bench_contract.py checks it against the analyze._DENSE_LIMIT
 # that bench/worker.py reads
 from .patterns import _DENSE_LIMIT  # noqa: F401
 
 SPIV_MAGIC = b"SPIV"
-SPIV_VERSION = 1
-_SPIV_HEADER = struct.Struct("<4sHIId32s")
+SPIV_VERSION = 2
+# magic, version, k, r, row itemsize, rank_tol, pattern-set hash, W payload SHA-256
+_SPIV_HEADER = struct.Struct("<4sHIIHd32s32s")
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -114,7 +122,6 @@ class SvdFactors:
     effective_rank: int
     width: int
     height: int
-    source_hash: bytes = b"\x00" * 32
 
     def truncated(self):
         """(u_r, d_r, vt_r) restricted to the effective rank."""
@@ -127,12 +134,10 @@ def factorize(source, rank_tol=DEFAULT_RANK_TOL, width=None, height=None) -> Svd
     if isinstance(source, PatternSet):
         mat = effective_matrix(source)
         width, height = source.width, source.height
-        digest = source.content_hash()
     else:
         mat = np.asarray(source, dtype=np.float64)
         if mat.ndim != 2:
             raise ValueError("matrix must be 2D")
-        digest = b"\x00" * 32
         if width is None:
             width, height = mat.shape[1], 1
     if not np.any(mat):
@@ -140,7 +145,7 @@ def factorize(source, rank_tol=DEFAULT_RANK_TOL, width=None, height=None) -> Svd
     u, d, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(d > rank_tol * d[0]))
     return SvdFactors(u=u, d=d, vt=vt, rank_tol=rank_tol, effective_rank=rank,
-                      width=width, height=height, source_hash=digest)
+                      width=width, height=height)
 
 
 def gram_orthogonalize(m_rows, rank_tol=DEFAULT_RANK_TOL):
@@ -197,9 +202,9 @@ class _GramVtOp:
     the row matrix itself are kept in memory.
     """
 
-    def __init__(self, m_rows, u_r, d_r, width, height):
+    def __init__(self, m_rows, w, width, height):
         self.m = m_rows
-        self.w = np.ascontiguousarray(u_r / d_r)  # (k, r)
+        self.w = np.ascontiguousarray(w)          # U_r / d_r, (k, r)
         self.k = self.w.shape[0]
         self.width, self.height = width, height
         self._dt = m_rows.dtype
@@ -319,7 +324,8 @@ def linear_model(source, rank_tol=DEFAULT_RANK_TOL, height=None, width=None):
         raise TypeError("expected a PatternSet, SvdFactors or a real 2D row matrix")
     if width is None:
         height, width = 1, m_rows.shape[1]
-    return _GramVtOp(m_rows, *gram_orthogonalize(m_rows, rank_tol), width, height)
+    u_r, d_r = gram_orthogonalize(m_rows, rank_tol)
+    return _GramVtOp(m_rows, u_r / d_r, width, height)
 
 
 def _as_model(source):
@@ -332,11 +338,9 @@ def _as_model(source):
 
 @dataclass(frozen=True)
 class PinvMatrix:
-    """Dense Moore-Penrose pseudoinverse (n x k), truncated at rank_tol."""
+    """Dense Moore-Penrose pseudoinverse (n x k) of truncated SVD factors."""
 
     data: np.ndarray
-    source_hash: bytes
-    rank_tol: float
     width: int = 0
     height: int = 0
 
@@ -352,8 +356,7 @@ class PinvMatrix:
 def pinv_matrix(f: SvdFactors) -> PinvMatrix:
     u_r, d_r, vt_r = f.truncated()
     data = (vt_r.T / d_r) @ u_r.T
-    return PinvMatrix(data=np.ascontiguousarray(data), source_hash=f.source_hash,
-                      rank_tol=f.rank_tol, width=f.width, height=f.height)
+    return PinvMatrix(data=np.ascontiguousarray(data), width=f.width, height=f.height)
 
 
 def pinv_reconstruct(model, y):
@@ -409,61 +412,86 @@ class PinvStream:
 
 
 # --------------------------------------------------------------------------
-# SPIV pseudoinverse cache
+# SPIV orthogonalization cache
 # --------------------------------------------------------------------------
+# save_pinv, load_pinv and cached_pinv keep their names because the
+# benchmark's span table (bench/layers.py) wraps them.
 
-def save_pinv(pm: PinvMatrix, path):
+@dataclass(frozen=True)
+class SpivRecord:
+    """W = U_r / d_r (k x r float64) of a Gram model, with what a cache hit
+    must match: the pattern set's content hash, rank_tol and the itemsize of
+    the rows W was computed from."""
+
+    w: np.ndarray
+    source_hash: bytes
+    rank_tol: float
+    row_itemsize: int
+
+
+def save_pinv(rec: SpivRecord, path):
+    w = np.ascontiguousarray(rec.w, "<f8")
+    k, r = w.shape
     with open(path, "wb") as fh:
-        fh.write(_SPIV_HEADER.pack(SPIV_MAGIC, SPIV_VERSION, pm.n, pm.k,
-                                   pm.rank_tol, pm.source_hash))
-        # the transpose of the column-major matrix is C-contiguous: no copy
-        np.asfortranarray(pm.data, "<f8").T.tofile(fh)
+        fh.write(_SPIV_HEADER.pack(SPIV_MAGIC, SPIV_VERSION, k, r, rec.row_itemsize,
+                                   rec.rank_tol, rec.source_hash,
+                                   hashlib.sha256(w).digest()))
+        w.tofile(fh)
 
 
-def load_pinv(path, width=None, height=None) -> PinvMatrix:
+def load_pinv(path) -> SpivRecord:
     with open(path, "rb") as fh:
         head = fh.read(_SPIV_HEADER.size)
         if len(head) < _SPIV_HEADER.size:
             raise FormatError(f"truncated SPIV header ({len(head)} bytes)")
-        magic, version, n, k, rank_tol, digest = _SPIV_HEADER.unpack(head)
+        magic, version, k, r, itemsize, rank_tol, digest, payload_hash = \
+            _SPIV_HEADER.unpack(head)
         if magic != SPIV_MAGIC:
             raise FormatError("bad SPIV magic")
         if version != SPIV_VERSION:
             raise FormatError(f"unsupported SPIV version {version}")
+        if not 1 <= r <= k:
+            raise FormatError(f"SPIV rank {r} outside 1..k={k}")
         size = os.fstat(fh.fileno()).st_size
-        need = _SPIV_HEADER.size + 8 * n * k
+        need = _SPIV_HEADER.size + 8 * k * r
         if size != need:
             raise FormatError(f"SPIV file is {size} bytes, header says {need}")
-        data = np.fromfile(fh, dtype="<f8", count=n * k).reshape(k, n).T
-    return PinvMatrix(data=data, source_hash=digest, rank_tol=rank_tol,
-                      width=width or n, height=height or 1)
+        w = np.fromfile(fh, dtype="<f8", count=k * r).reshape(k, r)
+    if hashlib.sha256(w).digest() != payload_hash:
+        raise FormatError("SPIV payload does not match its SHA-256")
+    return SpivRecord(w=w, source_hash=digest, rank_tol=rank_tol, row_itemsize=itemsize)
 
 
 def cached_pinv(ps: PatternSet, cache_dir, rank_tol=DEFAULT_RANK_TOL):
-    """The pseudoinverse of `ps`, cached in cache_dir as <content hash>.spiv.
+    """The linear model of `ps`, its W cached in cache_dir as <content hash>.spiv.
 
-    An unreadable or short file, or one with another hash or rank_tol, is a
-    miss. A miss on a Gram model writes M^T (W W^T), W = U/d, via a temp
-    file; a fast-transform model is returned as is (M+ = A^T rhs), unwritten.
+    A morlet model is the set's effective rows (in its row_dtype) plus
+    W = U_r / d_r. A hit rebuilds it from the rows and the cached W, with no
+    Gram product or eigendecomposition. A file that load_pinv rejects, or
+    one written for another hash, rank_tol, k or row itemsize, is a miss; a
+    miss computes the model and writes its W through a temp file.
+    Fast-transform models have nothing to cache and are returned unwritten.
+    The model serves pinv_reconstruct and tv_reconstruct alike.
     """
+    if ps.kind in DETERMINISTIC_KINDS:
+        return linear_model(ps, rank_tol)
     digest = ps.content_hash()
     path = os.path.join(cache_dir, digest.hex() + ".spiv")
+    rows = effective_matrix(ps, ps.row_dtype)
     try:
-        pm = load_pinv(path, width=ps.width, height=ps.height)
-        if pm.source_hash == digest and pm.rank_tol == rank_tol:
-            return pm
+        rec = load_pinv(path)
+        if (rec.source_hash, rec.rank_tol, rec.w.shape[0], rec.row_itemsize) == \
+                (digest, rank_tol, rows.shape[0], rows.itemsize):
+            return _GramVtOp(rows, rec.w, ps.width, ps.height)
     except (OSError, ValueError):
         pass
-    model = linear_model(ps, rank_tol)
-    if not isinstance(model, _GramVtOp):
-        return model
-    pm = PinvMatrix(data=((model.w @ model.w.T) @ model.m).T, source_hash=digest,
-                    rank_tol=rank_tol, width=ps.width, height=ps.height)
+    model = linear_model(rows, rank_tol, ps.height, ps.width)
     os.makedirs(cache_dir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
-    save_pinv(pm, tmp)
+    save_pinv(SpivRecord(w=model.w, source_hash=digest, rank_tol=rank_tol,
+                         row_itemsize=rows.itemsize), tmp)
     os.replace(tmp, path)
-    return pm
+    return model
 
 
 # --------------------------------------------------------------------------

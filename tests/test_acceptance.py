@@ -221,10 +221,13 @@ def test_criterion_8_moore_penrose_identities(rng, tmp_path):
     worst = 0.0
     for _, m in mats:
         worst = max(worst, _moore_penrose_residual(m, recon.pinv_matrix(recon.factorize(m)).data))
-    # the n x k matrix cached_pinv ships, built from Gram factors without an SVD
+    # the n x k matrix the cached model applies on a cache hit: the set's rows
+    # and the W cached_pinv wrote, built from Gram factors without an SVD
     worst_gram = 0.0
     for ps in binary_sets:
-        p = recon.cached_pinv(ps, tmp_path).data
+        recon.cached_pinv(ps, tmp_path)
+        p = recon.pinv_reconstruct(recon.cached_pinv(ps, tmp_path),
+                                   np.eye(ps.k)).reshape(ps.k, -1).T
         worst_gram = max(worst_gram, _moore_penrose_residual(effective_matrix(ps), p))
     ok = worst < 1e-8 and worst_gram < 1e-8
     report(8, ok, f"Moore-Penrose identities on 20 random + 5 morlet-binary "

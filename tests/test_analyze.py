@@ -7,7 +7,7 @@ from spisim.analyze import (_cell_seed, _image_noise_model, decompose_features,
                             format_psnr, histogram_concentration, mse, psnr, run_sweep)
 from spisim.imgcore import Image
 from spisim.patterns import ParamDistribution, gen_pattern_set, rows_for_cr
-from spisim.recon import effective_measurement, linear_model, pinv_reconstruct
+from spisim.recon import TvOptions, effective_measurement, linear_model, pinv_reconstruct
 
 
 class TestMse:
@@ -160,13 +160,30 @@ class TestRunSweep:
         res.to_csv(tmp_path / "cells.csv")
         res.summary_to_csv(tmp_path / "summary.csv")
         cells = (tmp_path / "cells.csv").read_text().strip().splitlines()
-        assert cells[0] == "kind,cr,method,image,psnr_db,runtime_s"
+        assert cells[0] == ("kind,cr,method,image,psnr_db,runtime_s,"
+                            "iterations,converged,monotone")
         assert len(cells) == 4
         summary = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert summary[0] == "kind,cr,method,mean_psnr_db,std_psnr_db,runtime_s"
         # identical reconstructions serialize the +inf sentinel as "inf"
         assert any(line.split(",")[4] == "inf" for line in cells[1:]) or \
                all(float(line.split(",")[4]) > 100 for line in cells[1:])
+
+    def test_tv_diagnostics_reach_the_csv(self, rng, tmp_path):
+        corpus = tiny_corpus(rng)
+        opts = TvOptions(max_inner=3, mu_stages=2)
+        res = run_sweep(corpus, ["morlet-real"], [0.5], ["pinv", "tv"], seed=4, tv_opts=opts)
+        res.to_csv(tmp_path / "cells.csv")
+        cells = [line.split(",") for line in
+                 (tmp_path / "cells.csv").read_text().strip().splitlines()[1:]]
+        assert sorted(c[2] for c in cells) == ["pinv"] * 3 + ["tv"] * 3
+        for c in cells:
+            if c[2] == "pinv":
+                assert c[6:] == ["", "", ""]
+            else:   # 2 stages of 3 iterations, too few to converge
+                assert c[6:8] == ["6", "0"] and c[8] in ("0", "1")
+        tv = [r for r in res.rows if r.method == "tv"]
+        assert all(r.iterations == 6 and r.converged is False for r in tv)
 
     def test_summary_means(self, rng):
         corpus = tiny_corpus(rng)

@@ -104,3 +104,33 @@ def test_no_span_opens_inside_a_span_of_the_same_name(monkeypatch, rng):
     assert not res.errors
     assert nested == []
     assert tr.calls["acquire.measure"] == len(KINDS) * len(corpus)
+
+
+def test_spiv_cache_names_and_written_path(monkeypatch, tmp_path):
+    # bench/layers.py wraps recon.cached_pinv, save_pinv and load_pinv by name,
+    # reads the written file's path from save_pinv's second positional
+    # argument, and counts cache hits as lookups minus writes
+    from spisim import recon
+    from spisim.patterns import gen_pattern_set
+
+    assert callable(recon.cached_pinv) and callable(recon.load_pinv)
+    assert list(inspect.signature(recon.save_pinv).parameters)[1] == "path"
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from spans import Tracer
+
+    ps = gen_pattern_set("morlet-binary", 16, 16, 12, master_seed=3)
+    tr = Tracer()
+    try:
+        layers.install(tr)
+        recon.cached_pinv(ps, tmp_path)   # miss
+        recon.cached_pinv(ps, tmp_path)   # hit
+    finally:
+        tr.restore()
+        for name in ("layers", "spans"):
+            sys.modules.pop(name, None)
+    spiv, = tmp_path.glob("*.spiv")
+    assert tr.counters["recon.spiv_bytes"] == spiv.stat().st_size
+    assert (tr.calls["recon.cache_lookup"], tr.calls["recon.spiv_write"],
+            tr.calls["recon.spiv_read"]) == (2, 1, 2)

@@ -196,8 +196,42 @@ class TestMeasureReconstruct:
         spiv = cache / (load_pattern_set(ps).content_hash().hex() + ".spiv")
         spiv.write_bytes(bytes(20))
         assert self._reconstruct(tmp_path, ps, m, "--cache-dir", str(cache)) == 0
-        assert spiv.stat().st_size == 54 + 8 * 256 * 12  # header + n x k float64
+        assert spiv.stat().st_size == 88 + 8 * 12 * 12  # header + W, k x r float64
         assert [f.name for f in cache.iterdir()] == [spiv.name]
+
+    def test_tv_reads_the_warm_cache(self, tmp_path, pgm16, monkeypatch):
+        from spisim import recon
+
+        ps, m = self._gen_measure(tmp_path, pgm16, k="40")
+        cache, plain, cached = tmp_path / "cache", tmp_path / "plain.pgm", tmp_path / "c.pgm"
+        tv = ("--method", "tv", "--tv-max-inner", "50", "--depth", "16")
+        assert self._reconstruct(tmp_path, ps, m, "--cache-dir", str(cache)) == 0  # pinv miss
+        assert run("reconstruct", "--patterns", str(ps), "--measurement", str(m), *tv,
+                   "--out", str(plain)) == 0
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("--method tv on a warm cache orthogonalized again")
+        monkeypatch.setattr(recon, "gram_orthogonalize", no_call)
+        assert run("reconstruct", "--patterns", str(ps), "--measurement", str(m), *tv,
+                   "--cache-dir", str(cache), "--out", str(cached)) == 0
+        assert cached.read_bytes() == plain.read_bytes()
+
+    def test_pinv_cache_miss_and_hit_write_the_same_bytes(self, tmp_path, pgm16,
+                                                          monkeypatch):
+        from spisim import recon
+
+        ps, m = self._gen_measure(tmp_path, pgm16, k="40")
+        cache, miss, hit = tmp_path / "cache", tmp_path / "miss.pgm", tmp_path / "hit.pgm"
+        pinv = ("reconstruct", "--patterns", str(ps), "--measurement", str(m),
+                "--method", "pinv", "--depth", "16", "--cache-dir", str(cache))
+        assert run(*pinv, "--out", str(miss)) == 0
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("a cache hit rewrote the SPIV file")
+        monkeypatch.setattr(recon, "save_pinv", no_call)
+        assert run(*pinv, "--out", str(hit)) == 0
+        assert hit.read_bytes() == miss.read_bytes()
+        assert len(list(cache.iterdir())) == 1
 
     def test_inputs_not_mutated(self, tmp_path, pgm16):
         ps = tmp_path / "p.spip"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from spisim.acquire import NoiseModel, measure, measure_differential
 from spisim.analyze import psnr
 from spisim.imgcore import FormatError, Image
 from spisim.patterns import gen_pattern_set
-from spisim.recon import (PinvMatrix, PinvStream, TvOptions, cached_pinv,
+from spisim.recon import (PinvMatrix, PinvStream, SpivRecord, TvOptions, cached_pinv,
                           effective_matrix, effective_measurement, factorize,
                           linear_model, load_pinv, pinv_matrix, pinv_reconstruct,
                           save_pinv, tv_norm, tv_reconstruct)
@@ -482,24 +484,64 @@ class TestEffectiveMeasurement:
         assert np.abs(rec_fast.data - rec_svd.data).max() < 1e-10
 
 
-class TestSpivCache:
-    def test_roundtrip(self, tmp_path, rng):
-        ps = gen_pattern_set("morlet-real", 8, 8, 10, master_seed=4)
-        pm = pinv_matrix(factorize(ps))
-        save_pinv(pm, tmp_path / "p.spiv")
-        back = load_pinv(tmp_path / "p.spiv", width=8, height=8)
-        assert np.array_equal(back.data, pm.data)
-        assert back.source_hash == pm.source_hash
-        assert back.rank_tol == pm.rank_tol
+def _spiv_v1(ps, rank_tol=recon.DEFAULT_RANK_TOL):
+    """A version-1 SPIV file of ps: header, then the n x k pseudoinverse."""
+    data = pinv_matrix(factorize(ps)).data
+    head = struct.pack("<4sHIId32s", b"SPIV", 1, *data.shape, rank_tol, ps.content_hash())
+    return head + np.asfortranarray(data).T.tobytes()
 
-    def test_cached_pinv_hits_disk(self, tmp_path):
+
+def _flip_payload_bit(path, ps):
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 1
+    path.write_bytes(bytes(raw))
+
+
+def _other_rank_tol(path, ps):
+    cached_pinv(ps, path.parent, rank_tol=1e-6)
+
+
+def _other_k(path, ps):
+    other = gen_pattern_set(ps.kind, ps.width, ps.height, ps.k - 2, master_seed=4)
+    rec = SpivRecord(w=linear_model(other).w, source_hash=ps.content_hash(),
+                     rank_tol=recon.DEFAULT_RANK_TOL, row_itemsize=8)
+    save_pinv(rec, path)
+
+
+def _other_itemsize(path, ps):
+    rec = load_pinv(path)
+    save_pinv(SpivRecord(w=rec.w, source_hash=rec.source_hash, rank_tol=rec.rank_tol,
+                         row_itemsize=4), path)
+
+
+class TestSpivCache:
+    def test_roundtrip(self, tmp_path):
+        ps = gen_pattern_set("morlet-real", 8, 8, 10, master_seed=4)
+        rec = SpivRecord(w=linear_model(ps).w, source_hash=ps.content_hash(),
+                         rank_tol=1e-9, row_itemsize=8)
+        save_pinv(rec, tmp_path / "p.spiv")
+        back = load_pinv(tmp_path / "p.spiv")
+        assert np.array_equal(back.w, rec.w)
+        assert (back.source_hash, back.rank_tol, back.row_itemsize) == \
+            (rec.source_hash, 1e-9, 8)
+
+    def test_cached_pinv_hits_disk(self, tmp_path, rng, monkeypatch):
         ps = gen_pattern_set("morlet-real", 8, 8, 10, master_seed=4)
         a = cached_pinv(ps, tmp_path)
         files = list(tmp_path.glob("*.spiv"))
         assert len(files) == 1
-        b = cached_pinv(ps, tmp_path)
-        assert np.array_equal(a.data, b.data)
         assert files[0].name == ps.content_hash().hex() + ".spiv"
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("a cache hit computed or wrote W")
+        monkeypatch.setattr(recon, "gram_orthogonalize", no_call)
+        monkeypatch.setattr(recon, "save_pinv", no_call)
+        b = cached_pinv(ps, tmp_path)
+        assert np.array_equal(a.w, b.w)
+        y = rng.standard_normal((3, 10))
+        assert np.array_equal(pinv_reconstruct(a, y), pinv_reconstruct(b, y))
+        tv = TvOptions(max_inner=5, mu_stages=2)
+        assert np.array_equal(tv_reconstruct(a, y, tv).images, tv_reconstruct(b, y, tv).images)
 
     def test_truncated_cache_file_is_recomputed(self, tmp_path):
         ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
@@ -509,19 +551,60 @@ class TestSpivCache:
         full = path.stat().st_size
         path.write_bytes(path.read_bytes()[: full // 2])
         again = cached_pinv(ps, tmp_path)
-        assert np.array_equal(again.data, fresh.data)
+        assert np.array_equal(again.w, fresh.w)
         assert path.stat().st_size == full
-        assert np.array_equal(load_pinv(path).data, fresh.data)
+        assert np.array_equal(load_pinv(path).w, fresh.w)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda path, ps: path.write_bytes(_spiv_v1(ps)), _flip_payload_bit,
+        _other_rank_tol, _other_k, _other_itemsize],
+        ids=["version-1", "flipped-payload-bit", "other-rank-tol", "other-k",
+             "other-itemsize"])
+    def test_spoiled_file_is_a_miss_and_rewritten(self, tmp_path, rng, monkeypatch, spoil):
+        ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
+        fresh = cached_pinv(ps, tmp_path / "fresh")
+        good = (tmp_path / "fresh" / (ps.content_hash().hex() + ".spiv")).read_bytes()
+        path = tmp_path / (ps.content_hash().hex() + ".spiv")
+        cached_pinv(ps, tmp_path)
+        spoil(path, ps)
+        assert path.read_bytes() != good
+
+        calls = []
+        gram = recon.gram_orthogonalize
+        monkeypatch.setattr(recon, "gram_orthogonalize",
+                            lambda *a, **kw: calls.append(1) or gram(*a, **kw))
+        again = cached_pinv(ps, tmp_path)
+        assert calls == [1]
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.glob("*.spiv*")] == [path.name]
+        y = rng.standard_normal(10)
+        assert np.array_equal(pinv_reconstruct(again, y).data,
+                              pinv_reconstruct(fresh, y).data)
 
     def test_short_file_is_a_format_error(self, tmp_path):
         (tmp_path / "p.spiv").write_bytes(b"SPIV" + bytes(16))
         with pytest.raises(FormatError, match="truncated"):
             load_pinv(tmp_path / "p.spiv")
 
+    def test_version_1_file_is_a_format_error(self, tmp_path):
+        ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
+        (tmp_path / "p.spiv").write_bytes(_spiv_v1(ps))
+        with pytest.raises(FormatError, match="unsupported SPIV version 1"):
+            load_pinv(tmp_path / "p.spiv")
+
+    def test_flipped_payload_bit_is_a_format_error(self, tmp_path):
+        ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
+        cached_pinv(ps, tmp_path)
+        path, = tmp_path.glob("*.spiv")
+        _flip_payload_bit(path, ps)
+        with pytest.raises(FormatError, match="SHA-256"):
+            load_pinv(path)
+
     def test_cached_pinv_matches_svd_reference(self, tmp_path):
         ps = gen_pattern_set("morlet-binary", 16, 16, 20, master_seed=4)
-        pm = cached_pinv(ps, tmp_path)
-        assert np.abs(pm.data - pinv_matrix(factorize(ps)).data).max() < 1e-10
+        cached_pinv(ps, tmp_path)
+        p = pinv_reconstruct(cached_pinv(ps, tmp_path), np.eye(ps.k)).reshape(ps.k, -1).T
+        assert np.abs(p - pinv_matrix(factorize(ps)).data).max() < 1e-10
 
     @pytest.mark.parametrize("kind", ["walsh-hadamard", "noiselet"])
     def test_fast_kinds_write_no_file(self, tmp_path, kind):
