@@ -5,6 +5,8 @@ Four pattern families:
 * ``morlet-real``    rows are Re(g * psi): a Morlet wavelet circularly
                      convolved with unit-variance white Gaussian noise,
                      rescaled to unit L2 norm. Stationary, nonergodic.
+                     The noise is drawn as its spectrum on the rfft
+                     half-plane, so a row costs one inverse real FFT.
 * ``morlet-binary``  the same rows passed through the Heaviside step
                      (threshold at zero, ties -> 1), stored bit-packed,
                      with the constant all-ones row always prepended.
@@ -39,8 +41,9 @@ DETERMINISTIC_KINDS = ("walsh-hadamard", "noiselet")
 
 SPIP_MAGIC = b"SPIP"
 # 2: rows from the separable Morlet spectrum; 3: morlet-real rows above
-# _DENSE_LIMIT entries are generated in float32 (the payload stays f8)
-SPIP_VERSION = 3
+# _DENSE_LIMIT entries are generated in float32 (the payload stays f8);
+# 4: the noise spectrum is drawn directly (white_noise_spectrum)
+SPIP_VERSION = 4
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 # flags byte of each kind: 0x01 bit-packed rows, 0x02 float64 rows, 0x04 procedural
 _KIND_FLAGS = {"morlet-real": 0x02, "morlet-binary": 0x01,
@@ -125,27 +128,50 @@ class ParamDistribution:
 # single-pattern generation
 # --------------------------------------------------------------------------
 
+def white_noise_spectrum(seed: int, width: int, height: int):
+    """rfft2 half-plane of white Gaussian noise, drawn directly from `seed`.
+
+    A (height, width//2 + 1) complex128 array with i.i.d. standard normal
+    real and imaginary parts, from one SFC64 stream. irfft2 keeps only the
+    Hermitian part of column 0 and, for even width, of the Nyquist column
+    width/2 (it drops their imaginary parts after the inverse FFT along
+    axis 0), which halves their power; those columns are scaled by sqrt(2)
+    so that every bin carries the power of real white noise.
+    """
+    cols = width // 2 + 1
+    rng = np.random.Generator(np.random.SFC64(seed))
+    spec = rng.standard_normal((height, 2 * cols)).view(np.complex128)
+    spec[:, 0] *= np.sqrt(2.0)
+    if width % 2 == 0:
+        spec[:, -1] *= np.sqrt(2.0)
+    return spec
+
+
 def gen_morlet_pattern(p: MorletParams, seed: int, width: int, height: int):
     """Wavelet-correlated Gaussian random field, unit L2 norm.
 
     Circular convolution of white Gaussian noise (from `seed`) with the
     Morlet wavelet, computed in the frequency domain with the wavelet
-    cyclically shifted to the origin. Taking the real part of the complex
-    convolution equals convolving with Re(g), so the whole product runs in
-    real FFTs. The kernel spectrum comes from the separable 1D factors of
-    the wavelet (`morlet_spectrum`), up to a positive scale that the final
-    normalization cancels, so no wavelet grid or norm is formed. Because the
-    wavelet has exactly zero discrete mean, the output has no DC component.
+    cyclically shifted to the origin. The noise is never formed on the grid:
+    its spectrum is drawn directly (`white_noise_spectrum`, a complex
+    Gaussian on the rfft half-plane with sqrt(2)-weighted column 0 and
+    Nyquist column, so every bin has the power of real white noise), which
+    leaves one inverse real FFT per row. Taking the real part of the complex
+    convolution equals convolving with Re(g), so the kernel spectrum is that
+    of Re(g); it comes from the separable 1D factors of the wavelet
+    (`morlet_spectrum`), up to a positive scale that the final normalization
+    cancels, so no wavelet grid or norm is formed. Because the wavelet has
+    exactly zero discrete mean, the output has no DC component.
     """
-    kernel_hat = morlet_spectrum(p, width, height)
-    noise = np.random.default_rng(seed).standard_normal((height, width))
-    pattern = np.fft.irfft2(np.fft.rfft2(noise) * kernel_hat, s=(height, width))
+    spec = white_noise_spectrum(seed, width, height)
+    spec *= morlet_spectrum(p, width, height)
+    pattern = np.fft.irfft2(spec, s=(height, width))
     norm = np.linalg.norm(pattern)
     if not 0.0 < norm < np.inf:  # also catches NaN entries
         raise ValueError(f"degenerate pattern (norm {norm})")
-    out = np.ascontiguousarray(pattern / norm)
-    out.flags.writeable = False
-    return out
+    pattern /= norm  # irfft2 returns a new C-contiguous array
+    pattern.flags.writeable = False
+    return pattern
 
 
 def binarize(pattern):

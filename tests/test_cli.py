@@ -187,6 +187,15 @@ class TestMeasureReconstruct:
                    "--out", str(tmp_path / "m2.spim")) == 2
         assert "error: unsupported SPIP version 2" in capsys.readouterr().err
 
+    def test_version_3_pattern_file_is_an_error_line(self, tmp_path, pgm16, capsys):
+        ps, _ = self._gen_measure(tmp_path, pgm16)
+        raw = bytearray(ps.read_bytes())
+        raw[4:6] = (3).to_bytes(2, "little")
+        ps.write_bytes(bytes(raw))
+        assert run("measure", "--image", pgm16, "--patterns", str(ps),
+                   "--out", str(tmp_path / "m3.spim")) == 2
+        assert "error: unsupported SPIP version 3" in capsys.readouterr().err
+
     def test_short_pinv_cache_file_is_recomputed(self, tmp_path, pgm16):
         from spisim.patterns import load_pattern_set
 

@@ -12,7 +12,8 @@ from spisim import patterns
 from spisim.patterns import (ParamDistribution, PatternSet,
                              binarize, bipolar_rows, fast_noiselet, fast_wht,
                              gen_morlet_pattern, gen_pattern_set,
-                             load_pattern_set, noiselet2, splitmix64, wht2)
+                             load_pattern_set, noiselet2, splitmix64,
+                             white_noise_spectrum, wht2)
 from spisim.imgcore import FormatError
 from spisim.wavelets import MorletParams
 
@@ -257,7 +258,8 @@ class TestBinarize:
 
 def _dense_path_pattern(p, seed, width, height):
     """gen_morlet_pattern before the separable spectrum: the full complex
-    wavelet grid, normalized, then its rfft2 as the kernel spectrum."""
+    wavelet grid, normalized, then its rfft2 as the kernel spectrum. The
+    noise spectrum is the generator's own draw."""
     dx, dy = np.meshgrid(np.arange(width) - (width - 1) / 2.0,
                          np.arange(height) - (height - 1) / 2.0)
     env = np.exp(-(dx * dx + dy * dy) / (2.0 * p.sigma * p.sigma))
@@ -265,9 +267,22 @@ def _dense_path_pattern(p, seed, width, height):
     carrier = np.exp(1j * freq * (dx * np.cos(p.theta) + dy * np.sin(p.theta)))
     g = env * (carrier - (env * carrier).sum() / env.sum())
     kernel_hat = np.fft.rfft2(np.fft.ifftshift((g / np.linalg.norm(g)).real))
-    noise = np.random.default_rng(seed).standard_normal((height, width))
-    pattern = np.fft.irfft2(np.fft.rfft2(noise) * kernel_hat, s=(height, width))
+    noise_hat = white_noise_spectrum(seed, width, height)
+    pattern = np.fft.irfft2(noise_hat * kernel_hat, s=(height, width))
     return pattern / np.linalg.norm(pattern)
+
+
+class TestWhiteNoiseSpectrum:
+    @pytest.mark.parametrize("width,height", [(16, 16), (15, 12)])
+    def test_round_trip_power_is_flat(self, width, height):
+        # irfft2 keeps only the Hermitian part of column 0 and of the even-width
+        # Nyquist column; without their sqrt(2) they read ~0.5 of the interior.
+        # 20000 draws put the relative standard error of a bin at <= 1%
+        spec = np.stack([white_noise_spectrum(s, width, height) for s in range(20000)])
+        kept = np.fft.rfft2(np.fft.irfft2(spec, s=(height, width)))
+        power = (np.abs(kept) ** 2).mean(axis=0)
+        interior = power[:, 1:(width - 1) // 2 + 1].mean()
+        assert np.abs(power / interior - 1.0).max() < 0.05
 
 
 class TestMorletPattern:
@@ -514,7 +529,7 @@ class TestSerialization:
         # v1 rows came from the dense wavelet grid and differ in the last ulp
         gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
         raw = bytearray((tmp_path / "p.spip").read_bytes())
-        assert struct.unpack_from("<H", raw, 4) == (3,)
+        assert struct.unpack_from("<H", raw, 4) == (4,)
         struct.pack_into("<H", raw, 4, 1)
         (tmp_path / "p.spip").write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported SPIP version 1"):
@@ -527,6 +542,15 @@ class TestSerialization:
         struct.pack_into("<H", raw, 4, 2)
         (tmp_path / "p.spip").write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported SPIP version 2"):
+            load_pattern_set(tmp_path / "p.spip")
+
+    def test_version_3_file_is_a_format_error(self, tmp_path):
+        # v3 rows came from a noise grid and its forward rfft2
+        gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        struct.pack_into("<H", raw, 4, 3)
+        (tmp_path / "p.spip").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported SPIP version 3"):
             load_pattern_set(tmp_path / "p.spip")
 
     def test_save_and_load_hold_the_rows_once(self, tmp_path):
