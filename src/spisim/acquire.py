@@ -76,9 +76,11 @@ class Measurement:
 
 def _raw_dot_products(img, ps: PatternSet):
     """<X, row_i> for every row: basis kinds by one fast transform, morlet
-    kinds over float64 row blocks of at most 1 MB. Dense float64 copies of
+    kinds in float64 over blocks of at most 1 MB. Dense float64 copies of
     all rows would take 8 k n bytes (92 MiB for the 1.3 MiB of packed rows
-    at 128 x 128, k = 655)."""
+    at 128 x 128, k = 655). morlet-real rows are column-major, so their
+    blocks are column blocks, contiguous in that layout; packed binary rows
+    are unpacked by row blocks."""
     if ps.kind == "walsh-hadamard":
         t = wht2(img.data).ravel()
         return t[np.asarray(ps.row_meta)]
@@ -86,6 +88,11 @@ def _raw_dot_products(img, ps: PatternSet):
         t = noiselet2(img.data).ravel()
         return t[np.asarray(ps.row_meta)]
     x = img.vector()
+    if ps.kind == "morlet-real":
+        out = np.zeros(ps.k)
+        for sl in _row_blocks(ps.n, 8 * ps.k):
+            out += ps.rows[:, sl].astype(np.float64, copy=False) @ x[sl]
+        return out
     return np.concatenate([ps.dense(rows=sl) @ x for sl in _row_blocks(ps.k, 8 * ps.n)])
 
 

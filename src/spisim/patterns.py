@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -313,9 +314,20 @@ _UNPACK_BYTES = 1 << 20
 
 
 def _row_blocks(k, row_bytes):
-    """Slices over k rows, each at most _UNPACK_BYTES of rows (>= 1 row)."""
+    """Slices over k rows (or columns), each at most _UNPACK_BYTES (>= 1 row)."""
     step = max(1, _UNPACK_BYTES // row_bytes)
     return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
+def _column_major_rows(k, n, dtype, row_block):
+    """(k, n) rows of `dtype` held column-major, filled one block of rows at
+    a time: row_block(b) returns the next b rows as a C-ordered (b, n) array
+    of at most _UNPACK_BYTES. A single row written into a column-major array
+    is a scatter with stride k, so rows are never written one by one."""
+    rows = np.empty((k, n), dtype=dtype, order="F")
+    for sl in _row_blocks(k, rows.itemsize * n):
+        rows[sl] = row_block(sl.stop - sl.start)
+    return rows
 
 
 def _row_dtype(kind, k, n):
@@ -330,6 +342,12 @@ class PatternSet:
     bit-packed (k, ceil(n/8)) uint8 for morlet-binary, and None for the
     deterministic kinds (regenerated from row indices on demand). ``row_meta`` is a tuple
     of MorletRowMeta or of int basis-row indices.
+
+    morlet-real rows are column-major (Fortran order) in memory, so
+    ``rows.T`` is the C-contiguous (n, k) matrix the linear model multiplies
+    (``recon._GramVtOp``); on disk the SPIP payload stays row-major f8.
+    Packed binary rows stay row-major; ``bipolar_rows`` unpacks them
+    column-major.
     """
 
     kind: str
@@ -466,10 +484,9 @@ def load_pattern_set(path) -> PatternSet:
             rows = np.fromfile(fh, dtype=np.uint8, count=k * row_bytes)
             rows = rows.reshape(k, row_bytes)
         else:
-            rows = np.empty((k, n), dtype=_row_dtype(kind, k, n))
-            for sl in _row_blocks(k, row_bytes):
-                rows[sl] = np.fromfile(fh, dtype="<f8", count=(sl.stop - sl.start) * n
-                                       ).reshape(-1, n)
+            rows = _column_major_rows(
+                k, n, _row_dtype(kind, k, n),
+                lambda b: np.fromfile(fh, dtype="<f8", count=b * n).reshape(b, n))
     rows.flags.writeable = False
     return PatternSet(kind, width, height, k, master_seed, meta, rows)
 
@@ -490,20 +507,27 @@ def iter_morlet_rows(width, height, k, dist, master_seed, start=0):
 
 def bipolar_rows(ps: PatternSet, dtype=np.float32):
     """Unpack a binary set's rows to the bipolar 2P-1 form without a dense
-    {0,1} float intermediate.
+    {0,1} float intermediate. The (k, n) result is column-major, like
+    morlet-real rows (see PatternSet).
 
-    Blocks of rows are sized so each unpacked uint8 temporary stays within
-    _UNPACK_BYTES: freeing a larger one raises glibc's dynamic mmap
-    threshold, and later large arrays then come from a fragmenting heap
-    (peak RSS of a 256x256 sweep grew by ~25 MB from its second cycle on).
+    The packed rows are unpacked by blocks of byte columns: byte column j
+    holds pixels 8j..8j+7 of every row, so each block is written as a
+    contiguous block of rows of the transpose. Blocks are sized so each
+    unpacked uint8 temporary stays within _UNPACK_BYTES: freeing a larger
+    one raises glibc's dynamic mmap threshold, and later large arrays then
+    come from a fragmenting heap (peak RSS of a 256x256 sweep grew by
+    ~25 MB from its second cycle on).
     """
     if not ps.is_binary:
         raise ValueError("bipolar_rows needs a morlet-binary set")
-    out = np.empty((ps.k, ps.n), dtype=dtype)
-    for sl in _row_blocks(ps.k, ps.n):
-        bits = np.unpackbits(ps.rows[sl], axis=1, count=ps.n, bitorder="little")
-        np.multiply(bits, 2.0, out=out[sl], casting="unsafe")
-        out[sl] -= 1.0
+    out = np.empty((ps.k, ps.n), dtype=dtype, order="F")
+    out_t = out.T                                  # (n, k), C-contiguous
+    two, one = out.dtype.type(2), out.dtype.type(1)  # float64 scalars would widen the loop
+    for sl in _row_blocks(ps.rows.shape[1], 8 * ps.k):
+        bits = np.unpackbits(ps.rows[:, sl], axis=1, bitorder="little")  # (k, 8 cb)
+        dst = out_t[8 * sl.start:8 * sl.stop]      # the last block stops at n
+        np.multiply(bits.T[:len(dst)], two, out=dst, casting="unsafe")
+        dst -= one
     return out
 
 
@@ -531,7 +555,7 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     pattern (all-ones for morlet-binary, the unit-norm constant for
     morlet-real) so the image mean is measurable: every morlet row is
     exactly zero-mean, so a set without it could never recover the mean.
-    morlet-real rows are held in the set's row_dtype.
+    morlet-real rows are held in the set's row_dtype, column-major.
     Deterministic kinds: k distinct basis-row indices chosen uniformly at
     random, always including index 0 (the constant row).
     """
@@ -554,19 +578,30 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     if k < 2:
         raise ValueError("morlet sets need k >= 2 (constant row + patterns)")
 
-    # rows are written in place: a row list plus np.stack would hold them twice
-    binary = kind == "morlet-binary"
-    meta = [MorletRowMeta.CONSTANT]
-    if binary:
-        rows = np.empty((k, (n + 7) // 8), dtype=np.uint8)
-        rows[0] = np.packbits(np.ones(n, dtype=np.uint8), bitorder="little")
-    else:
-        rows = np.empty((k, n), dtype=_row_dtype(kind, k, n))
-        rows[0] = n ** -0.5
-    rows_iter = iter_morlet_rows(width, height, k, dist, master_seed, start=1)
-    for i, (row_meta, grid) in enumerate(rows_iter, start=1):
+    # rows are written in place: a row list plus np.stack would hold them twice;
+    # the unit-norm constant row binarizes to the all-ones row
+    meta = []
+    rows_iter = itertools.chain(
+        [(MorletRowMeta.CONSTANT, np.full((height, width), n ** -0.5))],
+        iter_morlet_rows(width, height, k, dist, master_seed, start=1))
+
+    def next_row():
+        row_meta, grid = next(rows_iter)
         meta.append(row_meta)
-        rows[i] = np.packbits(binarize(grid.ravel()), bitorder="little") if binary \
-            else grid.ravel()
+        return grid.ravel()
+
+    if kind == "morlet-binary":
+        rows = np.empty((k, (n + 7) // 8), dtype=np.uint8)
+        for row in rows:
+            row[:] = np.packbits(binarize(next_row()), bitorder="little")
+    else:
+        dtype = _row_dtype(kind, k, n)
+
+        def row_block(b):
+            block = np.empty((b, n), dtype=dtype)
+            for row in block:
+                row[:] = next_row()
+            return block
+        rows = _column_major_rows(k, n, dtype, row_block)
     rows.flags.writeable = False
     return PatternSet(kind, width, height, k, master_seed, tuple(meta), rows)

@@ -9,7 +9,8 @@ b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
 adjoint; iterates carry their residual's back-projection. Both take one
 measurement or a batch. Morlet models get U, D from the Gram
 matrix M M* and never form V (M in the set's `row_dtype`: float32 above
-`patterns._DENSE_LIMIT` entries);
+`patterns._DENSE_LIMIT` entries, held column-major so that forward is
+x M^T and adjoint s M, see `_GramVtOp`);
 Walsh-Hadamard and noiselet models use their fast transforms, the noiselet
 one as two real Walsh-Hadamard transforms per call. The dense SVD
 (`factorize`) is the test oracle; `linear_model` accepts its factors too.
@@ -200,10 +201,17 @@ class _GramVtOp:
     U, d come from the eigendecomposition of the Gram matrix M M^T, so
     A A^T = I to factorization accuracy while only k x k dense factors and
     the row matrix itself are kept in memory.
+
+    M is held column-major: ``m`` is the (k, n) matrix in Fortran order, so
+    ``m.T`` is a C-contiguous (n, k) array. Every pattern set produces its
+    rows in that layout, and only a C-ordered matrix from another caller is
+    copied into it. The two products are forward ``x @ m.T`` (B, k) and
+    adjoint ``s @ m`` (B, n): at every dtype and batch size measured they
+    ran at least as fast as the row-major ``m @ x.T`` and ``s @ m``.
     """
 
     def __init__(self, m_rows, w, width, height):
-        self.m = m_rows
+        self.m = np.asfortranarray(m_rows)
         self.w = np.ascontiguousarray(w)          # U_r / d_r, (k, r)
         self.k = self.w.shape[0]
         self.width, self.height = width, height
@@ -213,8 +221,8 @@ class _GramVtOp:
         return _checked(y, self.k) @ self.w
 
     def forward(self, x):
-        t = self.m @ np.ascontiguousarray(x.T, dtype=self._dt)  # (k, B)
-        return t.T.astype(np.float64, copy=False) @ self.w
+        t = np.asarray(x, dtype=self._dt) @ self.m.T  # (B, k)
+        return t.astype(np.float64, copy=False) @ self.w
 
     def adjoint(self, z):
         s = (z @ self.w.T).astype(self._dt, copy=False)  # (B, k)
@@ -308,7 +316,8 @@ def linear_model(source, rank_tol=DEFAULT_RANK_TOL, height=None, width=None):
     `source` is a PatternSet, an SvdFactors (the dense reference), or an
     effective row matrix (float32 or float64) already built for a
     height x width grid (default 1 x n). Morlet sets hold M in their
-    row_dtype; morlet-real rows are used without a copy.
+    row_dtype, column-major, and their rows are used without a copy; a
+    C-ordered row matrix is copied to column-major once.
     """
     if isinstance(source, SvdFactors):
         return _DenseVtOp(source)

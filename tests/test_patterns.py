@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -17,6 +18,18 @@ from spisim.patterns import (ParamDistribution, PatternSet,
 from spisim.imgcore import FormatError
 from spisim.wavelets import MorletParams
 
+
+# SHA-256 of the SPIP file of gen_pattern_set(kind, 17, 17, 11, master_seed=6),
+# computed while morlet-real rows were still held row-major in memory: the
+# payload on disk is row-major f8 whatever the layout in memory
+SPIP_DIGESTS = {
+    "morlet-real-float64":
+        "0cdf5ad53a2963ee6e6559ab51a5dd2e7b0214f83985e5c41da6060e7065f5f3",
+    "morlet-real-float32":
+        "c25dc15cf4746865fe65179766e4449ba3940b74c3ee1aa06a29df07d7e79b68",
+    "morlet-binary":
+        "0b6f1fd74ce1b0da41dab195ef7b2b0151b30c44b69962aba627617ebe0ee291",
+}
 
 # SPIP header: the flags byte ends it; each kind has one flags value
 FLAGS_BYTE = 27
@@ -525,6 +538,16 @@ class TestSerialization:
             assert out.dtype == dtype
             assert np.array_equal(out, expected)
 
+    @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bipolar_rows_by_column_blocks(self, monkeypatch, dtype):
+        # blocks of 3 byte columns (24 pixels); the last block is cut at n
+        ps = gen_pattern_set("morlet-binary", 47, 5, 13, master_seed=5)
+        monkeypatch.setattr(patterns, "_UNPACK_BYTES", 3 * 8 * ps.k)
+        out = bipolar_rows(ps, dtype=dtype)
+        assert ps.n % 24 and out.dtype == dtype and out.T.flags.c_contiguous
+        assert np.array_equal(out, 2.0 * ps.dense() - 1.0)
+
     def test_version_1_file_is_a_format_error(self, tmp_path):
         # v1 rows came from the dense wavelet grid and differ in the last ulp
         gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
@@ -552,6 +575,31 @@ class TestSerialization:
         (tmp_path / "p.spip").write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported SPIP version 3"):
             load_pattern_set(tmp_path / "p.spip")
+
+    @pytest.mark.parametrize("unpack_bytes", [1 << 20, 3 * 8 * 17 * 17],
+                             ids=["one-block", "blocks-of-3-rows"])
+    @pytest.mark.parametrize("name", sorted(SPIP_DIGESTS))
+    def test_saved_bytes_are_pinned(self, tmp_path, monkeypatch, name, unpack_bytes):
+        kind = name.removesuffix("-float64").removesuffix("-float32")
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", 0 if name.endswith("32") else 1 << 25)
+        monkeypatch.setattr(patterns, "_UNPACK_BYTES", unpack_bytes)
+        ps = gen_pattern_set(kind, 17, 17, 11, master_seed=6)
+        ps.save(tmp_path / "a.spip")
+        raw = (tmp_path / "a.spip").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == SPIP_DIGESTS[name]
+        load_pattern_set(tmp_path / "a.spip").save(tmp_path / "b.spip")
+        assert (tmp_path / "b.spip").read_bytes() == raw
+
+    @pytest.mark.parametrize("limit", [1 << 25, 0])
+    def test_morlet_real_rows_are_column_major(self, tmp_path, monkeypatch, limit):
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", limit)
+        monkeypatch.setattr(patterns, "_UNPACK_BYTES", 3 * 8 * 17 * 17)
+        ps = gen_pattern_set("morlet-real", 17, 17, 11, master_seed=6)
+        ps.save(tmp_path / "p.spip")
+        back = load_pattern_set(tmp_path / "p.spip")
+        for rows in (ps.rows, back.rows):
+            assert rows.flags.f_contiguous and rows.dtype == ps.row_dtype
+        assert np.array_equal(back.rows, ps.rows)
 
     def test_save_and_load_hold_the_rows_once(self, tmp_path):
         # save wrote .tobytes() of the payload (1.00x the rows); load read the

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from spisim import patterns, recon
 from spisim.acquire import NoiseModel, measure, measure_differential
 from spisim.analyze import psnr
 from spisim.imgcore import FormatError, Image
-from spisim.patterns import gen_pattern_set
+from spisim.patterns import bipolar_rows, gen_pattern_set
 from spisim.recon import (PinvMatrix, PinvStream, SpivRecord, TvOptions, cached_pinv,
                           effective_matrix, effective_measurement, factorize,
                           linear_model, load_pinv, pinv_matrix, pinv_reconstruct,
@@ -514,6 +515,14 @@ def _other_itemsize(path, ps):
                          row_itemsize=4), path)
 
 
+def _record_bipolar_rows(monkeypatch):
+    """List that collects every matrix recon's bipolar_rows returns."""
+    made = []
+    monkeypatch.setattr(recon, "bipolar_rows",
+                        lambda *a, **kw: made.append(bipolar_rows(*a, **kw)) or made[-1])
+    return made
+
+
 class TestSpivCache:
     def test_roundtrip(self, tmp_path):
         ps = gen_pattern_set("morlet-real", 8, 8, 10, master_seed=4)
@@ -606,6 +615,16 @@ class TestSpivCache:
         p = pinv_reconstruct(cached_pinv(ps, tmp_path), np.eye(ps.k)).reshape(ps.k, -1).T
         assert np.abs(p - pinv_matrix(factorize(ps)).data).max() < 1e-10
 
+    @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary"])
+    def test_cache_hit_uses_the_rows_without_copy(self, tmp_path, monkeypatch, kind):
+        ps = gen_pattern_set(kind, 8, 8, 10, master_seed=4)
+        cached_pinv(ps, tmp_path)
+        made = _record_bipolar_rows(monkeypatch)
+        monkeypatch.setattr(recon, "gram_orthogonalize", None)   # a hit computes no W
+        hit = cached_pinv(ps, tmp_path)
+        rows = made[0] if ps.is_binary else ps.rows
+        assert np.shares_memory(hit.m, rows) and hit.m.T.flags.c_contiguous
+
     @pytest.mark.parametrize("kind", ["walsh-hadamard", "noiselet"])
     def test_fast_kinds_write_no_file(self, tmp_path, kind):
         ps = gen_pattern_set(kind, 8, 8, 10, master_seed=4)
@@ -663,6 +682,38 @@ class TestLinearModel:
         ps = gen_pattern_set("morlet-real", 8, 8, 10, master_seed=3)
         m = linear_model(ps).m
         assert m.dtype == ps.row_dtype and np.shares_memory(m, ps.rows)
+
+    @pytest.mark.parametrize("limit", [1 << 25, 0])
+    def test_morlet_real_model_rows_are_column_major(self, monkeypatch, limit):
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", limit)
+        m = linear_model(gen_pattern_set("morlet-real", 8, 8, 10, master_seed=3)).m
+        assert m.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("limit", [1 << 25, 0])
+    def test_bipolar_rows_used_without_copy(self, monkeypatch, limit):
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", limit)
+        ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=3)
+        made = _record_bipolar_rows(monkeypatch)
+        m = linear_model(ps).m
+        assert len(made) == 1 and np.shares_memory(m, made[0])
+        assert m.dtype == ps.row_dtype and m.T.flags.c_contiguous
+
+    def test_morlet_binary_model_memory_is_bounded(self):
+        # a row-major copy of the bipolar matrix would peak at twice it
+        ps = gen_pattern_set("morlet-binary", 64, 64, 400, master_seed=2)
+        tracemalloc.start()
+        try:
+            model = linear_model(ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        factors = 3 * 8 * ps.k * ps.k       # Gram matrix, eigenvectors, W
+        assert peak <= 1.2 * (model.m.nbytes + factors)
+
+    def test_c_ordered_rows_from_a_caller_are_made_column_major(self, rng):
+        rows = rng.standard_normal((6, 40))
+        m = linear_model(rows).m
+        assert m.T.flags.c_contiguous and np.array_equal(m, rows)
 
     @pytest.mark.parametrize("kind,k", KINDS_AT_8)
     def test_wrong_measurement_length(self, kind, k):
