@@ -6,7 +6,8 @@ to the orthogonalized system A x = b. For M = U D V*, A = V* and
 b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
 (`pinv_reconstruct`) and total-variation minimization runs on A x = b
 (`tv_reconstruct`), where each NESTA iteration costs one forward and one
-adjoint; iterates carry their residual's back-projection. Both take one
+adjoint; iterates carry their residual's back-projection, and the rest of
+an iteration is one stacked GEMM into reused buffers. Both take one
 measurement or a batch. Morlet models get U, D from the Gram
 matrix M M* and never form V (M in the set's `row_dtype`: float32 above
 `patterns._DENSE_LIMIT` entries, held column-major so that forward is
@@ -521,31 +522,29 @@ def tv_norm(x):
     return val if batched else float(val[0])
 
 
-def _tv_grad(x, mu):
+def _tv_grad(x, mu, work=None):
     """Huber-smoothed isotropic TV value and gradient, batched over axis 0.
 
     With m = min(|d|, mu) the Huber term of a difference d is
     m (2|d| - m) / (2 mu): |d|^2 / (2 mu) below mu and |d| - mu / 2 above.
+    `work` is (dx, dy, mag, g), arrays shaped like x whose contents are
+    overwritten (allocated when omitted); the gradient is returned in g.
     """
-    dx = np.zeros_like(x)
-    dy = np.zeros_like(x)
+    dx, dy, mag, g = work if work is not None else [np.empty_like(x) for _ in range(4)]
+    dx[:, :, -1] = 0.0
+    dy[:, -1, :] = 0.0
     np.subtract(x[:, :, 1:], x[:, :, :-1], out=dx[:, :, :-1])
     np.subtract(x[:, 1:, :], x[:, :-1, :], out=dy[:, :-1, :])
     mu3 = mu[:, None, None]
-    mag = dx * dx
-    g = np.multiply(dy, dy)
-    mag += g
+    np.multiply(dx, dx, out=mag)
+    mag += np.multiply(dy, dy, out=g)
     np.sqrt(mag, out=mag)
-    m = np.minimum(mag, mu3, out=g)     # g's buffer, zeroed before the gradient
-    huber = np.multiply(mag, 2.0)
-    huber -= m
-    huber *= m
-    val = huber.sum(axis=(1, 2)) / (2.0 * mu)
+    m = np.minimum(mag, mu3, out=g)     # g's buffer, overwritten by the gradient
+    val = (2.0 * np.einsum("bij,bij->b", m, mag) - np.einsum("bij,bij->b", m, m)) / (2.0 * mu)
     np.maximum(mag, mu3, out=mag)
     dx /= mag
     dy /= mag
-    g.fill(0.0)
-    g[:, :, :-1] -= dx[:, :, :-1]
+    np.subtract(0.0, dx, out=g)         # dx's last column is 0: g starts at -dx
     g[:, :, 1:] += dx[:, :, :-1]
     g[:, :-1, :] -= dy[:, :-1, :]
     g[:, 1:, :] += dy[:, :-1, :]
@@ -617,55 +616,62 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
     v + c e_v and leaves (1 - c) r_v and (1 - c) e_v. Because A^T is linear,
     the y- and z-steps update e from p = A^T A g, so an iteration costs one
     forward and one adjoint. r and e of the unprojected points vy, vz are
-    kept and the (1 - c) factors enter when x is mixed from them; six
-    (B, n) arrays are updated in place.
+    kept and the (1 - c) factors enter when x is mixed from them.
+
+    The (B, n) state is one stack s = [x, vz, e_vz, e_x, g, p]. With the
+    shrink factors c_y, c_z taken from the (B, r) residuals, the next
+    [x, vz, e_vz, e_x, y] is linear in s with per-image coefficients, so
+    the update is one batched GEMM (B, 5, 6) x (B, 6, n) into a second
+    stack; the stacks swap every iteration, and _tv_grad's scratch is the
+    idle one.
     """
     batch, h, w = x0.shape
     n = h * w
     invl = (1.0 / (8.0 / mu))[:, None]          # 1 / L, L = 8 / mu
-    x = x0.reshape(batch, n).copy()
-    r_x = b - op.forward(x)
-    e_x = op.adjoint(r_x)
-    vz, r_vz, e_vz = x.copy(), r_x.copy(), e_x.copy()   # x0 - sum alpha g / L
-    y = x.copy()
-    tmp = np.empty_like(x)
+    s = np.empty((6, batch, n))
+    t = np.empty_like(s)
+    s[0] = s[1] = s[4] = x0.reshape(batch, n)   # x, vz = x0 - sum alpha g / L, y
+    r_x = b - op.forward(s[0])
+    s[2] = s[3] = op.adjoint(r_x)
+    r_vz = r_x.copy()
+    coef = np.zeros((batch, 5, 6))
+    coef[:, 1, 1] = coef[:, 2, 2] = coef[:, 4, 0] = 1.0
     hist = np.full((opts.window, batch), np.inf)
     done = np.zeros(batch, dtype=bool)
     iters = 0
     for it in range(opts.max_inner):
         iters = it + 1
-        fval, g = _tv_grad(x.reshape(batch, h, w), mu)
-        g = g.reshape(batch, n)
-        a_g = op.forward(g)
-        p_g = op.adjoint(a_g)
-        g *= invl
+        fval, _ = _tv_grad(s[0].reshape(batch, h, w), mu,
+                           [a.reshape(batch, h, w) for a in (t[0], t[1], t[2], s[4])])
+        a_g = op.forward(s[4])
+        s[5] = op.adjoint(a_g)
         a_g *= invl
-        p_g *= invl
 
         # y: projection of vy = x - g / L, whose residual is r_x + A g / L;
-        # e_x holds e_vy until x is mixed
-        r_vy = r_x + a_g
-        e_x += p_g
-        c_y = _shrink(r_vy, eps)
-        np.subtract(x, g, out=y)
-        y += np.multiply(e_x, c_y, out=tmp)
-
         # z: projection of vz = x0 - sum_i alpha_i g_i / L
+        r_vy = r_x + a_g
+        c_y = _shrink(r_vy, eps)
         alpha = 0.5 * (it + 1)
-        vz -= np.multiply(g, alpha, out=tmp)
-        e_vz += np.multiply(p_g, alpha, out=tmp)
         r_vz += alpha * a_g
         c_z = _shrink(r_vz, eps)
 
         # x = tau z + (1 - tau) y, with residuals mixed the same way
         tau = 2.0 / (it + 3)
-        np.add(vz, np.multiply(e_vz, c_z, out=tmp), out=x)
-        x *= tau
-        x += np.multiply(y, 1.0 - tau, out=tmp)
         s_z, s_y = tau * (1.0 - c_z), (1.0 - tau) * (1.0 - c_y)
         r_x = s_z * r_vz + s_y * r_vy
-        e_x *= s_y
-        e_x += np.multiply(e_vz, s_z, out=tmp)
+
+        # coefficient rows: vz - alpha g / L, e_vz + alpha p / L,
+        # y = x - g / L + c_y (e_x + p / L), then x = tau (vz + c_z e_vz) + (1 - tau) y
+        # and e_x = s_y (e_x + p / L) + s_z e_vz from the new vz, e_vz
+        coef[:, 1, 4:5] = -alpha * invl
+        coef[:, 2, 5:] = alpha * invl
+        coef[:, 4, 3:] = np.hstack([c_y, -invl, c_y * invl])
+        coef[:, 0] = tau * (coef[:, 1] + c_z * coef[:, 2]) + (1.0 - tau) * coef[:, 4]
+        coef[:, 3] = s_z * coef[:, 2]
+        coef[:, 3, 3:4] += s_y
+        coef[:, 3, 5:] += s_y * invl
+        np.matmul(coef, s.transpose(1, 0, 2), out=t[:5].transpose(1, 0, 2))
+        s, t = t, s
 
         ref = hist.mean(axis=0)
         with np.errstate(invalid="ignore"):
@@ -674,7 +680,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
         hist[it % opts.window] = fval
         if done.all():
             break
-    return y.reshape(batch, h, w), bool(done.all()), iters
+    return s[4].reshape(batch, h, w).copy(), bool(done.all()), iters   # a copy frees the stacks
 
 
 def _nesta_solve(op, b, opts: TvOptions):
