@@ -16,7 +16,7 @@ recon.linear_model of the pattern set.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -230,9 +230,7 @@ def _cell_seed(seed, kind, cr):
 
 
 def _image_noise_model(nm, cell_seed, i):
-    return NoiseModel(additive_sigma=nm.additive_sigma, adc_bits=nm.adc_bits,
-                      source_fluctuation_sigma=nm.source_fluctuation_sigma,
-                      seed=splitmix64(cell_seed, i))
+    return replace(nm, seed=splitmix64(cell_seed, i))
 
 
 def run_sweep(corpus, kinds, crs, methods, nm: NoiseModel = NoiseModel(), seed=0,

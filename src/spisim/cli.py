@@ -10,12 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
 
+from .acquire import NoiseModel
+from .imgcore import check_field_types
+from .patterns import KINDS, ParamDistribution, rows_for_cr
+from .recon import TvOptions
+
 DEFAULT_FRAME_RATE = 22000.0  # binary modulator frames per second
+METHODS = ("pinv", "tv")
 
 
 class HashMismatchError(RuntimeError):
@@ -28,17 +35,18 @@ class HashMismatchError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Structured run configuration; unknown keys are rejected on load."""
+    """Structured run configuration; unknown keys are rejected on load,
+    malformed values on construction."""
 
-    kinds: list = field(default_factory=lambda: ["morlet-real", "morlet-binary"])
-    crs: list = field(default_factory=lambda: [0.02, 0.04, 0.06, 0.08, 0.10])
-    methods: list = field(default_factory=lambda: ["pinv", "tv"])
+    kinds: list[str] = field(default_factory=lambda: ["morlet-real", "morlet-binary"])
+    crs: list[float] = field(default_factory=lambda: [0.02, 0.04, 0.06, 0.08, 0.10])
+    methods: list[str] = field(default_factory=lambda: ["pinv", "tv"])
     size: int = 256
     seed: int = 0
-    corpus_paths: list = field(default_factory=list)  # empty: the standard corpus
+    corpus_paths: list[str] = field(default_factory=list)  # empty: the standard corpus
     output_dir: str = "."
-    sigma_range: list = None
-    np_range: list = None
+    sigma_range: list[float] = None
+    np_range: list[float] = None
     additive_sigma: float = 0.0
     adc_bits: int = 0
     source_fluctuation_sigma: float = 0.0
@@ -49,38 +57,36 @@ class RunConfig:
     tv_max_inner: int = 3000
     tv_epsilon: float = 0.0
 
+    def __post_init__(self):
+        self.tv_options()  # tv_* values are reported in TvOptions' terms
+        check_field_types(self, "config key {!r}")
+        for key, allowed in (("kinds", KINDS), ("methods", METHODS)):
+            if unknown := [v for v in getattr(self, key) if v not in allowed]:
+                raise ValueError(f"config key {key!r} has unknown entries {unknown}")
+        for kind in self.kinds:  # every cell's row count, before any cell runs
+            for cr in self.crs:
+                rows_for_cr(kind, cr, self.size ** 2)
+
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
+        if unknown := set(raw) - {f.name for f in fields(cls)}:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("kinds", "crs", "methods", "corpus_paths"):
-            if key in raw and not isinstance(raw[key], list):
-                raise ValueError(f"config key {key!r} must be a list, "
-                                 f"got {type(raw[key]).__name__}")
         return cls(**raw)
 
     def noise_model(self):
-        from .acquire import NoiseModel
-
         return NoiseModel(additive_sigma=self.additive_sigma, adc_bits=self.adc_bits,
                           source_fluctuation_sigma=self.source_fluctuation_sigma)
 
     def tv_options(self):
-        from .recon import TvOptions
-
         return TvOptions(mu_stages=self.tv_mu_stages, mu_start_frac=self.tv_mu_start_frac,
                          mu_final=self.tv_mu_final, tol=self.tv_tol,
                          max_inner=self.tv_max_inner, epsilon=self.tv_epsilon)
 
     def distribution(self):
-        from .patterns import ParamDistribution
-
         if self.sigma_range is None and self.np_range is None:
             return None
         base = ParamDistribution.default_for(self.size, self.size)
@@ -107,8 +113,10 @@ def _parse_range(text):
 # --------------------------------------------------------------------------
 
 def cmd_gen(args):
-    from .patterns import ParamDistribution, gen_pattern_set, rows_for_cr, samples_per_row
+    from .patterns import gen_pattern_set, samples_per_row
 
+    if not 0 < args.frame_rate < math.inf:
+        raise ValueError(f"frame rate must be positive and finite, got {args.frame_rate!r}")
     width, height = args.size
     n = width * height
     k = args.k if args.k is not None else rows_for_cr(args.kind, args.cr, n)
@@ -126,17 +134,8 @@ def cmd_gen(args):
     return 0
 
 
-def _auto_differential(args_mode, ps):
-    if args_mode == "on":
-        return True
-    if args_mode == "off":
-        return False
-    return ps.is_binary
-
-
 def cmd_measure(args):
-    from .acquire import (NoiseModel, measure, measure_differential,
-                          measurement_to_csv, save_measurement)
+    from .acquire import measure, measure_differential, measurement_to_csv, save_measurement
     from .imgcore import load_image
     from .patterns import load_pattern_set
 
@@ -145,10 +144,8 @@ def cmd_measure(args):
     nm = NoiseModel(additive_sigma=args.noise_sigma, adc_bits=args.adc_bits,
                     source_fluctuation_sigma=args.fluctuation, seed=args.noise_seed)
     t0 = time.perf_counter()
-    if _auto_differential(args.differential, ps):
-        m = measure_differential(img, ps, nm)
-    else:
-        m = measure(img, ps, nm)
+    on = {"on": True, "off": False}.get(args.differential, ps.is_binary)  # auto: binary sets
+    m = (measure_differential if on else measure)(img, ps, nm)
     if args.verbose:
         print(f"measure: {time.perf_counter() - t0:.3f}s k={m.k} cr={m.compression_ratio:.4%}")
     save_measurement(m, args.out)
@@ -201,7 +198,6 @@ def cmd_sweep(args):
     from .analyze import load_corpus, run_sweep, standard_corpus
 
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-    tv_opts = cfg.tv_options()
     if cfg.corpus_paths:
         corpus = load_corpus(cfg.corpus_paths, size=cfg.size)
     else:
@@ -216,7 +212,7 @@ def cmd_sweep(args):
 
     result = run_sweep(corpus, cfg.kinds, cfg.crs, cfg.methods,
                        nm=cfg.noise_model(), seed=cfg.seed, dist=cfg.distribution(),
-                       tv_opts=tv_opts, progress=progress)
+                       tv_opts=cfg.tv_options(), progress=progress)
     cells_csv = os.path.join(cfg.output_dir, "sweep_cells.csv")
     summary_csv = os.path.join(cfg.output_dir, "sweep_summary.csv")
     result.to_csv(cells_csv)
@@ -233,7 +229,6 @@ def cmd_sweep(args):
 def cmd_analyze_features(args):
     from .analyze import (decompose_features, histogram_concentration, load_corpus,
                           standard_corpus)
-    from .patterns import ParamDistribution
 
     if args.corpus:
         corpus = load_corpus(args.corpus, size=args.size)
@@ -292,7 +287,7 @@ def build_parser():
     r = sub.add_parser("reconstruct", help="reconstruct an image from a measurement")
     r.add_argument("--patterns", required=True)
     r.add_argument("--measurement", required=True)
-    r.add_argument("--method", choices=["pinv", "tv"], default="pinv")
+    r.add_argument("--method", choices=METHODS, default="pinv")
     r.add_argument("--out", required=True)
     r.add_argument("--depth", type=int, choices=[8, 16], default=8)
     r.add_argument("--reference", help="original image; prints PSNR against it")

@@ -12,7 +12,9 @@ Conventions shared by every other module:
 
 from __future__ import annotations
 
+import numbers
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,6 +24,32 @@ _SPIF_HEADER = struct.Struct("<4sIII")  # magic, width, height, reserved
 
 class FormatError(ValueError):
     """Unsupported, malformed, or truncated image file."""
+
+
+_FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                "str": (str, "a string")}
+
+
+def check_field_types(obj, label):
+    """Raise ValueError unless each field of the dataclass `obj` holds its
+    annotated type: int, float (any real), str, or list[...] of one of them.
+    A bool is not a number; a field that defaults to None may be None.
+    `label` formats a field name for the message, e.g. "TV {}"."""
+    for f in fields(obj):
+        value, name = getattr(obj, f.name), label.format(f.name)
+        inner = f.type.removeprefix("list[").removesuffix("]")
+        cls, what = _FIELD_TYPES[inner]
+        if value is None and f.default is None:
+            continue
+        if inner == f.type:
+            items, where = [value], ""
+        elif isinstance(value, list):
+            items, where = value, "an entry of "
+        else:
+            raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+        for v in items:
+            if isinstance(v, bool) or not isinstance(v, cls):
+                raise ValueError(f"{where}{name} must be {what}, got {v!r}")
 
 
 def _require_finite(a, what):

@@ -42,11 +42,12 @@ DETERMINISTIC_KINDS = ("walsh-hadamard", "noiselet")
 
 SPIP_MAGIC = b"SPIP"
 # 2: rows from the separable Morlet spectrum; 3: morlet-real rows above
-# _DENSE_LIMIT entries are generated in float32 (the payload stays f8);
-# 4: the noise spectrum is drawn directly (white_noise_spectrum)
-SPIP_VERSION = 4
+# _DENSE_LIMIT entries are generated in float32; 4: the noise spectrum is
+# drawn directly (white_noise_spectrum); 5: the morlet-real payload is the
+# rows as held, the C-contiguous (n, k) rows.T in row_dtype
+SPIP_VERSION = 5
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
-# flags byte of each kind: 0x01 bit-packed rows, 0x02 float64 rows, 0x04 procedural
+# flags byte of each kind: 0x01 bit-packed rows, 0x02 dense rows, 0x04 procedural
 _KIND_FLAGS = {"morlet-real": 0x02, "morlet-binary": 0x01,
                "walsh-hadamard": 0x04, "noiselet": 0x04}
 
@@ -319,17 +320,6 @@ def _row_blocks(k, row_bytes):
     return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 
-def _column_major_rows(k, n, dtype, row_block):
-    """(k, n) rows of `dtype` held column-major, filled one block of rows at
-    a time: row_block(b) returns the next b rows as a C-ordered (b, n) array
-    of at most _UNPACK_BYTES. A single row written into a column-major array
-    is a scatter with stride k, so rows are never written one by one."""
-    rows = np.empty((k, n), dtype=dtype, order="F")
-    for sl in _row_blocks(k, rows.itemsize * n):
-        rows[sl] = row_block(sl.stop - sl.start)
-    return rows
-
-
 def _row_dtype(kind, k, n):
     return np.float32 if kind in MORLET_KINDS and k * n > _DENSE_LIMIT else np.float64
 
@@ -343,9 +333,9 @@ class PatternSet:
     deterministic kinds (regenerated from row indices on demand). ``row_meta`` is a tuple
     of MorletRowMeta or of int basis-row indices.
 
-    morlet-real rows are column-major (Fortran order) in memory, so
-    ``rows.T`` is the C-contiguous (n, k) matrix the linear model multiplies
-    (``recon._GramVtOp``); on disk the SPIP payload stays row-major f8.
+    morlet-real rows are column-major (Fortran order), so ``rows.T`` is the
+    C-contiguous (n, k) matrix the linear model multiplies
+    (``recon._GramVtOp``); the SPIP payload is that array as it is.
     Packed binary rows stay row-major; ``bipolar_rows`` unpacks them
     column-major.
     """
@@ -432,14 +422,13 @@ class PatternSet:
         return h.digest()
 
     def save(self, path):
-        """Write the SPIP file; payloads are written in place, float32 rows
-        widened to the f8 payload one block at a time."""
+        """Write the SPIP file; payloads are written in place, morlet-real
+        rows as the (n, k) array rows.T in row_dtype."""
         with open(path, "wb") as fh:
             fh.write(self._header_bytes())
             fh.write(self._meta_bytes())
             if self.kind == "morlet-real":
-                for sl in _row_blocks(self.k, 8 * self.n):
-                    np.ascontiguousarray(self.rows[sl], dtype="<f8").tofile(fh)
+                np.ascontiguousarray(self.rows.T, self.rows.dtype.newbyteorder("<")).tofile(fh)
             elif self.kind == "morlet-binary":
                 np.ascontiguousarray(self.rows).tofile(fh)
 
@@ -463,7 +452,8 @@ def load_pattern_set(path) -> PatternSet:
         n = width * height
         if not 1 <= k <= n:
             raise FormatError(f"SPIP header has k = {k} rows for n = {n} pixels")
-        row_bytes = (n + 7) // 8 if kind == "morlet-binary" else 8 * n
+        dtype = np.dtype(_row_dtype(kind, k, n)).newbyteorder("<")
+        row_bytes = (n + 7) // 8 if kind == "morlet-binary" else dtype.itemsize * n
         if kind in DETERMINISTIC_KINDS:
             need = _SPIP_HEADER.size + 8 * k
         else:
@@ -479,14 +469,12 @@ def load_pattern_set(path) -> PatternSet:
 
         meta = tuple(MorletRowMeta(*m)
                      for m in _MORLET_META.iter_unpack(fh.read(k * _MORLET_META.size)))
-        # payloads are read in place; f8 rows narrow to row_dtype one block at a time
+        # payloads are read in place; morlet-real rows come back column-major
         if kind == "morlet-binary":
             rows = np.fromfile(fh, dtype=np.uint8, count=k * row_bytes)
             rows = rows.reshape(k, row_bytes)
         else:
-            rows = _column_major_rows(
-                k, n, _row_dtype(kind, k, n),
-                lambda b: np.fromfile(fh, dtype="<f8", count=b * n).reshape(b, n))
+            rows = np.fromfile(fh, dtype=dtype, count=n * k).reshape(n, k).T
     rows.flags.writeable = False
     return PatternSet(kind, width, height, k, master_seed, meta, rows)
 
@@ -541,8 +529,10 @@ def rows_for_cr(kind, cr, n):
     """Rows k of a set whose sample budget is cr * n real samples.
 
     Morlet sets get at least 2 rows (the constant row and one pattern),
-    the basis kinds at least 1.
+    the basis kinds at least 1. cr must lie in (0, 1].
     """
+    if not 0 < cr <= 1:  # also rejects NaN
+        raise ValueError(f"compression ratio must be in (0, 1], got {cr!r}")
     k = int(round(cr * n / samples_per_row(kind)))
     return max(2 if kind in MORLET_KINDS else 1, k)
 
@@ -595,13 +585,13 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
         for row in rows:
             row[:] = np.packbits(binarize(next_row()), bitorder="little")
     else:
-        dtype = _row_dtype(kind, k, n)
-
-        def row_block(b):
-            block = np.empty((b, n), dtype=dtype)
+        # a single row written into a column-major array is a scatter with
+        # stride k, so rows are filled in blocks of at most _UNPACK_BYTES
+        rows = np.empty((k, n), dtype=_row_dtype(kind, k, n), order="F")
+        for sl in _row_blocks(k, rows.itemsize * n):
+            block = np.empty((sl.stop - sl.start, n), dtype=rows.dtype)
             for row in block:
                 row[:] = next_row()
-            return block
-        rows = _column_major_rows(k, n, dtype, row_block)
+            rows[sl] = block
     rows.flags.writeable = False
     return PatternSet(kind, width, height, k, master_seed, tuple(meta), rows)

@@ -37,20 +37,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acquire import Measurement, combine_differential
-from .imgcore import FormatError, Image
+from .imgcore import FormatError, Image, check_field_types
 from .patterns import DETERMINISTIC_KINDS, PatternSet, bipolar_rows, noiselet_signs, wht2
-# _DENSE_LIMIT is not used here; it stays importable from this module because
-# tests/test_bench_contract.py checks it against the analyze._DENSE_LIMIT
-# that bench/worker.py reads
-from .patterns import _DENSE_LIMIT  # noqa: F401
 
 SPIV_MAGIC = b"SPIV"
 SPIV_VERSION = 2
@@ -566,13 +561,7 @@ class TvOptions:
     window: int = 10
 
     def __post_init__(self):
-        for f in fields(self):       # values may come from a JSON config
-            value = getattr(self, f.name)
-            integral = f.type == "int"
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if integral else numbers.Real):
-                what = "an integer" if integral else "a number"
-                raise ValueError(f"TV {f.name} must be {what}, got {value!r}")
+        check_field_types(self, "TV {}")
         for name in ("mu_start_frac", "mu_final"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

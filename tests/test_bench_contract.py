@@ -17,7 +17,7 @@ def test_layer_spans_install_and_restore(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
     from spans import Tracer
-    from spisim import analyze, recon
+    from spisim import analyze, patterns, recon
 
     before = recon._nesta_stage
     tr = Tracer()
@@ -32,7 +32,7 @@ def test_layer_spans_install_and_restore(monkeypatch):
 
     params = list(inspect.signature(recon._nesta_stage).parameters)
     assert params == ["op", "b", "x0", "mu", "eps", "opts"]
-    assert analyze._DENSE_LIMIT == recon._DENSE_LIMIT
+    assert analyze._DENSE_LIMIT == patterns._DENSE_LIMIT
 
 
 def test_operators_and_measure_go_through_transform_names(monkeypatch):

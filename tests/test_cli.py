@@ -59,6 +59,21 @@ class TestGen:
         out = capsys.readouterr().out
         assert f"k={k} " in out and printed in out
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--cr", "0", "compression ratio must be in (0, 1], got 0.0"),
+        ("--cr", "-1", "compression ratio must be in (0, 1], got -1.0"),
+        ("--cr", "1.5", "compression ratio must be in (0, 1], got 1.5"),
+        ("--frame-rate", "0", "frame rate must be positive and finite, got 0.0"),
+        ("--frame-rate", "-5", "frame rate must be positive and finite, got -5.0"),
+    ])
+    def test_bad_cr_or_frame_rate_is_an_error_line(self, tmp_path, capsys,
+                                                   flag, value, message):
+        out = tmp_path / "p.spip"
+        assert run("gen", "--kind", "morlet-binary", "--size", "16x16",
+                   f"{flag}={value}", "--out", str(out)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_cr_gives_the_rows_of_a_sweep_cell(self, tmp_path, capsys, rng,
                                                    monkeypatch):
         from spisim import analyze
@@ -129,6 +144,32 @@ class TestMeasureReconstruct:
                    "--out", str(tmp_path / "pi.pgm")) == 0
         assert len(list(cache.glob("*.spiv"))) == 1
 
+    def test_differential_off_gives_the_noiseless_psnr_of_auto(self, tmp_path, pgm16,
+                                                               capsys):
+        ps = tmp_path / "p.spip"
+        assert run("gen", "--kind", "morlet-binary", "--size", "16x16", "--cr", "0.3",
+                   "--seed", "1", "--out", str(ps)) == 0
+        psnr = {}
+        for mode in ("auto", "off"):
+            m = tmp_path / f"{mode}.spim"
+            assert run("measure", "--image", pgm16, "--patterns", str(ps),
+                       "--out", str(m), "--differential", mode) == 0
+            assert f"differential={mode == 'auto'})" in capsys.readouterr().out
+            assert self._reconstruct(tmp_path, ps, m, "--reference", pgm16) == 0
+            psnr[mode] = re.search(r"^psnr_db=(.*)$", capsys.readouterr().out, re.M)[1]
+        assert psnr["off"] == psnr["auto"]
+        assert float(psnr["auto"]) == pytest.approx(11.4867426, abs=1e-7)
+
+    def test_differential_on_needs_a_binary_set(self, tmp_path, pgm16, capsys):
+        ps = tmp_path / "p.spip"
+        assert run("gen", "--kind", "morlet-real", "--size", "16x16", "--k", "12",
+                   "--out", str(ps)) == 0
+        assert run("measure", "--image", pgm16, "--patterns", str(ps),
+                   "--out", str(tmp_path / "m.spim"), "--differential", "on") == 2
+        assert ("error: differential measurement needs a binary set"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.spim").exists()
+
     def _gen_measure(self, tmp_path, pgm16, kind="morlet-binary", k="12"):
         ps, m = tmp_path / "p.spip", tmp_path / "m.spim"
         assert run("gen", "--kind", kind, "--size", "16x16", "--k", k,
@@ -195,6 +236,15 @@ class TestMeasureReconstruct:
         assert run("measure", "--image", pgm16, "--patterns", str(ps),
                    "--out", str(tmp_path / "m3.spim")) == 2
         assert "error: unsupported SPIP version 3" in capsys.readouterr().err
+
+    def test_version_4_pattern_file_is_an_error_line(self, tmp_path, pgm16, capsys):
+        ps, _ = self._gen_measure(tmp_path, pgm16, kind="morlet-real")
+        raw = bytearray(ps.read_bytes())
+        raw[4:6] = (4).to_bytes(2, "little")
+        ps.write_bytes(bytes(raw))
+        assert run("measure", "--image", pgm16, "--patterns", str(ps),
+                   "--out", str(tmp_path / "m4.spim")) == 2
+        assert "error: unsupported SPIP version 4" in capsys.readouterr().err
 
     def test_short_pinv_cache_file_is_recomputed(self, tmp_path, pgm16):
         from spisim.patterns import load_pattern_set
@@ -331,6 +381,24 @@ class TestSweepAndFeatures:
         assert run("sweep", "--config", str(cfg)) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("size", "16"), ("adc_bits", "12"), ("additive_sigma", "0.1"), ("output_dir", 5),
+        ("corpus_paths", [5]), ("methods", ["svd"]), ("kinds", ["bogus"]),
+        ("seed", 1.5), ("crs", ["a"]), ("crs", [2.0]),
+    ])
+    def test_malformed_config_value_stops_before_any_cell(self, tmp_path, rng, capsys,
+                                                          key, value):
+        img = tmp_path / "c.pgm"
+        save_image(Image(rng.random((16, 16))), img, depth=8)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "kinds": ["walsh-hadamard"], "crs": [0.5], "methods": ["pinv"], "size": 16,
+            "corpus_paths": [str(img)], "output_dir": str(tmp_path / "out"), key: value}))
+        assert run("sweep", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^error: ", err, re.M) and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_readme_configs_load(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

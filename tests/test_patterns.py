@@ -24,11 +24,11 @@ from spisim.wavelets import MorletParams
 # payload on disk is row-major f8 whatever the layout in memory
 SPIP_DIGESTS = {
     "morlet-real-float64":
-        "0cdf5ad53a2963ee6e6559ab51a5dd2e7b0214f83985e5c41da6060e7065f5f3",
+        "0e0722cfed1df6d253d395c43a1d21f5105625a5ed4c4b0cb97535b9c0b6af27",
     "morlet-real-float32":
-        "c25dc15cf4746865fe65179766e4449ba3940b74c3ee1aa06a29df07d7e79b68",
+        "df59baeeba1eb1fdb266f3ad9646437a176810a77095a978f08c7df567be4df7",
     "morlet-binary":
-        "0b6f1fd74ce1b0da41dab195ef7b2b0151b30c44b69962aba627617ebe0ee291",
+        "ff3ae8f09678d43c6732bc3a092bdfc1999deebb802860e1b08a240cf323eae9",
 }
 
 # SPIP header: the flags byte ends it; each kind has one flags value
@@ -552,7 +552,7 @@ class TestSerialization:
         # v1 rows came from the dense wavelet grid and differ in the last ulp
         gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
         raw = bytearray((tmp_path / "p.spip").read_bytes())
-        assert struct.unpack_from("<H", raw, 4) == (4,)
+        assert struct.unpack_from("<H", raw, 4) == (5,)
         struct.pack_into("<H", raw, 4, 1)
         (tmp_path / "p.spip").write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported SPIP version 1"):
@@ -574,6 +574,15 @@ class TestSerialization:
         struct.pack_into("<H", raw, 4, 3)
         (tmp_path / "p.spip").write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported SPIP version 3"):
+            load_pattern_set(tmp_path / "p.spip")
+
+    def test_version_4_file_is_a_format_error(self, tmp_path):
+        # v4 stored morlet-real rows row-major as f8 whatever their dtype
+        gen_pattern_set("morlet-real", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        struct.pack_into("<H", raw, 4, 4)
+        (tmp_path / "p.spip").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported SPIP version 4"):
             load_pattern_set(tmp_path / "p.spip")
 
     @pytest.mark.parametrize("unpack_bytes", [1 << 20, 3 * 8 * 17 * 17],
@@ -628,10 +637,10 @@ class TestSerialization:
         assert np.array_equal(above.rows, below.rows.astype(np.float32))
         assert gen_pattern_set("morlet-binary", 16, 8, 9).row_dtype == np.float32
         assert gen_pattern_set("noiselet", 16, 8, 9).row_dtype == np.float64
-        # the payload stays f8; loading narrows it back exactly
+        # the payload is the rows in their dtype
         above.save(tmp_path / "p.spip")
         size = (tmp_path / "p.spip").stat().st_size
-        assert size == 28 + 9 * (32 + 8 * 128)
+        assert size == 28 + 9 * (32 + 4 * 128)
         back = load_pattern_set(tmp_path / "p.spip")
         assert back.rows.dtype == np.float32
         assert np.array_equal(back.rows, above.rows)
