@@ -34,6 +34,7 @@ from .patterns import _DENSE_LIMIT, bipolar_rows, iter_morlet_rows  # noqa: F401
 _measure_effective = measure
 
 PSNR_INF = float("inf")
+NBINS_SIGMA, NBINS_NP = 16, 14   # feature histogram bins over sigma and n_p
 
 
 def mse(x: Image, r: Image) -> float:
@@ -89,8 +90,7 @@ class FeatureHistogram:
                              f"{float(self.values[i, j])!r}\n")
 
 
-def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0,
-                       nbins_sigma=16, nbins_np=14) -> FeatureHistogram:
+def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0) -> FeatureHistogram:
     """Decompose a corpus into a random morlet-real dictionary.
 
     Every image is expressed in the dictionary rows through the truncated
@@ -113,15 +113,15 @@ def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0,
     sigmas = np.array([m.sigma for m in ps.row_meta])[wavelet]
     nps = np.array([m.n_p for m in ps.row_meta])[wavelet]
     sigma_edges = np.geomspace(dist.sigma_range[0] * 0.999, dist.sigma_range[1] * 1.001,
-                               nbins_sigma + 1)
+                               NBINS_SIGMA + 1)
     np_edges = np.linspace(dist.np_range[0] * 0.999, dist.np_range[1] * 1.001,
-                           nbins_np + 1)
-    si = np.clip(np.searchsorted(sigma_edges, sigmas, side="right") - 1, 0, nbins_sigma - 1)
-    pj = np.clip(np.searchsorted(np_edges, nps, side="right") - 1, 0, nbins_np - 1)
+                           NBINS_NP + 1)
+    si = np.clip(np.searchsorted(sigma_edges, sigmas, side="right") - 1, 0, NBINS_SIGMA - 1)
+    pj = np.clip(np.searchsorted(np_edges, nps, side="right") - 1, 0, NBINS_NP - 1)
 
     coeffs = model.forward(np.stack([img.vector() for img in corpus])) @ model.w.T
-    sums = np.zeros((nbins_sigma, nbins_np))
-    counts = np.zeros((nbins_sigma, nbins_np), dtype=np.int64)
+    sums = np.zeros((NBINS_SIGMA, NBINS_NP))
+    counts = np.zeros((NBINS_SIGMA, NBINS_NP), dtype=np.int64)
     np.add.at(sums, (si, pj), np.abs(coeffs[:, wavelet]).sum(axis=0))
     np.add.at(counts, (si, pj), len(corpus))
     values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)

@@ -47,15 +47,13 @@ class RunConfig:
     output_dir: str = "."
     sigma_range: list[float] = None
     np_range: list[float] = None
-    additive_sigma: float = 0.0
-    adc_bits: int = 0
-    source_fluctuation_sigma: float = 0.0
-    tv_mu_stages: int = 5
-    tv_mu_start_frac: float = 0.1
-    tv_mu_final: float = 1e-4
-    tv_tol: float = 1e-6
-    tv_max_inner: int = 3000
-    tv_epsilon: float = 0.0
+    additive_sigma: float = NoiseModel.additive_sigma
+    adc_bits: int = NoiseModel.adc_bits
+    source_fluctuation_sigma: float = NoiseModel.source_fluctuation_sigma
+    tv_mu_stages: int = TvOptions.mu_stages
+    tv_tol: float = TvOptions.tol
+    tv_max_inner: int = TvOptions.max_inner
+    tv_epsilon: float = TvOptions.epsilon
 
     def __post_init__(self):
         self.tv_options()  # tv_* values are reported in TvOptions' terms
@@ -82,17 +80,19 @@ class RunConfig:
                           source_fluctuation_sigma=self.source_fluctuation_sigma)
 
     def tv_options(self):
-        return TvOptions(mu_stages=self.tv_mu_stages, mu_start_frac=self.tv_mu_start_frac,
-                         mu_final=self.tv_mu_final, tol=self.tv_tol,
+        return TvOptions(mu_stages=self.tv_mu_stages, tol=self.tv_tol,
                          max_inner=self.tv_max_inner, epsilon=self.tv_epsilon)
 
     def distribution(self):
-        if self.sigma_range is None and self.np_range is None:
-            return None
-        base = ParamDistribution.default_for(self.size, self.size)
-        return ParamDistribution(
-            sigma_range=tuple(self.sigma_range or base.sigma_range),
-            np_range=tuple(self.np_range or base.np_range))
+        return _distribution(self.size, self.size, self.sigma_range, self.np_range)
+
+
+def _distribution(width, height, sigma_range=None, np_range=None):
+    """ParamDistribution.default_for(width, height) with the given ranges in
+    place of its own."""
+    base = ParamDistribution.default_for(width, height)
+    return ParamDistribution(sigma_range=tuple(sigma_range or base.sigma_range),
+                             np_range=tuple(np_range or base.np_range))
 
 
 def _parse_size(text):
@@ -120,11 +120,7 @@ def cmd_gen(args):
     width, height = args.size
     n = width * height
     k = args.k if args.k is not None else rows_for_cr(args.kind, args.cr, n)
-    dist = None
-    if args.dist_sigma or args.dist_np:
-        base = ParamDistribution.default_for(width, height)
-        dist = ParamDistribution(sigma_range=args.dist_sigma or base.sigma_range,
-                                 np_range=args.dist_np or base.np_range)
+    dist = _distribution(width, height, args.dist_sigma, args.dist_np)
     ps = gen_pattern_set(args.kind, width, height, k, dist=dist, master_seed=args.seed)
     ps.save(args.out)
     size_bytes = os.path.getsize(args.out)
@@ -176,8 +172,8 @@ def cmd_reconstruct(args):
     if args.method == "pinv":
         img = recon.pinv_reconstruct(model, y)
     else:
-        opts = recon.TvOptions(epsilon=args.tv_epsilon, tol=args.tv_tol,
-                               max_inner=args.tv_max_inner)
+        opts = TvOptions(epsilon=args.tv_epsilon, tol=args.tv_tol,
+                         max_inner=args.tv_max_inner)
         res = recon.tv_reconstruct(model, y, opts)
         if not res.converged:
             print("warning: TV solver hit the iteration budget before converging",
@@ -235,9 +231,7 @@ def cmd_analyze_features(args):
     else:
         corpus = standard_corpus(size=args.size)
     images = [img for _, img in corpus]
-    dist = ParamDistribution.default_for(args.size, args.size)
-    if args.dist_sigma:
-        dist = ParamDistribution(sigma_range=args.dist_sigma, np_range=dist.np_range)
+    dist = _distribution(args.size, args.size, args.dist_sigma)
     hist = decompose_features(images, args.dict_size, dist, seed=args.seed)
     hist.to_csv(args.out)
     frac, mask = histogram_concentration(hist)
@@ -259,7 +253,7 @@ def build_parser():
 
     g = sub.add_parser("gen", help="generate a pattern set (SPIP file)")
     g.add_argument("--kind", required=True,
-                   choices=["morlet-real", "morlet-binary", "walsh-hadamard", "noiselet", "wh"])
+                   choices=[*KINDS, "wh"])
     g.add_argument("--size", required=True, type=_parse_size, help="WxH pixels")
     g.add_argument("--cr", type=float, default=0.04,
                    help="compression ratio: real samples per pixel (two per noiselet row)")
@@ -277,10 +271,11 @@ def build_parser():
     m.add_argument("--out", required=True)
     m.add_argument("--csv", help="also export index,value CSV")
     m.add_argument("--differential", choices=["auto", "on", "off"], default="auto")
-    m.add_argument("--noise-sigma", type=float, default=0.0)
-    m.add_argument("--adc-bits", type=int, default=0)
-    m.add_argument("--fluctuation", type=float, default=0.0)
-    m.add_argument("--noise-seed", type=int, default=0)
+    m.add_argument("--noise-sigma", type=float, default=NoiseModel.additive_sigma)
+    m.add_argument("--adc-bits", type=int, default=NoiseModel.adc_bits)
+    m.add_argument("--fluctuation", type=float,
+                   default=NoiseModel.source_fluctuation_sigma)
+    m.add_argument("--noise-seed", type=int, default=NoiseModel.seed)
     m.add_argument("--verbose", action="store_true")
     m.set_defaults(func=cmd_measure)
 
@@ -293,9 +288,9 @@ def build_parser():
     r.add_argument("--reference", help="original image; prints PSNR against it")
     r.add_argument("--cache-dir", help="directory caching the pattern set's orthogonalization "
                    "(SPIV), used by both methods")
-    r.add_argument("--tv-epsilon", type=float, default=0.0)
-    r.add_argument("--tv-tol", type=float, default=1e-6)
-    r.add_argument("--tv-max-inner", type=int, default=3000)
+    r.add_argument("--tv-epsilon", type=float, default=TvOptions.epsilon)
+    r.add_argument("--tv-tol", type=float, default=TvOptions.tol)
+    r.add_argument("--tv-max-inner", type=int, default=TvOptions.max_inner)
     r.add_argument("--verbose", action="store_true")
     r.set_defaults(func=cmd_reconstruct)
 
@@ -321,7 +316,7 @@ def main(argv=None):
         args.kind = "walsh-hadamard"
     try:
         return args.func(args)
-    except (ValueError, OSError, HashMismatchError) as e:
+    except (ValueError, OSError, HashMismatchError, ImportError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -57,11 +57,9 @@ def _require_finite(a, what):
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def complex_grid(data, width=None, height=None):
+def complex_grid(data):
     """Validated row-major complex grid: complex128, finite, read-only."""
     a = np.asarray(data, dtype=np.complex128)
-    if width is not None or height is not None:
-        a = a.reshape(height, width)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"bad complex grid shape {a.shape}")
     _require_finite(a, "complex grid")

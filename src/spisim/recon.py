@@ -31,12 +31,16 @@ The TV solver is a Nesterov-accelerated smoothed-TV scheme with continuation
 over a decreasing smoothing parameter: isotropic TV, forward differences,
 reflexive boundary, Huber smoothing, and per-stage stopping on the relative
 change of the smoothed objective against a trailing window.
+
+Fixed settings: the rank cut-off RANK_TOL (relative to the largest singular
+value) and NESTA's continuation and stopping rule (Becker, Bobin & Candes
+2011), mu from MU_START_FRAC x the pinv start's dynamic range down to
+MU_FINAL, each stage stopping on `tol` against its last STOP_WINDOW values.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -52,7 +56,10 @@ SPIV_VERSION = 2
 # magic, version, k, r, row itemsize, rank_tol, pattern-set hash, W payload SHA-256
 _SPIV_HEADER = struct.Struct("<4sHIIHd32s32s")
 
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
+MU_START_FRAC = 0.1
+MU_FINAL = 1e-4
+STOP_WINDOW = 10
 
 
 # --------------------------------------------------------------------------
@@ -108,14 +115,13 @@ def _checked(y, k):
 class SvdFactors:
     """M = U diag(d) Vt with orthonormal U columns and orthonormal Vt rows.
 
-    d is sorted descending; effective_rank counts d_i > rank_tol * d_0.
+    d is sorted descending; effective_rank counts d_i > RANK_TOL * d_0.
     width/height carry the pixel-grid shape for reshaping reconstructions.
     """
 
     u: np.ndarray
     d: np.ndarray
     vt: np.ndarray
-    rank_tol: float
     effective_rank: int
     width: int
     height: int
@@ -126,7 +132,7 @@ class SvdFactors:
         return self.u[:, :r], self.d[:r], self.vt[:r]
 
 
-def factorize(source, rank_tol=DEFAULT_RANK_TOL, width=None, height=None) -> SvdFactors:
+def factorize(source, width=None, height=None) -> SvdFactors:
     """SVD of a PatternSet's effective matrix, or of a plain matrix."""
     if isinstance(source, PatternSet):
         mat = effective_matrix(source)
@@ -140,12 +146,11 @@ def factorize(source, rank_tol=DEFAULT_RANK_TOL, width=None, height=None) -> Svd
     if not np.any(mat):
         raise ValueError("degenerate all-zero measurement matrix")
     u, d, vt = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.count_nonzero(d > rank_tol * d[0]))
-    return SvdFactors(u=u, d=d, vt=vt, rank_tol=rank_tol, effective_rank=rank,
-                      width=width, height=height)
+    rank = int(np.count_nonzero(d > RANK_TOL * d[0]))
+    return SvdFactors(u=u, d=d, vt=vt, effective_rank=rank, width=width, height=height)
 
 
-def gram_orthogonalize(m_rows, rank_tol=DEFAULT_RANK_TOL):
+def gram_orthogonalize(m_rows):
     """(u_r, d_r) from the eigendecomposition of M M^T, truncated.
 
     Yields the same U, D as the SVD without ever forming V; combined with
@@ -160,7 +165,7 @@ def gram_orthogonalize(m_rows, rank_tol=DEFAULT_RANK_TOL):
     w = w[::-1]
     u = u[:, ::-1]
     d = np.sqrt(np.maximum(w, 0.0))
-    floor = max(rank_tol, 3.0 * np.sqrt(float(np.finfo(m_rows.dtype).eps)))
+    floor = max(RANK_TOL, 3.0 * np.sqrt(float(np.finfo(m_rows.dtype).eps)))
     rank = int(np.count_nonzero(d > floor * d[0])) if d[0] > 0 else 0
     if rank == 0:
         raise ValueError("degenerate all-zero measurement matrix")
@@ -306,7 +311,7 @@ class _NoiseletSubsetOp:
         return self._s(w)
 
 
-def linear_model(source, rank_tol=DEFAULT_RANK_TOL, height=None, width=None):
+def linear_model(source, height=None, width=None):
     """The linear model of `source`: a semiorthogonal operator with rhs().
 
     `source` is a PatternSet, an SvdFactors (the dense reference), or an
@@ -329,7 +334,7 @@ def linear_model(source, rank_tol=DEFAULT_RANK_TOL, height=None, width=None):
         raise TypeError("expected a PatternSet, SvdFactors or a real 2D row matrix")
     if width is None:
         height, width = 1, m_rows.shape[1]
-    u_r, d_r = gram_orthogonalize(m_rows, rank_tol)
+    u_r, d_r = gram_orthogonalize(m_rows)
     return _GramVtOp(m_rows, u_r / d_r, width, height)
 
 
@@ -425,8 +430,9 @@ class PinvStream:
 @dataclass(frozen=True)
 class SpivRecord:
     """W = U_r / d_r (k x r float64) of a Gram model, with what a cache hit
-    must match: the pattern set's content hash, rank_tol and the itemsize of
-    the rows W was computed from."""
+    must match: the pattern set's content hash, the rank tolerance (RANK_TOL
+    when written by cached_pinv) and the itemsize of the rows W was computed
+    from."""
 
     w: np.ndarray
     source_hash: bytes
@@ -467,33 +473,33 @@ def load_pinv(path) -> SpivRecord:
     return SpivRecord(w=w, source_hash=digest, rank_tol=rank_tol, row_itemsize=itemsize)
 
 
-def cached_pinv(ps: PatternSet, cache_dir, rank_tol=DEFAULT_RANK_TOL):
+def cached_pinv(ps: PatternSet, cache_dir):
     """The linear model of `ps`, its W cached in cache_dir as <content hash>.spiv.
 
     A morlet model is the set's effective rows (in its row_dtype) plus
     W = U_r / d_r. A hit rebuilds it from the rows and the cached W, with no
     Gram product or eigendecomposition. A file that load_pinv rejects, or
-    one written for another hash, rank_tol, k or row itemsize, is a miss; a
-    miss computes the model and writes its W through a temp file.
+    one written for another hash, rank tolerance, k or row itemsize, is a
+    miss; a miss computes the model and writes its W through a temp file.
     Fast-transform models have nothing to cache and are returned unwritten.
     The model serves pinv_reconstruct and tv_reconstruct alike.
     """
     if ps.kind in DETERMINISTIC_KINDS:
-        return linear_model(ps, rank_tol)
+        return linear_model(ps)
     digest = ps.content_hash()
     path = os.path.join(cache_dir, digest.hex() + ".spiv")
     rows = effective_matrix(ps, ps.row_dtype)
     try:
         rec = load_pinv(path)
         if (rec.source_hash, rec.rank_tol, rec.w.shape[0], rec.row_itemsize) == \
-                (digest, rank_tol, rows.shape[0], rows.itemsize):
+                (digest, RANK_TOL, rows.shape[0], rows.itemsize):
             return _GramVtOp(rows, rec.w, ps.width, ps.height)
     except (OSError, ValueError):
         pass
-    model = linear_model(rows, rank_tol, ps.height, ps.width)
+    model = linear_model(rows, ps.height, ps.width)
     os.makedirs(cache_dir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
-    save_pinv(SpivRecord(w=model.w, source_hash=digest, rank_tol=rank_tol,
+    save_pinv(SpivRecord(w=model.w, source_hash=digest, rank_tol=RANK_TOL,
                          row_itemsize=rows.itemsize), tmp)
     os.replace(tmp, path)
     return model
@@ -549,25 +555,18 @@ def _tv_grad(x, mu, work=None):
 @dataclass(frozen=True)
 class TvOptions:
     """Solver knobs. epsilon is the data-fidelity radius (0 = exact constraint);
-    mu continuation runs mu_stages stages from mu_start_frac * dynamic range
-    down to mu_final."""
+    mu continuation runs mu_stages stages from MU_START_FRAC * dynamic range
+    down to MU_FINAL, each stopping on `tol` over a STOP_WINDOW-value window
+    or after max_inner iterations."""
 
     mu_stages: int = 5
-    mu_start_frac: float = 0.1
-    mu_final: float = 1e-4
     tol: float = 1e-6
     max_inner: int = 3000
     epsilon: float = 0.0
-    window: int = 10
 
     def __post_init__(self):
         check_field_types(self, "TV {}")
-        for name in ("mu_start_frac", "mu_final"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"TV {name} must be positive and finite, got {value!r}")
-        for name, low in (("mu_stages", 1), ("window", 1), ("max_inner", 0),
-                          ("tol", 0), ("epsilon", 0)):
+        for name, low in (("mu_stages", 1), ("max_inner", 0), ("tol", 0), ("epsilon", 0)):
             value = getattr(self, name)
             if not value >= low:   # also rejects NaN
                 raise ValueError(f"TV {name} must be >= {low}, got {value!r}")
@@ -625,7 +624,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
     r_vz = r_x.copy()
     coef = np.zeros((batch, 5, 6))
     coef[:, 1, 1] = coef[:, 2, 2] = coef[:, 4, 0] = 1.0
-    hist = np.full((opts.window, batch), np.inf)
+    hist = np.full((STOP_WINDOW, batch), np.inf)
     done = np.zeros(batch, dtype=bool)
     iters = 0
     for it in range(opts.max_inner):
@@ -666,7 +665,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
         with np.errstate(invalid="ignore"):
             rel = np.abs(fval - ref) / np.maximum(np.abs(ref), 1e-300)
         done |= np.isfinite(ref) & (rel <= opts.tol)
-        hist[it % opts.window] = fval
+        hist[it % STOP_WINDOW] = fval
         if done.all():
             break
     return s[4].reshape(batch, h, w).copy(), bool(done.all()), iters   # a copy frees the stacks
@@ -678,8 +677,8 @@ def _nesta_solve(op, b, opts: TvOptions):
     x = op.adjoint(b).reshape(batch, op.height, op.width)
     dyn = x.max(axis=(1, 2)) - x.min(axis=(1, 2))
     dyn = np.where(dyn > 0, dyn, 1.0)
-    mu0 = opts.mu_start_frac * dyn
-    mu_end = np.minimum(np.full(batch, opts.mu_final), mu0)
+    mu0 = MU_START_FRAC * dyn
+    mu_end = np.minimum(MU_FINAL, mu0)
     stages = opts.mu_stages
     converged = True
     stage_tv = []
@@ -694,13 +693,13 @@ def _nesta_solve(op, b, opts: TvOptions):
     return x, converged, stage_tv, total_iters
 
 
-def _monotone_stages(stage_tv, rel_slack=1e-6):
+def _monotone_stages(stage_tv):
     seq = np.array(stage_tv)         # (stages, B)
     if seq.shape[0] < 2:
         return True
     prev = seq[:-1]
     nxt = seq[1:]
-    return bool(np.all(nxt <= prev * (1.0 + rel_slack) + 1e-12))
+    return bool(np.all(nxt <= prev * (1.0 + 1e-6) + 1e-12))
 
 
 def tv_reconstruct(model, y, opts: TvOptions = TvOptions()) -> TvResult:

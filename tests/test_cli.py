@@ -1,11 +1,14 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from spisim.acquire import NoiseModel
 from spisim.cli import RunConfig, main
 from spisim.imgcore import Image, save_image
+from spisim.recon import TvOptions
 
 
 def run(*argv):
@@ -182,6 +185,20 @@ class TestMeasureReconstruct:
         return run("reconstruct", "--patterns", str(ps), "--measurement", str(m),
                    "--out", str(tmp_path / "r.pgm"), *extra)
 
+    def test_default_flags_are_the_library_defaults(self, tmp_path, pgm16, monkeypatch):
+        from spisim import acquire, recon
+
+        seen = []
+        measure, solve = acquire.measure_differential, recon.tv_reconstruct
+        monkeypatch.setattr(acquire, "measure_differential",
+                            lambda img, ps, nm: seen.append(nm) or measure(img, ps, nm))
+        # records the options, then solves on a small budget
+        monkeypatch.setattr(recon, "tv_reconstruct", lambda model, y, opts: seen.append(opts)
+                            or solve(model, y, TvOptions(max_inner=5)))
+        ps, m = self._gen_measure(tmp_path, pgm16)
+        assert self._reconstruct(tmp_path, ps, m, "--method", "tv") == 0
+        assert seen == [NoiseModel(), TvOptions()]
+
     def test_truncated_measurement_is_an_error_line(self, tmp_path, pgm16, capsys):
         ps, m = self._gen_measure(tmp_path, pgm16)
         m.write_bytes(m.read_bytes()[:5])
@@ -343,6 +360,29 @@ class TestSweepAndFeatures:
                           for k in ("morlet-real", "morlet-binary")
                           for c in (0.2, 0.4) for m in ("pinv", "tv")}
 
+    def test_default_config_holds_the_library_defaults(self):
+        cfg = RunConfig()
+        assert cfg.tv_options() == TvOptions()
+        assert cfg.noise_model() == NoiseModel()
+
+    @pytest.mark.parametrize("resize", [False, True], ids=["standard-corpus", "resized-corpus"])
+    def test_sweep_without_scikit_image_is_an_error_line(self, tmp_path, rng, capsys,
+                                                         monkeypatch, resize):
+        for name in ("skimage", "skimage.data", "skimage.transform"):
+            monkeypatch.setitem(sys.modules, name, None)   # import fails
+        cfg = {"kinds": ["walsh-hadamard"], "crs": [0.5], "methods": ["pinv"], "size": 16,
+               "output_dir": str(tmp_path / "out")}
+        if resize:
+            img = tmp_path / "c.pgm"
+            save_image(Image(rng.random((20, 20))), img, depth=8)
+            cfg["corpus_paths"] = [str(img)]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert run("sweep", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^error: .*needs scikit-image", err, re.M) and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_rejects_unknown_keys(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"unknown_option": 1}))
@@ -356,6 +396,8 @@ class TestSweepAndFeatures:
         ({"crs": 0.1}, "config key 'crs' must be a list, got float"),
         ({"methods": {"pinv": 1}}, "config key 'methods' must be a list, got dict"),
         ({"corpus_paths": "a.pgm"}, "config key 'corpus_paths' must be a list, got str"),
+        ({"tv_mu_final": 1e-4}, "unknown config keys: ['tv_mu_final']"),
+        ({"tv_mu_start_frac": 0.1}, "unknown config keys: ['tv_mu_start_frac']"),
     ])
     def test_malformed_config_is_an_error_line(self, tmp_path, capsys, raw, message):
         cfg = tmp_path / "c.json"
@@ -364,8 +406,6 @@ class TestSweepAndFeatures:
         assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value,message", [
-        ("tv_mu_start_frac", 0, "TV mu_start_frac must be positive and finite, got 0"),
-        ("tv_mu_final", -1e-4, "TV mu_final must be positive and finite, got -0.0001"),
         ("tv_mu_stages", 0, "TV mu_stages must be >= 1, got 0"),
         ("tv_max_inner", "60", "TV max_inner must be an integer, got '60'"),
     ])
