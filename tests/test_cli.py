@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -362,6 +363,7 @@ class TestSweepAndFeatures:
 
     def test_default_config_holds_the_library_defaults(self):
         cfg = RunConfig()
+        assert len(dataclasses.fields(cfg)) == 16
         assert cfg.tv_options() == TvOptions()
         assert cfg.noise_model() == NoiseModel()
 

@@ -1,3 +1,4 @@
+import inspect
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -74,6 +75,17 @@ class TestFactorize:
         m = np.vstack([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 0]])  # rank 2
         f = factorize(m)
         assert f.effective_rank == 2
+
+    def test_rank_cut_off_is_the_fixed_rank_tol(self):
+        # singular values either side of RANK_TOL = 1e-10 times the largest
+        f = factorize(np.diag([1.0, 2e-10, 5e-11]))
+        assert recon.RANK_TOL == 1e-10 and f.effective_rank == 2
+
+    @pytest.mark.parametrize("fn", [factorize, recon.gram_orthogonalize, linear_model,
+                                    cached_pinv, recon.SvdFactors],
+                             ids=lambda fn: fn.__name__)
+    def test_rank_tol_is_not_a_parameter(self, fn):
+        assert "rank_tol" not in inspect.signature(fn).parameters
 
 
 class TestPinvReconstruct:
@@ -249,6 +261,14 @@ class TestTvOptionsValidation:
     ])
     def test_values_that_break_the_solver_raise(self, name, value):
         with pytest.raises(ValueError, match=f"TV {name} must be"):
+            TvOptions(**{name: value})
+
+    # the mu schedule and the stopping window are recon constants, not options
+    @pytest.mark.parametrize("name,value", [("mu_start_frac", recon.MU_START_FRAC),
+                                            ("mu_final", recon.MU_FINAL),
+                                            ("window", recon.STOP_WINDOW)])
+    def test_fixed_settings_are_not_options(self, name, value):
+        with pytest.raises(TypeError, match=name):
             TvOptions(**{name: value})
 
     def test_boundary_values_are_accepted(self):
