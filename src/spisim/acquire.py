@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import FormatError
+from .imgcore import FormatError, read_header, require_size, write_csv
 from .patterns import PatternSet, _row_blocks, noiselet2, wht2
 
 SPIM_MAGIC = b"SPIM"
@@ -187,32 +187,19 @@ def save_measurement(m: Measurement, path):
 
 def load_measurement(path) -> Measurement:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < _SPIM_HEADER.size:
-        raise FormatError(f"truncated SPIM header ({len(buf)} bytes)")
-    magic, version, k, flags = _SPIM_HEADER.unpack_from(buf)
-    if magic != SPIM_MAGIC:
-        raise FormatError("bad SPIM magic")
-    if version != SPIM_VERSION:
-        raise FormatError(f"unsupported SPIM version {version}")
-    pos = _SPIM_HEADER.size
-    need = (pos + k * (16 if flags & _FLAG_COMPLEX else 8)
-            + (8 * k if flags & _FLAG_DIFFERENTIAL else 0) + 32 + _SPIM_TRAILER.size)
-    if len(buf) != need:
-        raise FormatError(f"SPIM file is {len(buf)} bytes, header says {need}")
-    if flags & _FLAG_COMPLEX:
-        values = np.frombuffer(buf, dtype="<c16", count=k, offset=pos).copy()
-        pos += 16 * k
-    else:
-        values = np.frombuffer(buf, dtype="<f8", count=k, offset=pos).copy()
-        pos += 8 * k
-    values_bar = None
-    if flags & _FLAG_DIFFERENTIAL:
-        values_bar = np.frombuffer(buf, dtype="<f8", count=k, offset=pos).copy()
-        pos += 8 * k
-    digest = buf[pos:pos + 32]
-    pos += 32
-    additive, fluct, adc_bits, seed, cr, full_scale = _SPIM_TRAILER.unpack_from(buf, pos)
+        k, flags = read_header(fh, _SPIM_HEADER, SPIM_MAGIC, SPIM_VERSION, "SPIM")
+        # differential measurements come from binary sets, so are never complex
+        if flags not in (0, _FLAG_DIFFERENTIAL, _FLAG_COMPLEX):
+            raise FormatError(f"unknown SPIM flags 0x{flags:02x}")
+        dtype = np.dtype("<c16" if flags & _FLAG_COMPLEX else "<f8")
+        differential = bool(flags & _FLAG_DIFFERENTIAL)
+        require_size(fh, _SPIM_HEADER.size + k * (dtype.itemsize + 8 * differential) + 32
+                     + _SPIM_TRAILER.size, "SPIM")
+        values = np.fromfile(fh, dtype=dtype, count=k)
+        values_bar = np.fromfile(fh, dtype="<f8", count=k) if differential else None
+        digest = fh.read(32)
+        additive, fluct, adc_bits, seed, cr, full_scale = \
+            _SPIM_TRAILER.unpack(fh.read(_SPIM_TRAILER.size))
     nm = NoiseModel(additive_sigma=additive, adc_bits=adc_bits,
                     source_fluctuation_sigma=fluct, seed=seed)
     return Measurement(values=values, values_bar=values_bar, pattern_set_hash=digest,
@@ -221,16 +208,11 @@ def load_measurement(path) -> Measurement:
 
 def measurement_to_csv(m: Measurement, path):
     """CSV export: index,value[,value_bar]; complex values as value_re,value_im."""
-    with open(path, "w") as fh:
-        if np.iscomplexobj(m.values):
-            fh.write("index,value_re,value_im\n")
-            for i, v in enumerate(m.values):
-                fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
-        elif m.is_differential:
-            fh.write("index,value,value_bar\n")
-            for i, (v, vb) in enumerate(zip(m.values, m.values_bar)):
-                fh.write(f"{i},{float(v)!r},{float(vb)!r}\n")
-        else:
-            fh.write("index,value\n")
-            for i, v in enumerate(m.values):
-                fh.write(f"{i},{float(v)!r}\n")
+    if np.iscomplexobj(m.values):
+        header, columns = ["value_re", "value_im"], [m.values.real, m.values.imag]
+    elif m.is_differential:
+        header, columns = ["value", "value_bar"], [m.values, m.values_bar]
+    else:
+        header, columns = ["value"], [m.values]
+    write_csv(path, ["index", *header],
+              zip(range(m.k), *(np.asarray(c, dtype=np.float64).tolist() for c in columns)))

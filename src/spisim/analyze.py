@@ -22,7 +22,7 @@ import numpy as np
 
 from . import acquire, recon
 from .acquire import NoiseModel
-from .imgcore import Image
+from .imgcore import Image, write_csv
 from .patterns import KINDS, ParamDistribution, gen_pattern_set, rows_for_cr, splitmix64
 from .recon import TvOptions
 
@@ -53,11 +53,6 @@ def psnr(x: Image, r: Image) -> float:
     return float(10.0 * np.log10(peak * peak / err))
 
 
-def format_psnr(value: float) -> str:
-    """CSV representation; the +inf sentinel serializes as the string 'inf'."""
-    return "inf" if value == PSNR_INF else repr(value)
-
-
 # --------------------------------------------------------------------------
 # feature-space decomposition
 # --------------------------------------------------------------------------
@@ -79,15 +74,11 @@ class FeatureHistogram:
             raise ValueError("histogram values must be nonnegative")
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("sigma_lo,sigma_hi,np_lo,np_hi,mean_abs_coeff\n")
-            for i in range(self.values.shape[0]):
-                for j in range(self.values.shape[1]):
-                    fh.write(f"{float(self.sigma_edges[i])!r},"
-                             f"{float(self.sigma_edges[i + 1])!r},"
-                             f"{float(self.np_edges[j])!r},"
-                             f"{float(self.np_edges[j + 1])!r},"
-                             f"{float(self.values[i, j])!r}\n")
+        sig, nps, vals = (np.asarray(a, dtype=np.float64).tolist()
+                          for a in (self.sigma_edges, self.np_edges, self.values))
+        write_csv(path, ["sigma_lo", "sigma_hi", "np_lo", "np_hi", "mean_abs_coeff"],
+                  ((sig[i], sig[i + 1], nps[j], nps[j + 1], v)
+                   for i, row in enumerate(vals) for j, v in enumerate(row)))
 
 
 def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0) -> FeatureHistogram:
@@ -210,19 +201,15 @@ class SweepResult:
         return float(np.mean(finite)) if finite else PSNR_INF
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("kind,cr,method,image,psnr_db,runtime_s,iterations,converged,monotone\n")
-            for r in self.rows:
-                tv = ",".join("" if v is None else str(int(v))
-                              for v in (r.iterations, r.converged, r.monotone))
-                fh.write(f"{r.kind},{r.cr!r},{r.method},{r.image},"
-                         f"{format_psnr(r.psnr_db)},{r.runtime_s!r},{tv}\n")
+        write_csv(path, ["kind", "cr", "method", "image", "psnr_db", "runtime_s",
+                         "iterations", "converged", "monotone"],
+                  ((r.kind, r.cr, r.method, r.image, r.psnr_db, r.runtime_s,
+                    *(None if v is None else int(v)
+                      for v in (r.iterations, r.converged, r.monotone))) for r in self.rows))
 
     def summary_to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("kind,cr,method,mean_psnr_db,std_psnr_db,runtime_s\n")
-            for kind, cr, method, mean, std, rt in self.summary():
-                fh.write(f"{kind},{cr!r},{method},{format_psnr(mean)},{std!r},{rt!r}\n")
+        write_csv(path, ["kind", "cr", "method", "mean_psnr_db", "std_psnr_db", "runtime_s"],
+                  self.summary())
 
 
 def _cell_seed(seed, kind, cr):

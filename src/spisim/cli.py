@@ -154,7 +154,7 @@ def cmd_measure(args):
 def cmd_reconstruct(args):
     from . import recon
     from .acquire import load_measurement
-    from .analyze import psnr, format_psnr
+    from .analyze import psnr
     from .imgcore import load_image, save_image
     from .patterns import load_pattern_set
 
@@ -186,7 +186,7 @@ def cmd_reconstruct(args):
     print(f"wrote {args.out}")
     if args.reference:
         ref = load_image(args.reference)
-        print(f"psnr_db={format_psnr(psnr(img, ref))}")
+        print(f"psnr_db={psnr(img, ref)!r}")
     return 0
 
 

@@ -7,12 +7,15 @@ Conventions shared by every other module:
   range is re-imposed only when exporting),
 * flattening an image into the linear measurement model is always row-major,
 * file formats: binary PGM (``P5``, 8/16-bit, big-endian samples) and the
-  lossless SPIF raw-float grid used as an intermediate in tests.
+  lossless SPIF raw-float grid used as an intermediate in tests,
+* the binary SPIP, SPIM and SPIV readers check their headers through
+  read_header and require_size; every CSV export goes through write_csv.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
 import struct
 from dataclasses import fields
 
@@ -23,7 +26,37 @@ _SPIF_HEADER = struct.Struct("<4sIII")  # magic, width, height, reserved
 
 
 class FormatError(ValueError):
-    """Unsupported, malformed, or truncated image file."""
+    """Unsupported, malformed, or truncated file."""
+
+
+def read_header(fh, header_struct, magic, version, name):
+    """Read a binary header whose first two fields are its magic and version
+    and check both; returns the remaining fields."""
+    head = fh.read(header_struct.size)
+    if len(head) < header_struct.size:
+        raise FormatError(f"truncated {name} header ({len(head)} bytes)")
+    got_magic, got_version, *rest = header_struct.unpack(head)
+    if got_magic != magic:
+        raise FormatError(f"bad {name} magic")
+    if got_version != version:
+        raise FormatError(f"unsupported {name} version {got_version}")
+    return rest
+
+
+def require_size(fh, need, name):
+    """Raise FormatError unless the open file is exactly `need` bytes long."""
+    size = os.fstat(fh.fileno()).st_size
+    if size != need:
+        raise FormatError(f"{name} file is {size} bytes, header says {need}")
+
+
+def write_csv(path, header, rows):
+    """Write the `header` names and then one line per row. A value is written
+    with str(), so a Python float as its repr, and None as an empty field."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
 _FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
@@ -72,13 +105,12 @@ class Image:
     """2D grayscale raster, immutable after construction.
 
     ``data`` is a read-only float64 array of shape (height, width). Loaded
-    images are in [0, 1]; ``source_depth``/``source_maxval`` record the file
-    quantization so round-trips can be checked.
+    images are in [0, 1].
     """
 
-    __slots__ = ("data", "source_depth", "source_maxval")
+    __slots__ = ("data",)
 
-    def __init__(self, data, source_depth=8, source_maxval=None):
+    def __init__(self, data):
         a = np.asarray(data, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"image must be 2D and non-empty, got shape {a.shape}")
@@ -86,9 +118,6 @@ class Image:
         a = np.ascontiguousarray(a)
         a.flags.writeable = False
         object.__setattr__(self, "data", a)
-        object.__setattr__(self, "source_depth", int(source_depth))
-        object.__setattr__(self, "source_maxval", int(source_maxval if source_maxval is not None
-                                                      else (1 << int(source_depth)) - 1))
 
     def __setattr__(self, name, value):
         raise AttributeError("Image is immutable")
@@ -110,7 +139,7 @@ class Image:
                 and np.array_equal(self.data, other.data))
 
     def __repr__(self):
-        return f"Image({self.width}x{self.height}, depth={self.source_depth})"
+        return f"Image({self.width}x{self.height})"
 
 
 # --------------------------------------------------------------------------
@@ -160,42 +189,37 @@ def _load_pgm(buf):
     if len(raw) < need:
         raise FormatError(f"truncated PGM payload ({len(raw)} of {need} bytes)")
     samples = np.frombuffer(raw, dtype=dtype).reshape(height, width)
-    data = samples.astype(np.float64) / maxval
-    depth = 16 if maxval > 255 else 8
-    return Image(data, source_depth=depth, source_maxval=maxval)
+    return Image(samples.astype(np.float64) / maxval)
 
 
-def _load_spif(buf):
-    if len(buf) < _SPIF_HEADER.size:
-        raise FormatError("truncated SPIF header")
-    magic, width, height, _reserved = _SPIF_HEADER.unpack_from(buf)
-    if magic != SPIF_MAGIC:
-        raise FormatError("bad SPIF magic")
+def _load_spif(fh):
+    """Read a SPIF file from its start; load_image has matched the magic."""
+    head = fh.read(_SPIF_HEADER.size)
+    if len(head) < _SPIF_HEADER.size:
+        raise FormatError(f"truncated SPIF header ({len(head)} bytes)")
+    _magic, width, height, _reserved = _SPIF_HEADER.unpack(head)
     if width < 1 or height < 1:
         raise FormatError(f"zero SPIF dimensions {width}x{height}")
-    need = width * height * 8
-    raw = buf[_SPIF_HEADER.size:_SPIF_HEADER.size + need]
-    if len(raw) < need:
-        raise FormatError(f"truncated SPIF payload ({len(raw)} of {need} bytes)")
-    data = np.frombuffer(raw, dtype="<f8").reshape(height, width)
+    require_size(fh, _SPIF_HEADER.size + 8 * width * height, "SPIF")
+    data = np.fromfile(fh, dtype="<f8", count=width * height).reshape(height, width)
     _require_finite(data, "SPIF image")
-    return Image(data, source_depth=16, source_maxval=65535)
+    return Image(data)
 
 
 def load_image(path):
     """Load an 8/16-bit binary PGM or a SPIF raw-float grid.
 
-    Intensities are mapped affinely to [0, 1] (sample / maxval); the file's
-    bit depth and maxval are retained on the Image for round-tripping.
+    PGM intensities are mapped affinely to [0, 1] (sample / maxval).
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) == 0:
-        raise FormatError(f"empty file: {path}")
-    if buf[:2] == b"P5":
-        return _load_pgm(buf)
-    if buf[:4] == SPIF_MAGIC:
-        return _load_spif(buf)
+        magic = fh.read(len(SPIF_MAGIC))
+        if not magic:
+            raise FormatError(f"empty file: {path}")
+        fh.seek(0)
+        if magic[:2] == b"P5":
+            return _load_pgm(fh.read())
+        if magic == SPIF_MAGIC:
+            return _load_spif(fh)
     raise FormatError(f"unsupported image format in {path}")
 
 

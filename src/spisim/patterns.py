@@ -25,13 +25,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import FormatError
+from .imgcore import FormatError, read_header, require_size
 # morlet_wavelet is not called here; it stays importable from this module
 # because the benchmark's span table wraps patterns.morlet_wavelet
 from .wavelets import MorletParams, morlet_spectrum, morlet_wavelet  # noqa: F401
@@ -435,15 +434,8 @@ class PatternSet:
 
 def load_pattern_set(path) -> PatternSet:
     with open(path, "rb") as fh:
-        head = fh.read(_SPIP_HEADER.size)
-        if len(head) < _SPIP_HEADER.size:
-            raise FormatError("truncated SPIP header")
-        magic, version, kind_code, width, height, k, master_seed, flags = \
-            _SPIP_HEADER.unpack(head)
-        if magic != SPIP_MAGIC:
-            raise FormatError("bad SPIP magic")
-        if version != SPIP_VERSION:
-            raise FormatError(f"unsupported SPIP version {version}")
+        kind_code, width, height, k, master_seed, flags = \
+            read_header(fh, _SPIP_HEADER, SPIP_MAGIC, SPIP_VERSION, "SPIP")
         if kind_code >= len(KINDS):
             raise FormatError(f"unknown SPIP kind code {kind_code}")
         kind = KINDS[kind_code]
@@ -458,9 +450,7 @@ def load_pattern_set(path) -> PatternSet:
             need = _SPIP_HEADER.size + 8 * k
         else:
             need = _SPIP_HEADER.size + k * (_MORLET_META.size + row_bytes)
-        size = os.fstat(fh.fileno()).st_size
-        if size != need:
-            raise FormatError(f"SPIP file is {size} bytes, header says {need}")
+        require_size(fh, need, "SPIP")
 
         if kind in DETERMINISTIC_KINDS:
             meta = np.fromfile(fh, dtype="<u8", count=k)

@@ -35,7 +35,8 @@ change of the smoothed objective against a trailing window.
 Fixed settings: the rank cut-off RANK_TOL (relative to the largest singular
 value) and NESTA's continuation and stopping rule (Becker, Bobin & Candes
 2011), mu from MU_START_FRAC x the pinv start's dynamic range down to
-MU_FINAL, each stage stopping on `tol` against its last STOP_WINDOW values.
+MU_FINAL, each image of a stage stopping on `tol` against its last STOP_WINDOW
+values, with the iterate of the iteration where it stopped.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquire import Measurement, combine_differential
-from .imgcore import FormatError, Image, check_field_types
+from .imgcore import FormatError, Image, check_field_types, read_header, require_size
 from .patterns import DETERMINISTIC_KINDS, PatternSet, bipolar_rows, noiselet_signs, wht2
 
 SPIV_MAGIC = b"SPIV"
@@ -452,21 +453,11 @@ def save_pinv(rec: SpivRecord, path):
 
 def load_pinv(path) -> SpivRecord:
     with open(path, "rb") as fh:
-        head = fh.read(_SPIV_HEADER.size)
-        if len(head) < _SPIV_HEADER.size:
-            raise FormatError(f"truncated SPIV header ({len(head)} bytes)")
-        magic, version, k, r, itemsize, rank_tol, digest, payload_hash = \
-            _SPIV_HEADER.unpack(head)
-        if magic != SPIV_MAGIC:
-            raise FormatError("bad SPIV magic")
-        if version != SPIV_VERSION:
-            raise FormatError(f"unsupported SPIV version {version}")
+        k, r, itemsize, rank_tol, digest, payload_hash = \
+            read_header(fh, _SPIV_HEADER, SPIV_MAGIC, SPIV_VERSION, "SPIV")
         if not 1 <= r <= k:
             raise FormatError(f"SPIV rank {r} outside 1..k={k}")
-        size = os.fstat(fh.fileno()).st_size
-        need = _SPIV_HEADER.size + 8 * k * r
-        if size != need:
-            raise FormatError(f"SPIV file is {size} bytes, header says {need}")
+        require_size(fh, _SPIV_HEADER.size + 8 * k * r, "SPIV")
         w = np.fromfile(fh, dtype="<f8", count=k * r).reshape(k, r)
     if hashlib.sha256(w).digest() != payload_hash:
         raise FormatError("SPIV payload does not match its SHA-256")
@@ -597,7 +588,8 @@ def _shrink(r, eps):
 
 
 def _nesta_stage(op, b, x0, mu, eps, opts):
-    """One continuation stage; returns the last projected iterate.
+    """One continuation stage; returns each image's projected iterate from
+    the iteration where its stopping rule fired, or from the last one.
 
     Every iterate v carries its residual r_v = b - A v and the residual's
     back-projection e_v = A^T r_v. Projecting v onto the constraint set is
@@ -626,6 +618,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
     coef[:, 1, 1] = coef[:, 2, 2] = coef[:, 4, 0] = 1.0
     hist = np.full((STOP_WINDOW, batch), np.inf)
     done = np.zeros(batch, dtype=bool)
+    out = np.empty((batch, n))
     iters = 0
     for it in range(opts.max_inner):
         iters = it + 1
@@ -664,11 +657,14 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
         ref = hist.mean(axis=0)
         with np.errstate(invalid="ignore"):
             rel = np.abs(fval - ref) / np.maximum(np.abs(ref), 1e-300)
-        done |= np.isfinite(ref) & (rel <= opts.tol)
+        stop = ~done & np.isfinite(ref) & (rel <= opts.tol)
+        np.copyto(out, s[4], where=stop[:, None])   # the next _tv_grad overwrites s[4]
+        done |= stop
         hist[it % STOP_WINDOW] = fval
         if done.all():
             break
-    return s[4].reshape(batch, h, w).copy(), bool(done.all()), iters   # a copy frees the stacks
+    np.copyto(out, s[4], where=~done[:, None])
+    return out.reshape(batch, h, w), bool(done.all()), iters
 
 
 def _nesta_solve(op, b, opts: TvOptions):

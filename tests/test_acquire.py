@@ -194,6 +194,16 @@ class TestSerialization:
             with pytest.raises(FormatError, match="header says"):
                 load_measurement(tmp_path / "bad.spim")
 
+    # 0x03 is never written: differential measurements come from binary sets
+    @pytest.mark.parametrize("flags", [0x03, 0x04, 0x80])
+    def test_unknown_flags_are_a_format_error(self, rng, binary_set, tmp_path, flags):
+        save_measurement(measure(Image(rng.random((16, 16))), binary_set), tmp_path / "m.spim")
+        raw = bytearray((tmp_path / "m.spim").read_bytes())
+        raw[10] = flags                 # the flags byte of the header "<4sHIB"
+        (tmp_path / "bad.spim").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"unknown SPIM flags 0x{flags:02x}"):
+            load_measurement(tmp_path / "bad.spim")
+
     def test_csv_export(self, rng, binary_set, tmp_path):
         m = measure_differential(Image(rng.random((16, 16))), binary_set)
         measurement_to_csv(m, tmp_path / "m.csv")

@@ -1,11 +1,18 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spisim import acquire, patterns, recon
+from spisim.acquire import load_measurement, measure, save_measurement
 from spisim.imgcore import (FormatError, Image, complex_grid, load_image,
                             save_image, save_spif)
+from spisim.patterns import gen_pattern_set, load_pattern_set
+from spisim.recon import SpivRecord, load_pinv, save_pinv
 
 
 def write(path, payload):
@@ -19,13 +26,11 @@ class TestLoadPgm:
         img = load_image(write(tmp_path / "a.pgm", buf))
         assert img.data.shape == (2, 2)
         np.testing.assert_allclose(img.vector(), [0.0, 1.0, 128 / 255, 64 / 255])
-        assert img.source_depth == 8
 
     def test_16bit_big_endian(self, tmp_path):
         buf = b"P5 2 1 65535 " + (12345).to_bytes(2, "big") + (65535).to_bytes(2, "big")
         img = load_image(write(tmp_path / "a.pgm", buf))
         np.testing.assert_allclose(img.vector(), [12345 / 65535, 1.0])
-        assert img.source_depth == 16
 
     def test_comments_in_header(self, tmp_path):
         buf = b"P5\n# a comment\n1 1\n255\n\x80"
@@ -85,12 +90,57 @@ def test_spif_roundtrip_is_lossless(tmp_path, rng):
     assert np.array_equal(back.data, img.data)
 
 
-def test_spif_truncation(tmp_path):
+def test_spif_wrong_length(tmp_path):
     save_spif(Image(np.zeros((4, 4))), tmp_path / "a.spif")
     payload = (tmp_path / "a.spif").read_bytes()
-    (tmp_path / "b.spif").write_bytes(payload[:-8])
-    with pytest.raises(FormatError, match="truncated"):
-        load_image(tmp_path / "b.spif")
+    for bad in (payload[:-8], payload + b"\0"):
+        (tmp_path / "b.spif").write_bytes(bad)
+        with pytest.raises(FormatError, match=f"SPIF file is {len(bad)} bytes, header says 144"):
+            load_image(tmp_path / "b.spif")
+
+
+def _save_spip(path):
+    gen_pattern_set("morlet-real", 8, 8, 5, master_seed=1).save(path)
+
+
+def _save_spim(path):
+    ps = gen_pattern_set("morlet-real", 8, 8, 5, master_seed=1)
+    save_measurement(measure(Image(np.full((8, 8), 0.5)), ps), path)
+
+
+def _save_spiv(path):
+    save_pinv(SpivRecord(np.eye(4, 2), bytes(32), 1e-10, 8), path)
+
+
+# name: (writer, loader, header struct, version)
+BINARY_FORMATS = {
+    "SPIP": (_save_spip, load_pattern_set, patterns._SPIP_HEADER, patterns.SPIP_VERSION),
+    "SPIM": (_save_spim, load_measurement, acquire._SPIM_HEADER, acquire.SPIM_VERSION),
+    "SPIV": (_save_spiv, load_pinv, recon._SPIV_HEADER, recon.SPIV_VERSION),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_FORMATS))
+@pytest.mark.parametrize("spoil", ["truncated-header", "magic", "version", "extra-byte"])
+def test_binary_readers_share_header_and_size_checks(tmp_path, name, spoil):
+    """Each binary format's magic and then its little-endian u16 version open
+    the file; read_header and require_size check them and the length."""
+    save, load, header, version = BINARY_FORMATS[name]
+    save(tmp_path / "good")
+    raw = bytearray((tmp_path / "good").read_bytes())
+    if spoil == "truncated-header":
+        raw, message = raw[:header.size - 1], f"truncated {name} header ({header.size - 1} bytes)"
+    elif spoil == "magic":
+        raw[0] ^= 0x20
+        message = f"bad {name} magic"
+    elif spoil == "version":
+        struct.pack_into("<H", raw, 4, version + 1)
+        message = f"unsupported {name} version {version + 1}"
+    else:
+        raw, message = raw + b"\0", f"{name} file is {len(raw) + 1} bytes, header says {len(raw)}"
+    (tmp_path / "bad").write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load(tmp_path / "bad")
 
 
 class TestValueTypes:

@@ -253,6 +253,22 @@ class TestTvReconstruct:
         loose = tv_reconstruct(f, y, TvOptions(epsilon=0.5))
         assert tv_norm(loose.image.data) <= tv_norm(tight.image.data) + 1e-9
 
+    @pytest.mark.parametrize("kind", ["walsh-hadamard", "morlet-real"])
+    def test_batch_solve_equals_each_image_alone(self, rng, kind):
+        # the flat image stops its stages early; the others run on in the
+        # batch, which must not move the flat image's result
+        images = [block_phantom(32), Image(np.full((32, 32), 0.3)),
+                  Image(np.kron(rng.random((4, 4)), np.ones((8, 8))))]
+        ps = gen_pattern_set(kind, 32, 32, 200, master_seed=4)
+        y = np.stack([effective_measurement(ps, measure(img, ps)) for img in images])
+        model = linear_model(ps)
+        opts = TvOptions(max_inner=400, mu_stages=3, tol=1e-4)
+        batch = tv_reconstruct(model, y, opts)
+        solo = [tv_reconstruct(model, yi, opts) for yi in y]
+        assert len({res.iterations for res in solo}) > 1
+        for got, res in zip(batch.images, solo):
+            assert np.abs(got - res.images[0]).max() <= 1e-12
+
 
 class TestTvOptionsValidation:
     @pytest.mark.parametrize("name,value", [
@@ -305,6 +321,7 @@ def _reference_stage(op, b, x0, mu, eps, opts):
     hist = np.full((recon.STOP_WINDOW, batch), np.inf)
     done = np.zeros(batch, dtype=bool)
     y = x0.copy()
+    out = np.empty_like(x0)
     iters = 0
     for it in range(opts.max_inner):
         iters = it + 1
@@ -325,11 +342,14 @@ def _reference_stage(op, b, x0, mu, eps, opts):
         ref = hist.mean(axis=0)
         with np.errstate(invalid="ignore"):
             rel = np.abs(fval - ref) / np.maximum(np.abs(ref), 1e-300)
-        done |= np.isfinite(ref) & (rel <= opts.tol)
+        stop = ~done & np.isfinite(ref) & (rel <= opts.tol)
+        out[stop] = y[stop]             # each image keeps the iterate it stopped at
+        done |= stop
         hist[it % recon.STOP_WINDOW] = fval
         if done.all():
             break
-    return y, bool(done.all()), iters
+    out[~done] = y[~done]
+    return out, bool(done.all()), iters
 
 
 def _stage_model(name):
