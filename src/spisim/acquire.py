@@ -64,6 +64,9 @@ class Measurement:
             raise ValueError(f"compression ratio {self.compression_ratio} outside (0, 1]")
         if len(self.pattern_set_hash) != 32:
             raise ValueError("pattern_set_hash must be 32 bytes")
+        # SPIM has no layout for both: differential pairs come from binary sets
+        if self.values_bar is not None and np.iscomplexobj(self.values):
+            raise ValueError("a differential measurement (values_bar) cannot have complex values")
 
     @property
     def k(self):
@@ -188,7 +191,7 @@ def save_measurement(m: Measurement, path):
 def load_measurement(path) -> Measurement:
     with open(path, "rb") as fh:
         k, flags = read_header(fh, _SPIM_HEADER, SPIM_MAGIC, SPIM_VERSION, "SPIM")
-        # differential measurements come from binary sets, so are never complex
+        # Measurement refuses complex differential values, so 0x03 is never written
         if flags not in (0, _FLAG_DIFFERENTIAL, _FLAG_COMPLEX):
             raise FormatError(f"unknown SPIM flags 0x{flags:02x}")
         dtype = np.dtype("<c16" if flags & _FLAG_COMPLEX else "<f8")

@@ -8,15 +8,17 @@ b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
 (`tv_reconstruct`), where each NESTA iteration costs one forward and one
 adjoint; iterates carry their residual's back-projection, and the rest of
 an iteration is one stacked GEMM into reused buffers. Both take one
-measurement or a batch. Morlet models get U, D from the Gram
-matrix M M* and never form V (M in the set's `row_dtype`: float32 above
+measurement or a batch. Morlet models take A = W^T M and b = W^T Y from
+the Gram matrix G = M M^T, with W W^T = G^+ (`gram_orthogonalize`: W = L^-T
+from the Cholesky factor of G, or U_r / d_r from its eigendecomposition),
+and never form V (M in the set's `row_dtype`: float32 above
 `patterns._DENSE_LIMIT` entries, held column-major so that forward is
 x M^T and adjoint s M, see `_GramVtOp`);
 Walsh-Hadamard and noiselet models use their fast transforms, the noiselet
 one as two real Walsh-Hadamard transforms per call. The dense SVD
 (`factorize`) is the test oracle; `linear_model` accepts its factors too.
 
-A morlet model is its row matrix plus W = U_r / d_r (k x r), so W is all
+A morlet model is its row matrix plus W (k x r), so W is all
 the orthogonalization there is to keep: `cached_pinv` stores it in a SPIV
 file named by the set's content hash, and one cached model serves both
 pinv and TV. No path forms or stores the n x k pseudoinverse, except
@@ -33,10 +35,11 @@ reflexive boundary, Huber smoothing, and per-stage stopping on the relative
 change of the smoothed objective against a trailing window.
 
 Fixed settings: the rank cut-off RANK_TOL (relative to the largest singular
-value) and NESTA's continuation and stopping rule (Becker, Bobin & Candes
-2011), mu from MU_START_FRAC x the pinv start's dynamic range down to
-MU_FINAL, each image of a stage stopping on `tol` against its last STOP_WINDOW
-values, with the iterate of the iteration where it stopped.
+value; Gram models floor it at 3 sqrt(eps) of the row dtype, `_rank_floor`)
+and NESTA's continuation and stopping rule (Becker, Bobin & Candes 2011), mu
+from MU_START_FRAC x the pinv start's dynamic range down to MU_FINAL, each
+image of a stage stopping on `tol` against its last STOP_WINDOW values, with
+the iterate of the iteration where it stopped.
 """
 
 from __future__ import annotations
@@ -151,26 +154,76 @@ def factorize(source, width=None, height=None) -> SvdFactors:
     return SvdFactors(u=u, d=d, vt=vt, effective_rank=rank, width=width, height=height)
 
 
-def gram_orthogonalize(m_rows):
-    """(u_r, d_r) from the eigendecomposition of M M^T, truncated.
+def _rank_floor(dtype):
+    """Smallest kept singular value of a Gram model, relative to the largest.
 
-    Yields the same U, D as the SVD without ever forming V; combined with
-    _GramVtOp this handles measurement matrices too large for dense SVD.
     Squaring the singular values halves the usable precision, so the
-    truncation threshold is floored at sqrt(eps) of the input dtype: Gram
-    eigenvalues below eps * lambda_0 are pure rounding noise and inverting
-    them injects garbage into the orthogonalized system.
+    threshold is floored at sqrt(eps) of the rows' dtype: Gram eigenvalues
+    below eps * lambda_0 are pure rounding noise and inverting them injects
+    garbage into the orthogonalized system.
     """
-    g = (m_rows @ m_rows.T).astype(np.float64)
+    return max(RANK_TOL, 3.0 * np.sqrt(float(np.finfo(dtype).eps)))
+
+
+_TRI_LEAF = 64
+
+
+def _tril_inverse(l, out=None):
+    """Inverse of the lower-triangular l, column-major, by the block recursion
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], with
+    np.linalg.inv on blocks of at most _TRI_LEAF rows (its LU pivots, so
+    its result is made exactly triangular)."""
+    if out is None:
+        out = np.zeros_like(l, order="F")
+    k = l.shape[0]
+    if k <= _TRI_LEAF:
+        out[:] = np.tril(np.linalg.inv(l))
+        return out
+    h = k // 2
+    _tril_inverse(l[:h, :h], out[:h, :h])
+    _tril_inverse(l[h:, h:], out[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (l[h:, :h] @ out[:h, :h])
+    return out
+
+
+def _eigh_w(g, floor):
+    """W = U_r / d_r from the eigendecomposition G = U D^2 U^T, truncated to
+    the singular values d_i > floor * d_0."""
     w, u = np.linalg.eigh(g)
     w = w[::-1]
     u = u[:, ::-1]
     d = np.sqrt(np.maximum(w, 0.0))
-    floor = max(RANK_TOL, 3.0 * np.sqrt(float(np.finfo(m_rows.dtype).eps)))
     rank = int(np.count_nonzero(d > floor * d[0])) if d[0] > 0 else 0
     if rank == 0:
         raise ValueError("degenerate all-zero measurement matrix")
-    return np.ascontiguousarray(u[:, :rank]), d[:rank]
+    return np.ascontiguousarray(u[:, :rank]) / d[:rank]
+
+
+def gram_orthogonalize(m_rows):
+    """(W, path): a k x r W with W W^T = G^+ for the Gram matrix G = M M^T,
+    and the name of the path that made it.
+
+    A = W^T M then has orthonormal rows and the row space of M, and no path
+    forms V of the SVD, so this handles measurement matrices too large for
+    a dense SVD. "cholesky": G = L L^T and W = L^-T, kept only when
+    1 / ||L^-1||_F > _rank_floor * sqrt(||G||_inf); since
+    sigma_min(M) >= 1 / ||L^-1||_F and sigma_max(M)^2 <= ||G||_inf, that
+    proves no singular value falls below the floor, so nothing would be
+    truncated. "eigh" when the bound fails or G is not numerically positive
+    definite: W = U_r / d_r from the eigendecomposition, truncated at the
+    floor.
+    """
+    g = (m_rows @ m_rows.T).astype(np.float64)
+    floor = _rank_floor(m_rows.dtype)
+    sigma_floor = floor * np.sqrt(np.linalg.norm(g, np.inf))
+    try:
+        l_inv = _tril_inverse(np.linalg.cholesky(g))   # column-major: W = l_inv.T is C-ordered
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if 1.0 / np.linalg.norm(l_inv) > sigma_floor:
+            return l_inv.T, "cholesky"
+    return _eigh_w(g, floor), "eigh"
 
 
 # --------------------------------------------------------------------------
@@ -198,11 +251,11 @@ class _DenseVtOp:
 
 
 class _GramVtOp:
-    """A = D^-1 U^T M without materializing V; M may be float32.
+    """A = W^T M without materializing V; M may be float32.
 
-    U, d come from the eigendecomposition of the Gram matrix M M^T, so
-    A A^T = I to factorization accuracy while only k x k dense factors and
-    the row matrix itself are kept in memory.
+    W (k x r) comes from `gram_orthogonalize`, with W W^T the pseudoinverse
+    of the Gram matrix M M^T, so A A^T = I to factorization accuracy while
+    only k x k dense factors and the row matrix itself are kept in memory.
 
     M is held column-major: ``m`` is the (k, n) matrix in Fortran order, so
     ``m.T`` is a C-contiguous (n, k) array. Every pattern set produces its
@@ -214,7 +267,7 @@ class _GramVtOp:
 
     def __init__(self, m_rows, w, width, height):
         self.m = np.asfortranarray(m_rows)
-        self.w = np.ascontiguousarray(w)          # U_r / d_r, (k, r)
+        self.w = np.ascontiguousarray(w)          # (k, r)
         self.k = self.w.shape[0]
         self.width, self.height = width, height
         self._dt = m_rows.dtype
@@ -335,8 +388,8 @@ def linear_model(source, height=None, width=None):
         raise TypeError("expected a PatternSet, SvdFactors or a real 2D row matrix")
     if width is None:
         height, width = 1, m_rows.shape[1]
-    u_r, d_r = gram_orthogonalize(m_rows)
-    return _GramVtOp(m_rows, u_r / d_r, width, height)
+    w, _ = gram_orthogonalize(m_rows)
+    return _GramVtOp(m_rows, w, width, height)
 
 
 def _as_model(source):
@@ -430,10 +483,10 @@ class PinvStream:
 
 @dataclass(frozen=True)
 class SpivRecord:
-    """W = U_r / d_r (k x r float64) of a Gram model, with what a cache hit
-    must match: the pattern set's content hash, the rank tolerance (RANK_TOL
-    when written by cached_pinv) and the itemsize of the rows W was computed
-    from."""
+    """W (k x r float64, W W^T = G^+ for the Gram matrix G) of a Gram model,
+    with what a cache hit must match: the pattern set's content hash, the
+    rank tolerance (RANK_TOL when written by cached_pinv) and the itemsize
+    of the rows W was computed from."""
 
     w: np.ndarray
     source_hash: bytes
@@ -468,8 +521,10 @@ def cached_pinv(ps: PatternSet, cache_dir):
     """The linear model of `ps`, its W cached in cache_dir as <content hash>.spiv.
 
     A morlet model is the set's effective rows (in its row_dtype) plus
-    W = U_r / d_r. A hit rebuilds it from the rows and the cached W, with no
-    Gram product or eigendecomposition. A file that load_pinv rejects, or
+    its W from gram_orthogonalize. Any W with W W^T = G^+ gives the same
+    model up to rounding, so a file written by either orthogonalization
+    path is a valid hit. A hit rebuilds the model from the rows and the
+    cached W, with no Gram product or factorization. A file that load_pinv rejects, or
     one written for another hash, rank tolerance, k or row itemsize, is a
     miss; a miss computes the model and writes its W through a temp file.
     Fast-transform models have nothing to cache and are returned unwritten.

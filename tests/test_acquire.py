@@ -157,31 +157,35 @@ class TestNoiseModelValidation:
 
 
 class TestSerialization:
-    def test_spim_roundtrip_plain(self, rng, binary_set, tmp_path):
-        img = Image(rng.random((16, 16)))
-        nm = NoiseModel(additive_sigma=1e-3, adc_bits=14, seed=5)
-        m = measure(img, binary_set, nm)
+    @pytest.mark.parametrize("take", ["plain", "differential", "complex"])
+    def test_spim_roundtrip(self, rng, binary_set, tmp_path, take):
+        nm = NoiseModel(additive_sigma=1e-3, adc_bits=14, source_fluctuation_sigma=2e-3,
+                        seed=5)
+        if take == "complex":
+            ps = gen_pattern_set("noiselet", 8, 8, 10, master_seed=2)
+            m = measure(Image(rng.random((8, 8))), ps, nm)
+            assert np.iscomplexobj(m.values)
+        else:
+            fn = measure_differential if take == "differential" else measure
+            m = fn(Image(rng.random((16, 16))), binary_set, nm)
         save_measurement(m, tmp_path / "m.spim")
         back = load_measurement(tmp_path / "m.spim")
         assert np.array_equal(back.values, m.values)
+        assert back.values.dtype == m.values.dtype
+        assert back.is_differential == m.is_differential
+        if m.is_differential:
+            assert np.array_equal(back.values_bar, m.values_bar)
         assert back.pattern_set_hash == m.pattern_set_hash
         assert back.noise_model == m.noise_model
         assert back.compression_ratio == m.compression_ratio
         assert back.full_scale == m.full_scale
 
-    def test_spim_roundtrip_differential(self, rng, binary_set, tmp_path):
-        m = measure_differential(Image(rng.random((16, 16))), binary_set)
-        save_measurement(m, tmp_path / "m.spim")
-        back = load_measurement(tmp_path / "m.spim")
-        assert np.array_equal(back.values_bar, m.values_bar)
-
-    def test_spim_roundtrip_complex(self, rng, tmp_path):
-        ps = gen_pattern_set("noiselet", 8, 8, 10, master_seed=2)
-        m = measure(Image(rng.random((8, 8))), ps)
-        assert np.iscomplexobj(m.values)
-        save_measurement(m, tmp_path / "m.spim")
-        back = load_measurement(tmp_path / "m.spim")
-        assert np.array_equal(back.values, m.values)
+    def test_complex_differential_measurement_is_refused(self):
+        # SPIM flags 0x03, which load_measurement rejects, could not be written
+        with pytest.raises(ValueError, match="complex"):
+            Measurement(values=np.array([1 + 2j, 3]), values_bar=np.array([0.5, 0.5]),
+                        pattern_set_hash=bytes(32), noise_model=NoiseModel(),
+                        compression_ratio=0.5)
 
     @pytest.mark.parametrize("differential", [False, True])
     def test_wrong_length_is_a_format_error(self, rng, binary_set, tmp_path,
@@ -194,7 +198,7 @@ class TestSerialization:
             with pytest.raises(FormatError, match="header says"):
                 load_measurement(tmp_path / "bad.spim")
 
-    # 0x03 is never written: differential measurements come from binary sets
+    # 0x03 is never written: Measurement refuses complex differential values
     @pytest.mark.parametrize("flags", [0x03, 0x04, 0x80])
     def test_unknown_flags_are_a_format_error(self, rng, binary_set, tmp_path, flags):
         save_measurement(measure(Image(rng.random((16, 16))), binary_set), tmp_path / "m.spim")

@@ -14,7 +14,7 @@ from spisim.patterns import (ParamDistribution, PatternSet,
                              binarize, bipolar_rows, fast_noiselet, fast_wht,
                              gen_morlet_pattern, gen_pattern_set,
                              load_pattern_set, noiselet2, splitmix64,
-                             white_noise_spectrum, wht2)
+                             white_noise_spectra, wht2)
 from spisim.imgcore import FormatError
 from spisim.wavelets import MorletParams
 
@@ -280,7 +280,7 @@ def _dense_path_pattern(p, seed, width, height):
     carrier = np.exp(1j * freq * (dx * np.cos(p.theta) + dy * np.sin(p.theta)))
     g = env * (carrier - (env * carrier).sum() / env.sum())
     kernel_hat = np.fft.rfft2(np.fft.ifftshift((g / np.linalg.norm(g)).real))
-    noise_hat = white_noise_spectrum(seed, width, height)
+    noise_hat = white_noise_spectra([seed], width, height)[0]
     pattern = np.fft.irfft2(noise_hat * kernel_hat, s=(height, width))
     return pattern / np.linalg.norm(pattern)
 
@@ -291,7 +291,7 @@ class TestWhiteNoiseSpectrum:
         # irfft2 keeps only the Hermitian part of column 0 and of the even-width
         # Nyquist column; without their sqrt(2) they read ~0.5 of the interior.
         # 20000 draws put the relative standard error of a bin at <= 1%
-        spec = np.stack([white_noise_spectrum(s, width, height) for s in range(20000)])
+        spec = white_noise_spectra(range(20000), width, height)
         kept = np.fft.rfft2(np.fft.irfft2(spec, s=(height, width)))
         power = (np.abs(kept) ** 2).mean(axis=0)
         interior = power[:, 1:(width - 1) // 2 + 1].mean()
@@ -405,6 +405,57 @@ class TestGenPatternSet:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * ps.rows.nbytes
+
+    @staticmethod
+    def _rows_made_alone(ps):
+        """ps's payload rebuilt from one gen_morlet_pattern call per row."""
+        grids = np.stack([np.full(ps.n, ps.n ** -0.5)] + [
+            gen_morlet_pattern(MorletParams(m.sigma, m.n_p, m.theta), m.seed,
+                               ps.width, ps.height).ravel()
+            for m in ps.row_meta[1:]])
+        if ps.is_binary:
+            return np.packbits(binarize(grids), axis=1, bitorder="little")
+        return grids.astype(ps.row_dtype)
+
+    @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary"])
+    @pytest.mark.parametrize("width,height,k,unpack_bytes,blocks", [
+        (15, 9, 12, 3 * 8 * 15 * 9, [3, 3, 3, 2]),
+        (128, 128, 18, None, [8, 8, 1]),             # the default 1 MB blocks
+    ], ids=["15x9-blocks-of-3", "128x128-default"])
+    def test_rows_made_by_blocks_equal_rows_made_alone(self, monkeypatch, kind, width,
+                                                       height, k, unpack_bytes, blocks):
+        if unpack_bytes is not None:
+            monkeypatch.setattr(patterns, "_UNPACK_BYTES", unpack_bytes)
+        n = width * height
+        assert [sl.stop - sl.start for sl in patterns._row_blocks(k - 1, 8 * n)] == blocks
+        ps = gen_pattern_set(kind, width, height, k, master_seed=6)
+        assert np.array_equal(ps.rows, self._rows_made_alone(ps))
+
+    def test_float32_rows_made_by_blocks_equal_rows_made_alone(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_UNPACK_BYTES", 3 * 8 * 15 * 9)
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", 0)
+        ps = gen_pattern_set("morlet-real", 15, 9, 12, master_seed=6)
+        assert ps.rows.dtype == np.float32
+        assert np.array_equal(ps.rows, self._rows_made_alone(ps))
+
+    @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary"])
+    def test_rows_below_8_sigma_warn_and_equal_rows_made_alone(self, kind):
+        dist = ParamDistribution(sigma_range=(2.0, 6.0))
+        with pytest.warns(UserWarning, match=r"below 8\*sigma"):
+            ps = gen_pattern_set(kind, 16, 16, 20, dist=dist, master_seed=6)
+        assert max(m.sigma for m in ps.row_meta) > 2.0
+        with pytest.warns(UserWarning, match=r"below 8\*sigma"):
+            alone = self._rows_made_alone(ps)
+        assert np.array_equal(ps.rows, alone)
+
+    @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
+    def test_degenerate_row_in_a_block_raises(self):
+        # theta = 0 puts the carrier on the one-pixel axis, where kappa
+        # cancels it (test_wavelets' constant-carrier case)
+        good, bad = MorletParams(2.0, 1.0, 0.7), MorletParams(2.0, 1.0, 0.0)
+        assert patterns._morlet_patterns([good, good], [1, 3], 1, 16).shape == (2, 16, 1)
+        with pytest.raises(ValueError, match="degenerate"):
+            patterns._morlet_patterns([good, bad, good], [1, 2, 3], 1, 16)
 
     def test_deterministic_bytes(self, tmp_path):
         for kind in ("morlet-real", "morlet-binary", "walsh-hadamard", "noiselet"):

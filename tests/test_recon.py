@@ -815,6 +815,99 @@ class TestLinearModel:
             linear_model(np.zeros(5))
 
 
+class TestGramOrthogonalize:
+    """The Cholesky path and the eigh path it falls back to."""
+
+    @staticmethod
+    def _rows(kind, dtype, monkeypatch):
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", 0 if dtype == np.float32 else 1 << 25)
+        ps = gen_pattern_set(kind, 32, 32, 100, master_seed=5)
+        m = effective_matrix(ps, ps.row_dtype)
+        assert m.dtype == dtype
+        return m
+
+    @staticmethod
+    def _eigh(m):
+        """W of the eigh path for the Gram matrix gram_orthogonalize forms."""
+        g = (m @ m.T).astype(np.float64)
+        return recon._eigh_w(g, recon._rank_floor(m.dtype)), g
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f8", "f4"])
+    @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary"])
+    def test_cholesky_pinv_matches_eigh_pinv(self, rng, monkeypatch, kind, dtype):
+        # Both W W^T are G^-1 from backward-stable factorizations of the same
+        # float64 G, so they differ by O(cond(G) eps) relative; float32 rows
+        # add one float32 rounding of the adjoint's input, which moves the
+        # image by at most cond(M) eps_32 <= cond(G) eps_32. Measured: at most
+        # 1.3 cond(G) eps for float64 rows, and equal images for float32 rows.
+        m = self._rows(kind, dtype, monkeypatch)
+        w, path = recon.gram_orthogonalize(m)
+        w_eigh, g = self._eigh(m)
+        assert path == "cholesky" and w.shape == w_eigh.shape == (100, 100)
+        y = rng.standard_normal((3, 100))
+        x = pinv_reconstruct(recon._GramVtOp(m, w, 32, 32), y)
+        x_eigh = pinv_reconstruct(recon._GramVtOp(m, w_eigh, 32, 32), y)
+        bound = 8.0 * np.linalg.cond(g) * np.finfo(dtype).eps
+        assert np.linalg.norm(x - x_eigh) <= bound * np.linalg.norm(x_eigh)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f8", "f4"])
+    @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary"])
+    def test_cholesky_rows_are_orthonormal(self, monkeypatch, kind, dtype):
+        m = self._rows(kind, dtype, monkeypatch)
+        w, path = recon.gram_orthogonalize(m)
+        assert path == "cholesky" and w.flags.c_contiguous
+        assert np.array_equal(w, np.tril(w.T).T)        # W = L^-T is upper triangular
+        a = w.T @ m.astype(np.float64)                  # A = L^-1 M
+        # float32 rows: G is summed in float32, so A A^T = I to that accuracy
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        assert np.abs(a @ a.T - np.eye(100)).max() < tol
+        g = (m @ m.T).astype(np.float64)                # the G that was factored
+        assert np.abs(w.T @ g @ w - np.eye(100)).max() < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f8", "f4"])
+    def test_repeated_row_takes_eigh_and_drops_it(self, monkeypatch, dtype):
+        m = self._rows("morlet-real", dtype, monkeypatch)
+        m = np.asfortranarray(np.vstack([m, m[7:8]]))
+        w, path = recon.gram_orthogonalize(m)
+        w_eigh, g = self._eigh(m)
+        assert path == "eigh" and w.shape == (101, 100)
+        assert np.array_equal(w, w_eigh)
+        p = w @ w.T
+        assert np.abs(g @ p @ g - g).max() < 1e-6 * np.abs(g).max()
+
+    def test_guard_failure_takes_eigh_at_full_rank(self, rng):
+        # float32 rows, floor 3 sqrt(eps_32) = 1.04e-3; nine singular values
+        # at twice the floor keep the eigh rank at k, while
+        # 1 / ||L^-1||_F = 1 / ||M+||_F <= (2 floor) / 3 fails the guard
+        k, n = 40, 400
+        floor = recon._rank_floor(np.float32)
+        s = np.r_[np.ones(k - 9), np.full(9, 2.0 * floor)]
+        u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        m = np.asfortranarray(((u * s) @ v.T).astype(np.float32))
+        l_inv = np.linalg.inv(np.linalg.cholesky((m @ m.T).astype(np.float64)))
+        assert 1.0 / np.linalg.norm(l_inv) < floor      # Cholesky works, the guard fails
+        w, path = recon.gram_orthogonalize(m)
+        w_eigh, _ = self._eigh(m)
+        assert path == "eigh" and w.shape == (k, k)
+        assert np.array_equal(w, w_eigh)
+
+    def test_all_zero_rows_are_rejected(self):
+        with pytest.raises(ValueError, match="zero"):
+            recon.gram_orthogonalize(np.zeros((3, 9)))
+
+    def test_triangular_inverse_by_blocks(self, rng):
+        # 150 rows: leaves of 37 and 38 rows below _TRI_LEAF = 64. Five
+        # dominant columns make L's subdiagonal outweigh its diagonal, so the
+        # LU inside np.linalg.inv pivots and leaves rounding above the diagonal
+        m = rng.standard_normal((150, 400))
+        m[:, :5] *= 100.0
+        l = np.linalg.cholesky(m @ m.T)
+        out = recon._tril_inverse(l)
+        assert np.array_equal(out, np.tril(out)) and out.T.flags.c_contiguous
+        assert np.abs(out @ l - np.eye(150)).max() < 1e-12
+
+
 def _noiselet_indices(n, seed):
     """Distinct row indices over n pixels with sampled reversal pairs."""
     rng = np.random.default_rng(seed)
