@@ -55,6 +55,10 @@ _MORLET_META = struct.Struct("<dddQ")
 # morlet sets keep their model rows in float64 up to this many matrix
 # entries (k * n), float32 above (PatternSet.row_dtype)
 _DENSE_LIMIT = 1 << 25
+# morlet-binary sets also take float32 above this many entries when
+# _BINARY_F32_MIN_RATIO * k <= n (CR <= 12.5%); see PatternSet.row_dtype
+_BINARY_F32_LIMIT = 1 << 22
+_BINARY_F32_MIN_RATIO = 8
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +340,12 @@ def _row_blocks(k, row_bytes):
 
 
 def _row_dtype(kind, k, n):
-    return np.float32 if kind in MORLET_KINDS and k * n > _DENSE_LIMIT else np.float64
+    if kind in MORLET_KINDS and k * n > _DENSE_LIMIT:
+        return np.float32
+    if (kind == "morlet-binary" and k * n > _BINARY_F32_LIMIT
+            and _BINARY_F32_MIN_RATIO * k <= n):
+        return np.float32
+    return np.float64
 
 
 @dataclass(frozen=True)
@@ -344,7 +353,8 @@ class PatternSet:
     """k rows of a measurement matrix over a width x height pixel grid.
 
     ``rows`` holds the payload: (k, n) ``row_dtype`` for morlet-real,
-    bit-packed (k, ceil(n/8)) uint8 for morlet-binary, and None for the
+    bit-packed (k, ceil(n/8)) uint8 for morlet-binary (unpacked to
+    ``row_dtype`` by ``bipolar_rows``), and None for the
     deterministic kinds (regenerated from row indices on demand). ``row_meta`` is a tuple
     of MorletRowMeta or of int basis-row indices.
 
@@ -388,8 +398,24 @@ class PatternSet:
     @property
     def row_dtype(self):
         """dtype of the rows the linear model multiplies: float32 for morlet
-        sets above _DENSE_LIMIT matrix entries, float64 otherwise. morlet-real
-        rows are generated and loaded in it, so the model uses them as they are."""
+        sets above _DENSE_LIMIT (2^25) matrix entries, and for morlet-binary
+        sets above _BINARY_F32_LIMIT (2^22) entries with 8 k <= n; float64
+        otherwise. morlet-real rows are generated and loaded in it, so the
+        model uses them as they are.
+
+        Bipolar rows are exact in float32, and so is their Gram matrix: its
+        entries and partial sums are integers of magnitude at most n < 2^24.
+        A binary model in float32 therefore has the float64 model's W
+        wherever the Cholesky path is taken, and differs from it only by the
+        float32 rounding of each operator input. Two bounds keep float64:
+        sets of at most 2^22 entries, which covers every binary set of the
+        acceptance suite (largest 512 x 4096; in float32 their Gram-built
+        pinv misses the 1e-8 Moore-Penrose bound, at 8.2e-7), and
+        near-square sets, 8 k > n, where float32 costs accuracy (64 x 64,
+        k = 4000: TV PSNR 100.74 -> 98.80 dB; k = 4096: the float32 rank
+        floor cuts rank 4096 -> 4075 and pinv PSNR falls from above 230 dB
+        to about 40 dB).
+        """
         return _row_dtype(self.kind, self.k, self.n)
 
     def dense(self, dtype=np.float64, rows=slice(None)):

@@ -11,9 +11,10 @@ an iteration is one stacked GEMM into reused buffers. Both take one
 measurement or a batch. Morlet models take A = W^T M and b = W^T Y from
 the Gram matrix G = M M^T, with W W^T = G^+ (`gram_orthogonalize`: W = L^-T
 from the Cholesky factor of G, or U_r / d_r from its eigendecomposition),
-and never form V (M in the set's `row_dtype`: float32 above
-`patterns._DENSE_LIMIT` entries, held column-major so that forward is
-x M^T and adjoint s M, see `_GramVtOp`);
+and never form V (M in the set's `PatternSet.row_dtype`: float32 above
+2^25 entries, and for binary sets, whose ±1 rows and Gram are exact in
+float32, above 2^22 entries with 8 k <= n; held column-major so that
+forward is x M^T and adjoint s M, see `_GramVtOp`);
 Walsh-Hadamard and noiselet models use their fast transforms, the noiselet
 one as two real Walsh-Hadamard transforms per call. The dense SVD
 (`factorize`) is the test oracle; `linear_model` accepts its factors too.
@@ -213,7 +214,7 @@ def gram_orthogonalize(m_rows):
     definite: W = U_r / d_r from the eigendecomposition, truncated at the
     floor.
     """
-    g = (m_rows @ m_rows.T).astype(np.float64)
+    g = (m_rows @ m_rows.T).astype(np.float64, copy=False)
     floor = _rank_floor(m_rows.dtype)
     sigma_floor = floor * np.sqrt(np.linalg.norm(g, np.inf))
     try:
@@ -252,6 +253,12 @@ class _DenseVtOp:
 
 class _GramVtOp:
     """A = W^T M without materializing V; M may be float32.
+
+    M is float32 when ``PatternSet.row_dtype`` says so (above 2^25
+    entries; binary sets above 2^22 entries with 8 k <= n). Each product
+    rounds its float64 input to M's dtype and returns float64; for ±1 rows
+    that rounding is the only difference from a float64 M, since M and its
+    Gram (and so W on the Cholesky path) are exact in float32.
 
     W (k x r) comes from `gram_orthogonalize`, with W W^T the pseudoinverse
     of the Gram matrix M M^T, so A A^T = I to factorization accuracy while

@@ -703,6 +703,41 @@ class TestSerialization:
         assert ps.content_hash() != v2
 
 
+# (kind, width, height, k, row dtype): binary sets above 2^22 entries with
+# 8 k <= n take float32; everything else follows the 2^25 rule
+ROW_DTYPE_TABLE = [
+    ("morlet-binary", 128, 128, 256, np.float64),    # k n = 2^22 exactly
+    ("morlet-binary", 128, 128, 257, np.float32),    # first k above 2^22
+    ("morlet-binary", 64, 64, 1100, np.float64),     # 8 k > n
+    ("morlet-binary", 128, 64, 1024, np.float32),    # 8 k = n
+    ("morlet-binary", 128, 64, 1025, np.float64),    # 8 k > n, below 2^25
+    # the binary sets of acceptance criterion 8
+    ("morlet-binary", 16, 16, 16, np.float64),
+    ("morlet-binary", 32, 32, 40, np.float64),
+    ("morlet-binary", 32, 64, 64, np.float64),
+    ("morlet-binary", 64, 64, 128, np.float64),
+    ("morlet-binary", 64, 64, 512, np.float64),
+    ("morlet-binary", 256, 256, 655, np.float32),    # above 2^25, as before
+    ("morlet-real", 128, 128, 983, np.float64),      # real rows: 2^25 rule only
+]
+
+
+@pytest.mark.parametrize("kind, width, height, k, dtype", ROW_DTYPE_TABLE,
+                         ids=[f"{r[0]}-{r[1]}x{r[2]}-k{r[3]}" for r in ROW_DTYPE_TABLE])
+def test_row_dtype_rule(kind, width, height, k, dtype, tmp_path):
+    # row_dtype reads only the kind and shape, so the rows are zeros
+    n = width * height
+    rows = (np.zeros((k, (n + 7) // 8), np.uint8) if kind == "morlet-binary"
+            else np.zeros((k, n), dtype, order="F"))
+    ps = PatternSet(kind, width, height, k, 1, (patterns.MorletRowMeta.CONSTANT,) * k, rows)
+    assert ps.row_dtype == dtype
+    ps.save(tmp_path / "p.spip")
+    back = load_pattern_set(tmp_path / "p.spip")
+    assert back.row_dtype == dtype
+    if kind == "morlet-real":
+        assert back.rows.dtype == dtype
+
+
 def test_splitmix64_is_stable():
     # frozen reference values of the splitmix64 output function
     assert splitmix64(0, 0) == 0xE220A8397B1DCDAF

@@ -908,6 +908,77 @@ class TestGramOrthogonalize:
         assert np.abs(out @ l - np.eye(150)).max() < 1e-12
 
 
+@pytest.fixture(scope="module")
+def band_set():
+    """A binary set in the float32 band: 128 x 128, k = 328 (CR 2%)."""
+    return gen_pattern_set("morlet-binary", 128, 128, 328, master_seed=1)
+
+
+class TestBinaryFloat32Band:
+    """±1 rows are exact in float32, and so is their Gram matrix, whose
+    entries are integers of magnitude at most n < 2^24: a float32 model of a
+    band set has the float64 model's W and differs only in the rounding of
+    each operator input to float32."""
+
+    def test_grams_are_equal(self, band_set):
+        assert band_set.row_dtype == np.float32
+        m32 = bipolar_rows(band_set, np.float32)
+        m64 = bipolar_rows(band_set, np.float64)
+        assert np.array_equal((m32 @ m32.T).astype(np.float64), m64 @ m64.T)
+
+    def test_same_w_bytes(self, band_set):
+        w32, path32 = recon.gram_orthogonalize(bipolar_rows(band_set, np.float32))
+        w64, path64 = recon.gram_orthogonalize(bipolar_rows(band_set, np.float64))
+        assert path32 == path64 == "cholesky"
+        assert w32.tobytes() == w64.tobytes()
+
+    def test_images_match_the_float64_model(self, band_set):
+        img = block_phantom(128)
+        y = _measure_eff(img, band_set)
+        f32 = linear_model(band_set)
+        f64 = linear_model(bipolar_rows(band_set, np.float64), 128, 128)
+        assert f32.m.dtype == np.float32
+        # pinv is one adjoint s M with s = rhs(y) W^T in float64 on both
+        # models; the float32 one rounds s (u |s_i|) and sums k products of
+        # ±1 in float32 (gamma_k sum |s_i|), so per pixel
+        # |x32 - x64| <= (k + 2) u sum |s_i| with u = 2^-24
+        s = f64.rhs(y) @ f64.w.T
+        bound = (band_set.k + 2) * 2.0 ** -24 * np.abs(s).sum()
+        p32, p64 = pinv_reconstruct(f32, y), pinv_reconstruct(f64, y)
+        assert np.abs(p32.data - p64.data).max() <= bound
+        # TV (5 stages x 12) repeats that rounding in each of its 60 forward
+        # and 60 adjoint products; a pinv-sized step (5e-7 here) added up
+        # 120 times without damping stays below 1e-4, and the PSNR agrees
+        # to 4 decimals. Measured: 1.2e-6 and 3.7e-6 dB.
+        opts = TvOptions(mu_stages=5, max_inner=12, tol=1e-5)
+        t32 = tv_reconstruct(f32, y, opts).image
+        t64 = tv_reconstruct(f64, y, opts).image
+        assert np.abs(t32.data - t64.data).max() < 1e-4
+        assert abs(psnr(img, t32) - psnr(img, t64)) < 5e-5
+        assert abs(psnr(img, p32) - psnr(img, p64)) < 5e-5
+
+    def test_float64_spiv_is_a_miss_rewritten_in_float32(self, band_set, tmp_path,
+                                                         monkeypatch):
+        path = tmp_path / (band_set.content_hash().hex() + ".spiv")
+        with monkeypatch.context() as m:
+            m.setattr(patterns, "_BINARY_F32_LIMIT", 1 << 25)  # the earlier rule
+            assert band_set.row_dtype == np.float64
+            cached_pinv(band_set, tmp_path)
+        old = path.read_bytes()
+        assert load_pinv(path).row_itemsize == 8
+
+        calls = []
+        gram = recon.gram_orthogonalize
+        monkeypatch.setattr(recon, "gram_orthogonalize",
+                            lambda *a, **kw: calls.append(1) or gram(*a, **kw))
+        cached_pinv(band_set, tmp_path)
+        assert calls == [1]
+        new = load_pinv(path)
+        assert new.row_itemsize == 4
+        w_bytes = new.w.nbytes
+        assert path.read_bytes()[-w_bytes:] == old[-w_bytes:]
+
+
 def _noiselet_indices(n, seed):
     """Distinct row indices over n pixels with sampled reversal pairs."""
     rng = np.random.default_rng(seed)
