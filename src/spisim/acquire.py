@@ -1,5 +1,8 @@
 """Single-pixel measurement simulation: Y[i] = <X, row_i> plus detector noise.
 
+Every sample is real, one per detector frame: a complex noiselet row gives
+two, so a k-row noiselet set yields 2k samples [Re(N x)[idx]; Im(N x)[idx]].
+
 Noise pipeline order mirrors the physical chain: multiplicative source
 fluctuation, then additive detector noise, then uniform ADC quantization.
 The reference scale for both the additive term and the quantizer is the
@@ -26,7 +29,6 @@ from .patterns import PatternSet, _row_blocks, noiselet2, wht2
 SPIM_MAGIC = b"SPIM"
 SPIM_VERSION = 1
 _FLAG_DIFFERENTIAL = 0x01
-_FLAG_COMPLEX = 0x02
 _SPIM_HEADER = struct.Struct("<4sHIB")
 _SPIM_TRAILER = struct.Struct("<ddIQdd")  # additive, fluct, adc_bits, seed, cr, full_scale
 
@@ -64,9 +66,10 @@ class Measurement:
             raise ValueError(f"compression ratio {self.compression_ratio} outside (0, 1]")
         if len(self.pattern_set_hash) != 32:
             raise ValueError("pattern_set_hash must be 32 bytes")
-        # SPIM has no layout for both: differential pairs come from binary sets
-        if self.values_bar is not None and np.iscomplexobj(self.values):
-            raise ValueError("a differential measurement (values_bar) cannot have complex values")
+        # SPIM stores real samples only: a complex array would lose its imaginary part
+        if np.iscomplexobj(self.values) or np.iscomplexobj(self.values_bar):
+            raise ValueError("measurement values must be real samples "
+                             "(a noiselet row gives two: Re, then Im)")
 
     @property
     def k(self):
@@ -78,18 +81,17 @@ class Measurement:
 
 
 def _raw_dot_products(img, ps: PatternSet):
-    """<X, row_i> for every row: basis kinds by one fast transform, morlet
-    kinds in float64 over blocks of at most 1 MB. Dense float64 copies of
-    all rows would take 8 k n bytes (92 MiB for the 1.3 MiB of packed rows
-    at 128 x 128, k = 655). morlet-real rows are column-major, so their
-    blocks are column blocks, contiguous in that layout; packed binary rows
-    are unpacked by row blocks."""
+    """<X, row_i> for every row: basis kinds by one fast transform (noiselet
+    as [Re; Im]), morlet kinds in float64 over blocks of at most 1 MB.
+    Dense float64 copies of all rows would take 8 k n bytes (92 MiB for the
+    1.3 MiB of packed rows at 128 x 128, k = 655). morlet-real rows are
+    column-major, so their blocks are column blocks, contiguous in that
+    layout; packed binary rows are unpacked by row blocks."""
     if ps.kind == "walsh-hadamard":
-        t = wht2(img.data).ravel()
-        return t[np.asarray(ps.row_meta)]
+        return wht2(img.data).ravel()[np.asarray(ps.row_meta)]
     if ps.kind == "noiselet":
-        t = noiselet2(img.data).ravel()
-        return t[np.asarray(ps.row_meta)]
+        t = noiselet2(img.data).ravel()[np.asarray(ps.row_meta)]
+        return np.concatenate([t.real, t.imag])
     x = img.vector()
     if ps.kind == "morlet-real":
         out = np.zeros(ps.k)
@@ -97,12 +99,6 @@ def _raw_dot_products(img, ps: PatternSet):
             out += ps.rows[:, sl].astype(np.float64, copy=False) @ x[sl]
         return out
     return np.concatenate([ps.dense(rows=sl) @ x for sl in _row_blocks(ps.k, 8 * ps.n)])
-
-
-def _quantize(values, step):
-    if np.iscomplexobj(values):
-        return (np.round(values.real / step) + 1j * np.round(values.imag / step)) * step
-    return np.round(values / step) * step
 
 
 def apply_noise_chain(raw_blocks, nm: NoiseModel):
@@ -114,20 +110,13 @@ def apply_noise_chain(raw_blocks, nm: NoiseModel):
     blocks = [b * fluct for b in raw_blocks]
     scale = max(float(np.max(np.abs(b))) if b.size else 0.0 for b in blocks)
     if nm.additive_sigma > 0 and scale > 0:
-        out = []
-        for b in blocks:
-            if np.iscomplexobj(b):
-                noise = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            else:
-                noise = rng.standard_normal(k)
-            out.append(b + nm.additive_sigma * scale * noise)
-        blocks = out
+        blocks = [b + nm.additive_sigma * scale * rng.standard_normal(k) for b in blocks]
     full_scale = 0.0
     if nm.adc_bits > 0 and scale > 0:
         full_scale = max(float(np.max(np.abs(b))) for b in blocks)
         if full_scale > 0:
             step = full_scale / (1 << nm.adc_bits)
-            blocks = [_quantize(b, step) for b in blocks]
+            blocks = [np.round(b / step) * step for b in blocks]
     return blocks, full_scale
 
 
@@ -170,15 +159,10 @@ def combine_differential(m: Measurement):
 # --------------------------------------------------------------------------
 
 def save_measurement(m: Measurement, path):
-    flags = 0
-    if m.is_differential:
-        flags |= _FLAG_DIFFERENTIAL
-    if np.iscomplexobj(m.values):
-        flags |= _FLAG_COMPLEX
+    flags = _FLAG_DIFFERENTIAL if m.is_differential else 0
     with open(path, "wb") as fh:
         fh.write(_SPIM_HEADER.pack(SPIM_MAGIC, SPIM_VERSION, m.k, flags))
-        fh.write(np.ascontiguousarray(m.values).astype(
-            "<c16" if flags & _FLAG_COMPLEX else "<f8").tobytes())
+        fh.write(np.ascontiguousarray(m.values, dtype="<f8").tobytes())
         if m.is_differential:
             fh.write(np.ascontiguousarray(m.values_bar, dtype="<f8").tobytes())
         fh.write(m.pattern_set_hash)
@@ -191,14 +175,12 @@ def save_measurement(m: Measurement, path):
 def load_measurement(path) -> Measurement:
     with open(path, "rb") as fh:
         k, flags = read_header(fh, _SPIM_HEADER, SPIM_MAGIC, SPIM_VERSION, "SPIM")
-        # Measurement refuses complex differential values, so 0x03 is never written
-        if flags not in (0, _FLAG_DIFFERENTIAL, _FLAG_COMPLEX):
+        if flags not in (0, _FLAG_DIFFERENTIAL):
             raise FormatError(f"unknown SPIM flags 0x{flags:02x}")
-        dtype = np.dtype("<c16" if flags & _FLAG_COMPLEX else "<f8")
-        differential = bool(flags & _FLAG_DIFFERENTIAL)
-        require_size(fh, _SPIM_HEADER.size + k * (dtype.itemsize + 8 * differential) + 32
+        differential = flags == _FLAG_DIFFERENTIAL
+        require_size(fh, _SPIM_HEADER.size + 8 * k * (1 + differential) + 32
                      + _SPIM_TRAILER.size, "SPIM")
-        values = np.fromfile(fh, dtype=dtype, count=k)
+        values = np.fromfile(fh, dtype="<f8", count=k)
         values_bar = np.fromfile(fh, dtype="<f8", count=k) if differential else None
         digest = fh.read(32)
         additive, fluct, adc_bits, seed, cr, full_scale = \
@@ -210,10 +192,8 @@ def load_measurement(path) -> Measurement:
 
 
 def measurement_to_csv(m: Measurement, path):
-    """CSV export: index,value[,value_bar]; complex values as value_re,value_im."""
-    if np.iscomplexobj(m.values):
-        header, columns = ["value_re", "value_im"], [m.values.real, m.values.imag]
-    elif m.is_differential:
+    """CSV export: index,value[,value_bar], one line per real sample."""
+    if m.is_differential:
         header, columns = ["value", "value_bar"], [m.values, m.values_bar]
     else:
         header, columns = ["value"], [m.values]

@@ -558,8 +558,8 @@ def bipolar_rows(ps: PatternSet, dtype=np.float32):
 
 
 def samples_per_row(kind):
-    """Real samples one row yields: a complex noiselet dot product gives two
-    (its real and imaginary parts, two detector frames on binary hardware)."""
+    """Real samples one row yields: a complex noiselet row gives two (its
+    real and imaginary parts, two detector frames, measured as [Re; Im])."""
     return 2 if kind == "noiselet" else 1
 
 

@@ -28,15 +28,16 @@ pinv and TV. No path forms or stores the n x k pseudoinverse, except
 Binary pattern rows enter the linear model in bipolar form 2P - 1 (the
 constant row is unchanged by that map), pairing with the differential
 measurement Y - Ybar. Complex noiselet rows enter as stacked real and
-imaginary parts with the measurement stacked the same way.
+imaginary parts, the order of a noiselet measurement's real samples.
 
 The TV solver is a Nesterov-accelerated smoothed-TV scheme with continuation
 over a decreasing smoothing parameter: isotropic TV, forward differences,
 reflexive boundary, Huber smoothing, and per-stage stopping on the relative
 change of the smoothed objective against a trailing window.
 
-Fixed settings: the rank cut-off RANK_TOL (relative to the largest singular
-value; Gram models floor it at 3 sqrt(eps) of the row dtype, `_rank_floor`)
+Fixed settings: the rank cut-offs relative to the largest singular value
+(RANK_TOL cuts only the SVD oracle and is the tolerance SPIV headers
+record; Gram models cut at 3 sqrt(eps) of the row dtype, `_rank_floor`),
 and NESTA's continuation and stopping rule (Becker, Bobin & Candes 2011), mu
 from MU_START_FRAC x the pinv start's dynamic range down to MU_FINAL, each
 image of a stage stopping on `tol` against its last STOP_WINDOW values, with
@@ -90,7 +91,8 @@ def effective_measurement(ps: PatternSet, m: Measurement):
     """Measurement vector paired with effective_matrix.
 
     morlet-binary: Y - Ybar when differential; otherwise 2Y - Y0 using the
-    constant row's total-flux sample (entry 0 stays Y0). noiselet: [Re; Im].
+    constant row's total-flux sample (entry 0 stays Y0). Other kinds: the
+    values as measured (noiselet: already [Re; Im]).
     """
     if ps.kind == "morlet-binary":
         if m.is_differential:
@@ -100,8 +102,6 @@ def effective_measurement(ps: PatternSet, m: Measurement):
         y = 2.0 * m.values - m.values[0]
         y[0] = m.values[0]
         return y
-    if ps.kind == "noiselet":
-        return np.concatenate([m.values.real, m.values.imag])
     return np.asarray(m.values, dtype=np.float64)
 
 
@@ -159,11 +159,12 @@ def _rank_floor(dtype):
     """Smallest kept singular value of a Gram model, relative to the largest.
 
     Squaring the singular values halves the usable precision, so the
-    threshold is floored at sqrt(eps) of the rows' dtype: Gram eigenvalues
-    below eps * lambda_0 are pure rounding noise and inverting them injects
-    garbage into the orthogonalized system.
+    threshold is 3 sqrt(eps) of the rows' dtype (4.5e-8 for float64, 1.0e-3
+    for float32): Gram eigenvalues below eps * lambda_0 are pure rounding
+    noise and inverting them injects garbage into the orthogonalized system.
+    RANK_TOL, far below either, cuts only the SVD oracle.
     """
-    return max(RANK_TOL, 3.0 * np.sqrt(float(np.finfo(dtype).eps)))
+    return 3.0 * np.sqrt(float(np.finfo(dtype).eps))
 
 
 _TRI_LEAF = 64
@@ -344,12 +345,10 @@ class _NoiseletSubsetOp:
         self.kd = len(self.idx)
         self._q = noiselet_signs(self.n).reshape(height, width)
 
-    def rhs(self, y):       # y: complex (..., k) or stacked [Re; Im] (..., 2k)
-        y = np.asarray(y)
-        if not np.iscomplexobj(y):
-            y = _checked(y, 2 * self.k)
-            y = y[..., : self.k] + 1j * y[..., self.k:]
-        v = _checked(y, self.k)[..., self._keep]
+    def rhs(self, y):       # y: stacked [Re; Im] (..., 2k)
+        y = _checked(y, 2 * self.k)
+        y = y[..., : self.k] + 1j * y[..., self.k:]
+        v = y[..., self._keep]
         v = np.where(self._partner >= 0, 0.5 * (v + np.conj(y[..., self._partner])), v)
         return np.concatenate([v.real, v.imag], axis=-1) * np.sqrt(2.0)
 

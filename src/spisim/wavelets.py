@@ -19,7 +19,7 @@ Pattern generation needs only the spectrum of Re g, a sum of three outer
 products, whose 2D real FFT is a product of 1D FFTs (`morlet_spectra`); no
 n-sized exponential or 2D transform is evaluated for it. The factors and
 spectra are computed for a block of wavelets at once, one row per wavelet;
-the single-wavelet functions are blocks of one.
+`morlet_wavelet` is a block of one.
 """
 
 from __future__ import annotations
@@ -94,11 +94,6 @@ def _morlet_factor_block(params, width: int, height: int):
     return a, b, ex, ey, kappa
 
 
-def _morlet_factors(p: MorletParams, width: int, height: int):
-    """(a, b, ex, ey, kappa) of one wavelet: _morlet_factor_block's first row."""
-    return tuple(f[0] for f in _morlet_factor_block([p], width, height))
-
-
 def _require_nondegenerate(ys, xs, ex, ey):
     """Raise ValueError when any sum_i ys[r, i] xs[r, i]^T is zero up to rounding.
 
@@ -152,8 +147,3 @@ def morlet_spectra(params, width: int, height: int):
     cols = np.fft.rfft(np.roll(xs, -(width // 2), axis=2))
     rows = np.fft.fft(np.roll(ys, -(height // 2), axis=2))
     return np.swapaxes(rows, 1, 2) @ cols
-
-
-def morlet_spectrum(p: MorletParams, width: int, height: int):
-    """morlet_spectra of one wavelet: its (h, w//2 + 1) spectrum."""
-    return morlet_spectra([p], width, height)[0]

@@ -87,6 +87,17 @@ class TestMeasure:
         full = np.abs(exact).max()
         assert np.abs(q - exact).max() <= full / 2 ** 14 / 2 + 1e-15
 
+    def test_noisy_noiselet_samples_are_quantized_reals(self, rng):
+        # the ADC full scale is the largest |real sample|, as for every kind
+        ps = gen_pattern_set("noiselet", 16, 16, 40, master_seed=3)
+        img = Image(rng.random((16, 16)))
+        m = measure(img, ps, NoiseModel(adc_bits=8))
+        step = m.full_scale / 2 ** 8
+        assert m.values.dtype == np.float64 and m.k == 2 * ps.k
+        assert m.full_scale == np.abs(measure(img, ps).values).max()
+        assert np.array_equal(np.round(m.values / step) * step, m.values)
+        assert np.abs(m.values).max() == m.full_scale
+
     def test_compression_ratio_recorded(self, binary_set):
         m = measure(Image(np.zeros((16, 16))), binary_set)
         assert m.compression_ratio == pytest.approx(12 / 256)
@@ -157,14 +168,14 @@ class TestNoiseModelValidation:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("take", ["plain", "differential", "complex"])
+    @pytest.mark.parametrize("take", ["plain", "differential", "noiselet"])
     def test_spim_roundtrip(self, rng, binary_set, tmp_path, take):
         nm = NoiseModel(additive_sigma=1e-3, adc_bits=14, source_fluctuation_sigma=2e-3,
                         seed=5)
-        if take == "complex":
+        if take == "noiselet":
             ps = gen_pattern_set("noiselet", 8, 8, 10, master_seed=2)
             m = measure(Image(rng.random((8, 8))), ps, nm)
-            assert np.iscomplexobj(m.values)
+            assert m.values.dtype == np.float64 and m.k == 2 * ps.k
         else:
             fn = measure_differential if take == "differential" else measure
             m = fn(Image(rng.random((16, 16))), binary_set, nm)
@@ -180,10 +191,14 @@ class TestSerialization:
         assert back.compression_ratio == m.compression_ratio
         assert back.full_scale == m.full_scale
 
-    def test_complex_differential_measurement_is_refused(self):
-        # SPIM flags 0x03, which load_measurement rejects, could not be written
-        with pytest.raises(ValueError, match="complex"):
-            Measurement(values=np.array([1 + 2j, 3]), values_bar=np.array([0.5, 0.5]),
+    @pytest.mark.parametrize("values,values_bar", [
+        ([1 + 2j, 3], None), ([1 + 2j, 3], [0.5, 0.5]), ([1.0, 3.0], [0.5 + 1j, 0.5])],
+        ids=["plain", "differential", "complex-bar"])
+    def test_complex_measurement_is_refused(self, values, values_bar):
+        # SPIM stores real samples: saving would drop the imaginary parts
+        with pytest.raises(ValueError, match="real samples"):
+            Measurement(values=np.array(values),
+                        values_bar=None if values_bar is None else np.array(values_bar),
                         pattern_set_hash=bytes(32), noise_model=NoiseModel(),
                         compression_ratio=0.5)
 
@@ -198,8 +213,8 @@ class TestSerialization:
             with pytest.raises(FormatError, match="header says"):
                 load_measurement(tmp_path / "bad.spim")
 
-    # 0x03 is never written: Measurement refuses complex differential values
-    @pytest.mark.parametrize("flags", [0x03, 0x04, 0x80])
+    # 0x02 was a complex payload: a noiselet measurement is now real samples
+    @pytest.mark.parametrize("flags", [0x02, 0x03, 0x04, 0x80])
     def test_unknown_flags_are_a_format_error(self, rng, binary_set, tmp_path, flags):
         save_measurement(measure(Image(rng.random((16, 16))), binary_set), tmp_path / "m.spim")
         raw = bytearray((tmp_path / "m.spim").read_bytes())
@@ -217,9 +232,11 @@ class TestSerialization:
         i, v, vb = lines[1].split(",")
         assert int(i) == 0 and float(v) == m.values[0] and float(vb) == m.values_bar[0]
 
-    def test_csv_export_complex(self, rng, tmp_path):
+    def test_csv_export_noiselet(self, rng, tmp_path):
         ps = gen_pattern_set("noiselet", 8, 8, 4, master_seed=2)
         m = measure(Image(rng.random((8, 8))), ps)
         measurement_to_csv(m, tmp_path / "m.csv")
         lines = (tmp_path / "m.csv").read_text().strip().splitlines()
-        assert lines[0] == "index,value_re,value_im"
+        assert lines[0] == "index,value"
+        assert len(lines) == 2 * ps.k + 1
+        assert [float(line.split(",")[1]) for line in lines[1:]] == m.values.tolist()

@@ -200,6 +200,26 @@ class TestMeasureReconstruct:
         assert self._reconstruct(tmp_path, ps, m, "--method", "tv") == 0
         assert seen == [NoiseModel(), TvOptions()]
 
+    @pytest.mark.parametrize("kind", ["noiselet", "morlet-binary"])
+    def test_measure_verbose_prints_the_cr_of_gen(self, tmp_path, pgm16, capsys, kind):
+        # both count real samples per pixel, two per noiselet row
+        ps = tmp_path / "p.spip"
+        assert run("gen", "--kind", kind, "--size", "16x16", "--cr", "0.04",
+                   "--out", str(ps)) == 0
+        gen_cr = re.search(r"cr=\S+", capsys.readouterr().out).group()
+        assert run("measure", "--image", pgm16, "--patterns", str(ps), "--verbose",
+                   "--out", str(tmp_path / "m.spim")) == 0
+        assert re.search(r"cr=\S+", capsys.readouterr().out).group() == gen_cr
+
+    def test_complex_measurement_file_is_an_error_line(self, tmp_path, pgm16, capsys):
+        # flags 0x02 marked a complex noiselet payload; measurements are real samples now
+        ps, m = self._gen_measure(tmp_path, pgm16, kind="noiselet")
+        raw = bytearray(m.read_bytes())
+        raw[10] = 0x02                  # the flags byte of the header "<4sHIB"
+        m.write_bytes(bytes(raw))
+        assert self._reconstruct(tmp_path, ps, m) == 2
+        assert "error: unknown SPIM flags 0x02" in capsys.readouterr().err
+
     def test_truncated_measurement_is_an_error_line(self, tmp_path, pgm16, capsys):
         ps, m = self._gen_measure(tmp_path, pgm16)
         m.write_bytes(m.read_bytes()[:5])

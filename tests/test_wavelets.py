@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spisim.patterns import gen_morlet_pattern
-from spisim.wavelets import (MorletParams, _morlet_factors, morlet_spectrum,
+from spisim.wavelets import (MorletParams, _morlet_factor_block, morlet_spectra,
                              morlet_wavelet)
 
 # closed-form continuous limit of the zero-mean constant at n_p = 1,
@@ -35,7 +35,7 @@ class TestMorlet:
 
     def test_continuous_limit_zero_mean_constant(self):
         p = MorletParams(sigma=16.0, n_p=1.0, theta=0.3)
-        kappa = _morlet_factors(p, 512, 512)[4]
+        kappa = _morlet_factor_block([p], 512, 512)[4][0]
         assert abs(kappa - KAPPA_NP1) < 1e-9
 
     def test_theta_zero_reflection_symmetry(self):
@@ -63,8 +63,8 @@ class TestMorlet:
         with pytest.warns(UserWarning, match="8\\*sigma"):
             morlet_wavelet(MorletParams(sigma=8.0, n_p=1.0, theta=0.0), 32, 32)
 
-    @pytest.mark.parametrize("make", [morlet_spectrum,
-                                      lambda p, w, h: _morlet_factors(p, w, h)[4],
+    @pytest.mark.parametrize("make", [lambda p, w, h: morlet_spectra([p], w, h)[0],
+                                      lambda p, w, h: _morlet_factor_block([p], w, h)[4],
                                       lambda p, w, h: gen_morlet_pattern(p, 1, w, h)],
                              ids=["spectrum", "kappa", "pattern"])
     def test_truncation_warning_on_every_path(self, make):
@@ -78,7 +78,7 @@ class TestMorlet:
         # it and rounding is all that is left; scaled to unit norm, that
         # rounding had |mean| 0.17 and 0.14
         p = MorletParams(sigma=2.0, n_p=1.0, theta=theta)
-        for make in (morlet_wavelet, morlet_spectrum):
+        for make in (morlet_wavelet, lambda p, w, h: morlet_spectra([p], w, h)[0]):
             with pytest.raises(ValueError, match="degenerate"):
                 make(p, width, height)
         with pytest.raises(ValueError, match="degenerate"):
@@ -111,16 +111,16 @@ class TestMorletSpectrum:
             g = morlet_wavelet(p, width, height)
         except ValueError:
             with pytest.raises(ValueError, match="degenerate"):
-                morlet_spectrum(p, width, height)
+                morlet_spectra([p], width, height)[0]
             return
         # Re g is a difference of terms of size ||ex|| ||ey||, so its rounding
         # is eps at that scale, however far Re g itself has cancelled
-        a, b, ex, ey, kappa = _morlet_factors(p, width, height)
+        a, b, ex, ey, kappa = (f[0] for f in _morlet_factor_block([p], width, height))
         g_norm = np.linalg.norm(np.outer(b, a) - kappa * np.outer(ey, ex))
         rounding = 16.0 * np.finfo(np.float64).eps * (width + height) \
             * np.linalg.norm(ex) * np.linalg.norm(ey)
         try:
-            spec = morlet_spectrum(p, width, height)
+            spec = morlet_spectra([p], width, height)[0]
         except ValueError:
             # only Re g may vanish where g does not
             assert np.linalg.norm(g.real) * g_norm <= 2.0 * rounding
