@@ -143,11 +143,11 @@ def cmd_measure(args):
     on = {"on": True, "off": False}.get(args.differential, ps.is_binary)  # auto: binary sets
     m = (measure_differential if on else measure)(img, ps, nm)
     if args.verbose:
-        print(f"measure: {time.perf_counter() - t0:.3f}s k={m.k} cr={m.k / ps.n:.4%}")
+        print(f"measure: {time.perf_counter() - t0:.3f}s samples={m.k} cr={m.k / ps.n:.4%}")
     save_measurement(m, args.out)
     if args.csv:
         measurement_to_csv(m, args.csv)
-    print(f"wrote {args.out} (k={m.k}, differential={m.is_differential})")
+    print(f"wrote {args.out} (samples={m.k}, differential={m.is_differential})")
     return 0
 
 

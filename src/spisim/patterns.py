@@ -42,8 +42,9 @@ SPIP_MAGIC = b"SPIP"
 # 2: rows from the separable Morlet spectrum; 3: morlet-real rows above
 # _DENSE_LIMIT entries are generated in float32; 4: the noise spectrum is
 # drawn directly (white_noise_spectra); 5: the morlet-real payload is the
-# rows as held, the C-contiguous (n, k) rows.T in row_dtype
-SPIP_VERSION = 5
+# rows as held, the C-contiguous (n, k) rows.T in row_dtype; 6: row norms
+# that do not depend on the BLAS thread count
+SPIP_VERSION = 6
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 # flags byte of each kind: 0x01 bit-packed rows, 0x02 dense rows, 0x04 procedural
 _KIND_FLAGS = {"morlet-real": 0x02, "morlet-binary": 0x01,
@@ -158,12 +159,14 @@ def _morlet_patterns(params, seeds, width: int, height: int):
 
     One stacked spectrum product and one irfft2 serve the block; each
     pattern is normalized by its own 2D norm, so it has the bits it has
-    when generated alone.
+    when generated alone, at any BLAS thread count.
     """
     spec = white_noise_spectra(seeds, width, height)
     spec *= morlet_spectra(params, width, height)
     patterns = np.fft.irfft2(spec, s=(height, width))
-    norms = np.array([np.linalg.norm(pattern) for pattern in patterns])
+    # einsum, not np.linalg.norm: BLAS ddot splits its sum over threads, so
+    # the rows' bits would depend on the BLAS thread count
+    norms = np.sqrt([np.einsum("ij,ij->", pattern, pattern) for pattern in patterns])
     for norm in norms:
         if not 0.0 < norm < np.inf:  # also catches NaN entries
             raise ValueError(f"degenerate pattern (norm {norm})")
@@ -227,7 +230,7 @@ def _kron_factor(bits, dtype):
     return f
 
 
-def fast_wht(v):
+def fast_wht(v, out=None):
     """Orthonormal Walsh-Hadamard transform along the last axis, O(m log m).
 
     Matches the Kronecker construction H(2m) = H2 (x) H(m) with
@@ -235,26 +238,32 @@ def fast_wht(v):
     plus one 2^(p mod 4) remainder, H(m) = F_1 (x) F_2 (x) ..., and each F_j
     is applied to the (pre, f, post) view of its index bits by one BLAS
     matmul: O(16 m) work per factor. Involutive. Returns a new float64 array
-    for real input and complex128 for complex input.
+    for real input and complex128 for complex input, or `out`, a
+    C-contiguous array of v's shape that the last factor writes into (it
+    may be v itself); either way the bits are the same.
     """
     a = np.asarray(v)
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     m = a.shape[-1]
     _check_pow2(m)
     if m == 1:
-        return np.array(a, dtype=dtype)
+        if out is None:
+            return np.array(a, dtype=dtype)
+        out[...] = a
+        return out
     q, r = divmod(m.bit_length() - 1, _FACTOR_BITS)
-    x = a.astype(dtype, copy=False)  # every matmul below writes a new array
+    x = a.astype(dtype, copy=False)  # each matmul below writes a new array, or out
     post = m
     for bits in ([r] if r else []) + [_FACTOR_BITS] * q:
         f = 1 << bits
         post //= f
         factor = _kron_factor(bits, dtype)
-        if post == 1:
-            x = x.reshape(-1, f) @ factor.T
+        if post == 1:               # the last factor
+            dst = None if out is None else np.reshape(out, (-1, f), copy=False)
+            x = np.matmul(x.reshape(-1, f), factor.T, out=dst)
         else:
             x = np.matmul(factor, x.reshape(-1, f, post))
-    return x.reshape(a.shape)
+    return x.reshape(a.shape) if out is None else out
 
 
 @functools.cache
@@ -285,7 +294,7 @@ def fast_noiselet(v):
     return ((1 - 1j) * h + (1 + 1j) * h[..., ::-1]) / 2
 
 
-def _transform2(transform, grid):
+def _transform2(transform, grid, out=None):
     """2D transform H_h (x) H_w of (..., h, w) grids.
 
     Both transforms are tensor powers of a 2x2 kernel and satisfy
@@ -295,12 +304,17 @@ def _transform2(transform, grid):
     """
     g = np.asarray(grid)
     h, w = g.shape[-2:]
-    return transform(g.reshape(g.shape[:-2] + (h * w,))).reshape(g.shape)
+    flat = g.shape[:-2] + (h * w,)
+    if out is None:
+        return transform(g.reshape(flat)).reshape(g.shape)
+    transform(g.reshape(flat), out=np.reshape(out, flat, copy=False))
+    return out
 
 
-def wht2(grid):
-    """2D orthonormal Walsh-Hadamard transform of (..., h, w) grids."""
-    return _transform2(fast_wht, grid)
+def wht2(grid, out=None):
+    """2D orthonormal Walsh-Hadamard transform of (..., h, w) grids; `out`
+    as in fast_wht (C-contiguous, grid's shape, may be grid itself)."""
+    return _transform2(fast_wht, grid, out)
 
 
 def noiselet2(grid):

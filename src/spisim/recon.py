@@ -7,7 +7,10 @@ b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
 (`pinv_reconstruct`) and total-variation minimization runs on A x = b
 (`tv_reconstruct`), where each NESTA iteration costs one forward and one
 adjoint; iterates carry their residual's back-projection, and the rest of
-an iteration is one stacked GEMM into reused buffers. Both take one
+an iteration is one stacked GEMM into reused buffers. Every operator's
+adjoint takes `out=`, so the stage's adjoint writes into its row of the
+state stack, and the TV gradient (`_tv_grad`) runs on flat views of
+C-contiguous work arrays, the stack's rows. Both take one
 measurement or a batch. Morlet models take A = W^T M and b = W^T Y from
 the Gram matrix G = M M^T, with W W^T = G^+ (`gram_orthogonalize`: W = L^-T
 from the Cholesky factor of G, or U_r / d_r from its eigendecomposition),
@@ -248,8 +251,8 @@ class _DenseVtOp:
     def forward(self, x):   # (B, n) -> (B, r)
         return x @ self.vt.T
 
-    def adjoint(self, z):   # (B, r) -> (B, n)
-        return z @ self.vt
+    def adjoint(self, z, out=None):   # (B, r) -> (B, n)
+        return np.matmul(z, self.vt, out=out)
 
 
 class _GramVtOp:
@@ -287,9 +290,26 @@ class _GramVtOp:
         t = np.asarray(x, dtype=self._dt) @ self.m.T  # (B, k)
         return t.astype(np.float64, copy=False) @ self.w
 
-    def adjoint(self, z):
+    def adjoint(self, z, out=None):
         s = (z @ self.w.T).astype(self._dt, copy=False)  # (B, k)
-        return (s @ self.m).astype(np.float64, copy=False)
+        if self._dt == np.float64:
+            return np.matmul(s, self.m, out=out)
+        if out is None:
+            return (s @ self.m).astype(np.float64)
+        np.copyto(out, s @ self.m)
+        return out
+
+
+def _grid_wht2(x, h, w, out=None):
+    """wht2 of the (B, h*w) rows x as h x w grids, returned as (B, h*w): in
+    `out` when given (C-contiguous; it may be x), else in a new array.
+    Operators call wht2 by this module's name, where the benchmark's
+    patterns.transform span wraps it."""
+    grids = x.reshape(-1, h, w)
+    if out is None:
+        return wht2(grids).reshape(-1, h * w)
+    wht2(grids, out=np.reshape(out, grids.shape, copy=False))
+    return out
 
 
 class _WhtSubsetOp:
@@ -308,10 +328,11 @@ class _WhtSubsetOp:
         t = wht2(x.reshape(-1, self.height, self.width))
         return t.reshape(-1, self.n)[:, self.idx]
 
-    def adjoint(self, z):
-        grid = np.zeros((z.shape[0], self.n))
+    def adjoint(self, z, out=None):
+        grid = np.empty((z.shape[0], self.n)) if out is None else out
+        grid.fill(0.0)
         grid[:, self.idx] = z
-        return wht2(grid.reshape(-1, self.height, self.width)).reshape(-1, self.n)
+        return _grid_wht2(grid, self.height, self.width, grid)
 
 
 class _NoiseletSubsetOp:
@@ -352,23 +373,24 @@ class _NoiseletSubsetOp:
         v = np.where(self._partner >= 0, 0.5 * (v + np.conj(y[..., self._partner])), v)
         return np.concatenate([v.real, v.imag], axis=-1) * np.sqrt(2.0)
 
-    def _s(self, x):        # (B, n) -> H q H x, (B, n)
+    def _s(self, x, out=None):   # (B, n) -> H q H x, (B, n); out may be x
         t = wht2(x.reshape(-1, self.height, self.width))
         t *= self._q
-        return wht2(t).reshape(-1, self.n)
+        return _grid_wht2(t, self.height, self.width, out)
 
     def forward(self, x):
         h = self._s(x)
         a, r = h[:, self.idx], h[:, self.ridx]
         return np.concatenate([r + a, r - a], axis=1) * np.sqrt(0.5)
 
-    def adjoint(self, z):
+    def adjoint(self, z, out=None):
         z_re, z_im = z[:, : self.kd], z[:, self.kd:]
-        w = np.zeros((z.shape[0], self.n))
+        w = np.empty((z.shape[0], self.n)) if out is None else out
+        w.fill(0.0)
         w[:, self.ridx] = (z_re + z_im) * np.sqrt(0.5)
         # adds: on a 1 x 1 grid idx and ridx are the same pixel
         w[:, self.idx] += (z_re - z_im) * np.sqrt(0.5)
-        return self._s(w)
+        return self._s(w, w)
 
 
 def linear_model(source, height=None, width=None):
@@ -567,11 +589,16 @@ def tv_norm(x):
     batched = x.ndim == 3
     if not batched:
         x = x[None]
-    dx = np.zeros_like(x)
-    dy = np.zeros_like(x)
-    dx[:, :, :-1] = x[:, :, 1:] - x[:, :, :-1]
-    dy[:, :-1, :] = x[:, 1:, :] - x[:, :-1, :]
-    val = np.sqrt(dx * dx + dy * dy).sum(axis=(1, 2))
+    dx = np.empty_like(x)
+    dy = np.empty_like(x)
+    dx[:, :, -1] = 0.0
+    dy[:, -1, :] = 0.0
+    np.subtract(x[:, :, 1:], x[:, :, :-1], out=dx[:, :, :-1])
+    np.subtract(x[:, 1:, :], x[:, :-1, :], out=dy[:, :-1, :])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    val = np.sqrt(dx, out=dx).sum(axis=(1, 2))
     return val if batched else float(val[0])
 
 
@@ -582,11 +609,18 @@ def _tv_grad(x, mu, work=None):
     m (2|d| - m) / (2 mu): |d|^2 / (2 mu) below mu and |d| - mu / 2 above.
     `work` is (dx, dy, mag, g), arrays shaped like x whose contents are
     overwritten (allocated when omitted); the gradient is returned in g.
+    x, dx and g must be C-contiguous (the stage's stack rows are): the
+    x-differences and their divergence run on flat views, where a row's
+    last difference is the zero that separates it from the next row.
     """
-    dx, dy, mag, g = work if work is not None else [np.empty_like(x) for _ in range(4)]
-    dx[:, :, -1] = 0.0
+    if work is None:
+        x = np.ascontiguousarray(x)
+        work = [np.empty(x.shape) for _ in range(4)]
+    dx, dy, mag, g = work
+    xf, dxf, gf = (np.reshape(a, -1, copy=False) for a in (x, dx, g))
+    np.subtract(xf[1:], xf[:-1], out=dxf[:-1])
+    dx[:, :, -1] = 0.0                  # also dxf[-1]
     dy[:, -1, :] = 0.0
-    np.subtract(x[:, :, 1:], x[:, :, :-1], out=dx[:, :, :-1])
     np.subtract(x[:, 1:, :], x[:, :-1, :], out=dy[:, :-1, :])
     mu3 = mu[:, None, None]
     np.multiply(dx, dx, out=mag)
@@ -597,8 +631,10 @@ def _tv_grad(x, mu, work=None):
     np.maximum(mag, mu3, out=mag)
     dx /= mag
     dy /= mag
-    np.subtract(0.0, dx, out=g)         # dx's last column is 0: g starts at -dx
-    g[:, :, 1:] += dx[:, :, :-1]
+    # -div: g_j = dx_(j-1) - dx_j, where dx_(j-1) is the previous row's zero
+    # at a row start; subtracting from 0.0 there keeps the sign of a zero
+    np.subtract(0.0, dxf[:1], out=gf[:1])
+    np.subtract(dxf[:-1], dxf[1:], out=gf[1:])
     g[:, :-1, :] -= dy[:, :-1, :]
     g[:, 1:, :] += dy[:, :-1, :]
     return val, g
@@ -673,7 +709,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
     t = np.empty_like(s)
     s[0] = s[1] = s[4] = x0.reshape(batch, n)   # x, vz = x0 - sum alpha g / L, y
     r_x = b - op.forward(s[0])
-    s[2] = s[3] = op.adjoint(r_x)
+    s[3] = op.adjoint(r_x, out=s[2])
     r_vz = r_x.copy()
     coef = np.zeros((batch, 5, 6))
     coef[:, 1, 1] = coef[:, 2, 2] = coef[:, 4, 0] = 1.0
@@ -686,7 +722,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
         fval, _ = _tv_grad(s[0].reshape(batch, h, w), mu,
                            [a.reshape(batch, h, w) for a in (t[0], t[1], t[2], s[4])])
         a_g = op.forward(s[4])
-        s[5] = op.adjoint(a_g)
+        op.adjoint(a_g, out=s[5])
         a_g *= invl
 
         # y: projection of vy = x - g / L, whose residual is r_x + A g / L;
@@ -719,8 +755,9 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
         with np.errstate(invalid="ignore"):
             rel = np.abs(fval - ref) / np.maximum(np.abs(ref), 1e-300)
         stop = ~done & np.isfinite(ref) & (rel <= opts.tol)
-        np.copyto(out, s[4], where=stop[:, None])   # the next _tv_grad overwrites s[4]
-        done |= stop
+        if stop.any():     # the next _tv_grad overwrites s[4]
+            np.copyto(out, s[4], where=stop[:, None])
+            done |= stop
         hist[it % STOP_WINDOW] = fval
         if done.all():
             break

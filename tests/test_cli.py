@@ -211,6 +211,18 @@ class TestMeasureReconstruct:
                    "--out", str(tmp_path / "m.spim")) == 0
         assert re.search(r"cr=\S+", capsys.readouterr().out).group() == gen_cr
 
+    def test_measure_counts_samples_and_gen_counts_rows(self, tmp_path, pgm16, capsys):
+        # a noiselet row gives two real samples, so 5 rows measure 10 samples
+        ps = tmp_path / "p.spip"
+        assert run("gen", "--kind", "noiselet", "--size", "16x16", "--k", "5",
+                   "--out", str(ps)) == 0
+        assert "k=5 " in capsys.readouterr().out
+        assert run("measure", "--image", pgm16, "--patterns", str(ps), "--verbose",
+                   "--out", str(tmp_path / "m.spim")) == 0
+        out = capsys.readouterr().out
+        assert "samples=10 " in out and "(samples=10," in out
+        assert not re.search(r"\bk=", out)
+
     def test_complex_measurement_file_is_an_error_line(self, tmp_path, pgm16, capsys):
         # flags 0x02 marked a complex noiselet payload; measurements are real samples now
         ps, m = self._gen_measure(tmp_path, pgm16, kind="noiselet")

@@ -1,6 +1,10 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,16 +23,15 @@ from spisim.imgcore import FormatError
 from spisim.wavelets import MorletParams
 
 
-# SHA-256 of the SPIP file of gen_pattern_set(kind, 17, 17, 11, master_seed=6),
-# computed while morlet-real rows were still held row-major in memory: the
-# payload on disk is row-major f8 whatever the layout in memory
+# SHA-256 of the SPIP file (version 6) of gen_pattern_set(kind, 17, 17, 11,
+# master_seed=6), whatever block size the rows were generated in
 SPIP_DIGESTS = {
     "morlet-real-float64":
-        "0e0722cfed1df6d253d395c43a1d21f5105625a5ed4c4b0cb97535b9c0b6af27",
+        "7d3ac84e77f8bf3903b34b31237c5aee059a41405155d6f491197ec0b4f53a5b",
     "morlet-real-float32":
-        "df59baeeba1eb1fdb266f3ad9646437a176810a77095a978f08c7df567be4df7",
+        "eef16117ac74a0a167a5dcab4180e7b678c50b855a2adb557685fa90b7b43ee8",
     "morlet-binary":
-        "ff3ae8f09678d43c6732bc3a092bdfc1999deebb802860e1b08a240cf323eae9",
+        "ac6b459270afcc818b60714e151470510f026e1a0a3a10d2865fa68dc57011c4",
 }
 
 # SPIP header: the flags byte ends it; each kind has one flags value
@@ -61,6 +64,23 @@ class TestFastWht:
         v = rng.standard_normal((3, 8))
         ref = np.stack([fast_wht(row) for row in v])
         np.testing.assert_allclose(fast_wht(v), ref, atol=1e-14)
+
+    # 16 and below: one factor, which reads the array it writes when out is v
+    @pytest.mark.parametrize("m", [1, 2, 16, 32, 4096])
+    def test_out_is_bitwise_the_new_array(self, rng, m):
+        v = rng.standard_normal((3, m))
+        want = fast_wht(v)
+        out = np.full_like(v, np.nan)
+        assert fast_wht(v, out=out) is out and out.tobytes() == want.tobytes()
+        assert fast_wht(v, out=v) is v and v.tobytes() == want.tobytes()
+        grid = rng.standard_normal((2, 8, m))
+        out = np.empty_like(grid)
+        assert wht2(grid, out=out) is out and out.tobytes() == wht2(grid).tobytes()
+
+    def test_out_must_be_contiguous(self, rng):
+        v = rng.standard_normal((3, 64))
+        with pytest.raises(ValueError):
+            fast_wht(v, out=np.empty((64, 3)).T)
 
 
 class TestFastNoiselet:
@@ -497,6 +517,42 @@ class TestGenPatternSet:
             gen_pattern_set("walsh-hadamard", 10, 10, 4)
 
 
+# SHA-256 of the SPIP bytes, and of the measured values of a fixed image, of
+# morlet-real sets at 128^2 and 256^2; run in a fresh interpreter so that the
+# thread count is set before numpy loads
+_THREAD_PROBE = """
+import hashlib, tempfile
+import numpy as np
+from spisim.acquire import measure
+from spisim.imgcore import Image
+from spisim.patterns import gen_pattern_set
+with tempfile.TemporaryDirectory() as tmp:
+    for size, k in ((128, 983), (256, 300)):
+        ps = gen_pattern_set("morlet-real", size, size, k, master_seed=5)
+        ps.save(tmp + "/p.spip")
+        with open(tmp + "/p.spip", "rb") as fh:
+            print(hashlib.sha256(fh.read()).hexdigest())
+        img = Image(np.random.default_rng(size).random((size, size)))
+        print(hashlib.sha256(measure(img, ps).values.tobytes()).hexdigest())
+"""
+
+
+def test_spip_and_spim_bytes_do_not_depend_on_blas_threads():
+    # 128^2 rows are above OpenBLAS's threading threshold for a dot product
+    # (v5 moved 319 of these 983 rows by an ulp between 1 and 2 threads);
+    # 256^2 also runs the stacked spectrum product of a block of two rows
+    src = str(Path(patterns.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 4 and digests[0] == digests[1]
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary",
                                       "walsh-hadamard", "noiselet"])
@@ -603,7 +659,7 @@ class TestSerialization:
         # v1 rows came from the dense wavelet grid and differ in the last ulp
         gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
         raw = bytearray((tmp_path / "p.spip").read_bytes())
-        assert struct.unpack_from("<H", raw, 4) == (5,)
+        assert struct.unpack_from("<H", raw, 4) == (6,)
         struct.pack_into("<H", raw, 4, 1)
         (tmp_path / "p.spip").write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported SPIP version 1"):
@@ -634,6 +690,16 @@ class TestSerialization:
         struct.pack_into("<H", raw, 4, 4)
         (tmp_path / "p.spip").write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported SPIP version 4"):
+            load_pattern_set(tmp_path / "p.spip")
+
+    def test_version_5_file_is_a_format_error(self, tmp_path):
+        # v5 normalized morlet-real rows by a BLAS dot product, whose bits
+        # depend on the thread count
+        gen_pattern_set("morlet-real", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        struct.pack_into("<H", raw, 4, 5)
+        (tmp_path / "p.spip").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported SPIP version 5"):
             load_pattern_set(tmp_path / "p.spip")
 
     @pytest.mark.parametrize("unpack_bytes", [1 << 20, 3 * 8 * 17 * 17],
