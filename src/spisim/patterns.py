@@ -230,6 +230,14 @@ def _kron_factor(bits, dtype):
     return f
 
 
+def _c_view(a, shape):
+    """`a` reshaped to `shape` as a view, so that writes through it land in
+    `a`: a must be C-contiguous (reshaping any other layout may copy)."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"a {a.shape} array written through a reshape must be C-contiguous")
+    return a.reshape(shape)
+
+
 def fast_wht(v, out=None):
     """Orthonormal Walsh-Hadamard transform along the last axis, O(m log m).
 
@@ -259,7 +267,7 @@ def fast_wht(v, out=None):
         post //= f
         factor = _kron_factor(bits, dtype)
         if post == 1:               # the last factor
-            dst = None if out is None else np.reshape(out, (-1, f), copy=False)
+            dst = None if out is None else _c_view(out, (-1, f))
             x = np.matmul(x.reshape(-1, f), factor.T, out=dst)
         else:
             x = np.matmul(factor, x.reshape(-1, f, post))
@@ -307,7 +315,7 @@ def _transform2(transform, grid, out=None):
     flat = g.shape[:-2] + (h * w,)
     if out is None:
         return transform(g.reshape(flat)).reshape(g.shape)
-    transform(g.reshape(flat), out=np.reshape(out, flat, copy=False))
+    transform(g.reshape(flat), out=_c_view(out, flat))
     return out
 
 

@@ -58,7 +58,8 @@ import numpy as np
 
 from .acquire import Measurement, combine_differential
 from .imgcore import FormatError, Image, check_field_types, read_header, require_size
-from .patterns import DETERMINISTIC_KINDS, PatternSet, bipolar_rows, noiselet_signs, wht2
+from .patterns import (DETERMINISTIC_KINDS, PatternSet, _c_view, bipolar_rows,
+                       noiselet_signs, wht2)
 
 SPIV_MAGIC = b"SPIV"
 SPIV_VERSION = 2
@@ -300,18 +301,6 @@ class _GramVtOp:
         return out
 
 
-def _grid_wht2(x, h, w, out=None):
-    """wht2 of the (B, h*w) rows x as h x w grids, returned as (B, h*w): in
-    `out` when given (C-contiguous; it may be x), else in a new array.
-    Operators call wht2 by this module's name, where the benchmark's
-    patterns.transform span wraps it."""
-    grids = x.reshape(-1, h, w)
-    if out is None:
-        return wht2(grids).reshape(-1, h * w)
-    wht2(grids, out=np.reshape(out, grids.shape, copy=False))
-    return out
-
-
 class _WhtSubsetOp:
     """Orthonormal Walsh-Hadamard rows selected by index; fast transform."""
 
@@ -332,7 +321,9 @@ class _WhtSubsetOp:
         grid = np.empty((z.shape[0], self.n)) if out is None else out
         grid.fill(0.0)
         grid[:, self.idx] = z
-        return _grid_wht2(grid, self.height, self.width, grid)
+        g = _c_view(grid, (-1, self.height, self.width))
+        wht2(g, out=g)
+        return grid
 
 
 class _NoiseletSubsetOp:
@@ -376,7 +367,8 @@ class _NoiseletSubsetOp:
     def _s(self, x, out=None):   # (B, n) -> H q H x, (B, n); out may be x
         t = wht2(x.reshape(-1, self.height, self.width))
         t *= self._q
-        return _grid_wht2(t, self.height, self.width, out)
+        wht2(t, out=t if out is None else _c_view(out, t.shape))
+        return t.reshape(-1, self.n) if out is None else out
 
     def forward(self, x):
         h = self._s(x)
@@ -390,7 +382,8 @@ class _NoiseletSubsetOp:
         w[:, self.ridx] = (z_re + z_im) * np.sqrt(0.5)
         # adds: on a 1 x 1 grid idx and ridx are the same pixel
         w[:, self.idx] += (z_re - z_im) * np.sqrt(0.5)
-        return self._s(w, w)
+        self._s(w, w)
+        return w
 
 
 def linear_model(source, height=None, width=None):
@@ -609,15 +602,15 @@ def _tv_grad(x, mu, work=None):
     m (2|d| - m) / (2 mu): |d|^2 / (2 mu) below mu and |d| - mu / 2 above.
     `work` is (dx, dy, mag, g), arrays shaped like x whose contents are
     overwritten (allocated when omitted); the gradient is returned in g.
-    x, dx and g must be C-contiguous (the stage's stack rows are): the
-    x-differences and their divergence run on flat views, where a row's
-    last difference is the zero that separates it from the next row.
+    The x-differences and their divergence run on flat views, where a row's
+    last difference is the zero that separates it from the next row, so dx
+    and g must be C-contiguous (the stage's stack rows are; ValueError if not).
     """
     if work is None:
         x = np.ascontiguousarray(x)
         work = [np.empty(x.shape) for _ in range(4)]
     dx, dy, mag, g = work
-    xf, dxf, gf = (np.reshape(a, -1, copy=False) for a in (x, dx, g))
+    xf, dxf, gf = x.reshape(-1), _c_view(dx, -1), _c_view(g, -1)
     np.subtract(xf[1:], xf[:-1], out=dxf[:-1])
     dx[:, :, -1] = 0.0                  # also dxf[-1]
     dy[:, -1, :] = 0.0
@@ -631,10 +624,11 @@ def _tv_grad(x, mu, work=None):
     np.maximum(mag, mu3, out=mag)
     dx /= mag
     dy /= mag
-    # -div: g_j = dx_(j-1) - dx_j, where dx_(j-1) is the previous row's zero
-    # at a row start; subtracting from 0.0 there keeps the sign of a zero
-    np.subtract(0.0, dxf[:1], out=gf[:1])
-    np.subtract(dxf[:-1], dxf[1:], out=gf[1:])
+    # -div: g_j = (0 - dx_j) + dx_(j-1), the zero-filled formula's order. At
+    # a row start dx_(j-1) is the previous row's +0.0 (x finite), and 0 - dx_j
+    # is never -0.0, so adding it changes no bit
+    np.subtract(0.0, dxf, out=gf)
+    gf[1:] += dxf[:-1]
     g[:, :-1, :] -= dy[:, :-1, :]
     g[:, 1:, :] += dy[:, :-1, :]
     return val, g

@@ -430,6 +430,14 @@ class TestNestaStageOracle:
         assert buf.tobytes() == op.adjoint(b).tobytes()
         assert np.isnan(stack[0]).all()
 
+    @pytest.mark.parametrize("name", ["wht", "noiselet"])
+    def test_adjoint_rejects_strided_out(self, name):
+        # the transform writes through a reshape, which of a strided out is a copy
+        op = _stage_model(name)
+        b, _, _ = _stage_inputs(op, 3, seed=0)
+        with pytest.raises(ValueError):
+            op.adjoint(b, out=np.empty((256, 3)).T)
+
     @pytest.mark.parametrize("name", ["gram-float64", "wht", "noiselet"])
     @pytest.mark.parametrize("eps_frac", [0.0, 0.05])
     def test_one_forward_and_one_adjoint_per_iteration(self, monkeypatch, name, eps_frac):
@@ -529,6 +537,24 @@ class TestTvGrad:
         val, g = recon._tv_grad(x, mu, work)
         assert g is work[3] and g.tobytes() == want_g.tobytes()
         np.testing.assert_allclose(val, want_val, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (1, 2, 1), (2, 5, 3), (3, 8, 8)])
+    def test_signed_zeros_match_where_formula(self, rng, shape):
+        # -0.0 - 0.0 is a -0.0 difference; the gradient keeps the formula's zero signs
+        x = rng.choice(np.array([0.0, -0.0, 0.5]), size=shape)
+        mu = np.ones(shape[0])
+        want_val, want_g = _reference_tv_grad(x, mu)
+        val, g = recon._tv_grad(x, mu)
+        assert g.tobytes() == want_g.tobytes()
+        np.testing.assert_allclose(val, want_val, rtol=1e-12, atol=0)
+        x = np.array([[[0.0, -0.0]]])
+        assert recon._tv_grad(x, mu[:1])[1].tobytes() == _reference_tv_grad(x, mu[:1])[1].tobytes()
+
+    def test_strided_work_is_rejected(self):
+        x = np.zeros((2, 4, 3))
+        work = [np.empty((3, 4, 2)).T for _ in range(4)]
+        with pytest.raises(ValueError):
+            recon._tv_grad(x, np.ones(2), work)
 
     def test_gradient_is_central_difference_of_value(self, rng):
         x = rng.random((2, 9, 7))
