@@ -86,7 +86,11 @@ def _raw_dot_products(img, ps: PatternSet):
     Dense float64 copies of all rows would take 8 k n bytes (92 MiB for the
     1.3 MiB of packed rows at 128 x 128, k = 655). morlet-real rows are
     column-major, so their blocks are column blocks, contiguous in that
-    layout; packed binary rows are unpacked by row blocks."""
+    layout; packed binary rows are unpacked by row blocks. ValueError when
+    the image grid is not the set's."""
+    if (img.width, img.height) != (ps.width, ps.height):
+        raise ValueError(f"image {img.width}x{img.height} does not match patterns "
+                         f"{ps.width}x{ps.height}")
     if ps.kind == "walsh-hadamard":
         return wht2(img.data).ravel()[np.asarray(ps.row_meta)]
     if ps.kind == "noiselet":
@@ -122,10 +126,6 @@ def apply_noise_chain(raw_blocks, nm: NoiseModel):
 
 def measure(img, ps: PatternSet, nm: NoiseModel = NoiseModel()) -> Measurement:
     """Simulate the plain (single-detector) measurement Y = M x."""
-    if (img.width, img.height) != (ps.width, ps.height):
-        raise ValueError(
-            f"image {img.width}x{img.height} does not match patterns {ps.width}x{ps.height}"
-        )
     raw = _raw_dot_products(img, ps)
     (values,), full_scale = apply_noise_chain([raw], nm)
     return Measurement(values=values, pattern_set_hash=ps.content_hash(),
@@ -137,8 +137,6 @@ def measure_differential(img, ps: PatternSet, nm: NoiseModel = NoiseModel()) -> 
     """Two-detector measurement of a binary set: Y = <X, P>, Ybar = <X, 1-P>."""
     if not ps.is_binary:
         raise ValueError(f"differential measurement needs a binary set, got {ps.kind!r}")
-    if (img.width, img.height) != (ps.width, ps.height):
-        raise ValueError("image dimensions do not match pattern set")
     raw_y = _raw_dot_products(img, ps)
     raw_ybar = img.vector().sum() - raw_y
     (values, values_bar), full_scale = apply_noise_chain([raw_y, raw_ybar], nm)

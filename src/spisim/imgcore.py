@@ -1,4 +1,4 @@
-"""Core raster and matrix value types plus bit-exact file I/O.
+"""The core image type plus bit-exact file I/O.
 
 Conventions shared by every other module:
 
@@ -88,17 +88,6 @@ def check_field_types(obj, label):
 def _require_finite(a, what):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite entries")
-
-
-def complex_grid(data):
-    """Validated row-major complex grid: complex128, finite, read-only."""
-    a = np.asarray(data, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"bad complex grid shape {a.shape}")
-    _require_finite(a, "complex grid")
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 class Image:

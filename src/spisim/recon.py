@@ -22,11 +22,11 @@ Walsh-Hadamard and noiselet models use their fast transforms, the noiselet
 one as two real Walsh-Hadamard transforms per call. The dense SVD
 (`factorize`) is the test oracle; `linear_model` accepts its factors too.
 
-A morlet model is its row matrix plus W (k x r), so W is all
-the orthogonalization there is to keep: `cached_pinv` stores it in a SPIV
-file named by the set's content hash, and one cached model serves both
-pinv and TV. No path forms or stores the n x k pseudoinverse, except
-`pinv_matrix`, the SVD oracle's.
+A morlet model is its row matrix plus W (k x r), so W is all the
+orthogonalization there is to keep: `linear_model` is the one place W is
+computed, `cached_pinv` stores it in a SPIV file named by the set's content
+hash, and one cached model serves both pinv and TV. No path forms or stores
+the n x k pseudoinverse, except `pinv_matrix`, the SVD oracle's.
 
 Binary pattern rows enter the linear model in bipolar form 2P - 1 (the
 constant row is unchanged by that map), pairing with the differential
@@ -39,12 +39,12 @@ reflexive boundary, Huber smoothing, and per-stage stopping on the relative
 change of the smoothed objective against a trailing window.
 
 Fixed settings: the rank cut-offs relative to the largest singular value
-(RANK_TOL cuts only the SVD oracle and is the tolerance SPIV headers
-record; Gram models cut at 3 sqrt(eps) of the row dtype, `_rank_floor`),
-and NESTA's continuation and stopping rule (Becker, Bobin & Candes 2011), mu
-from MU_START_FRAC x the pinv start's dynamic range down to MU_FINAL, each
-image of a stage stopping on `tol` against its last STOP_WINDOW values, with
-the iterate of the iteration where it stopped.
+(RANK_TOL cuts only the SVD oracle, `factorize`; Gram models cut at 3
+sqrt(eps) of the row dtype, `_rank_floor`), and NESTA's continuation and
+stopping rule (Becker, Bobin & Candes 2011), mu from MU_START_FRAC x the
+pinv start's dynamic range down to MU_FINAL, each image of a stage stopping
+on `tol` against its last STOP_WINDOW values, with the iterate of the
+iteration where it stopped.
 """
 
 from __future__ import annotations
@@ -62,9 +62,11 @@ from .patterns import (DETERMINISTIC_KINDS, PatternSet, _c_view, bipolar_rows,
                        noiselet_signs, wht2)
 
 SPIV_MAGIC = b"SPIV"
-SPIV_VERSION = 2
-# magic, version, k, r, row itemsize, rank_tol, pattern-set hash, W payload SHA-256
-_SPIV_HEADER = struct.Struct("<4sHIIHd32s32s")
+# 3: no rank tolerance in the header. Any change to how W is derived from
+# the rows must bump this version, so that a cached W stays valid.
+SPIV_VERSION = 3
+# magic, version, k, r, row itemsize, pattern-set hash, W payload SHA-256
+_SPIV_HEADER = struct.Struct("<4sHIIH32s32s")
 
 RANK_TOL = 1e-10
 MU_START_FRAC = 0.1
@@ -166,7 +168,8 @@ def _rank_floor(dtype):
     threshold is 3 sqrt(eps) of the rows' dtype (4.5e-8 for float64, 1.0e-3
     for float32): Gram eigenvalues below eps * lambda_0 are pure rounding
     noise and inverting them injects garbage into the orthogonalized system.
-    RANK_TOL, far below either, cuts only the SVD oracle.
+    RANK_TOL, far below either, cuts only the SVD oracle. A change here
+    changes W, so it must bump SPIV_VERSION.
     """
     return 3.0 * np.sqrt(float(np.finfo(dtype).eps))
 
@@ -271,10 +274,10 @@ class _GramVtOp:
 
     M is held column-major: ``m`` is the (k, n) matrix in Fortran order, so
     ``m.T`` is a C-contiguous (n, k) array. Every pattern set produces its
-    rows in that layout, and only a C-ordered matrix from another caller is
-    copied into it. The two products are forward ``x @ m.T`` (B, k) and
-    adjoint ``s @ m`` (B, n): at every dtype and batch size measured they
-    ran at least as fast as the row-major ``m @ x.T`` and ``s @ m``.
+    rows in that layout, so they are used without a copy. The two products
+    are forward ``x @ m.T`` (B, k) and adjoint ``s @ m`` (B, n): at every
+    dtype and batch size measured they ran at least as fast as the
+    row-major ``m @ x.T`` and ``s @ m``.
     """
 
     def __init__(self, m_rows, w, width, height):
@@ -386,31 +389,24 @@ class _NoiseletSubsetOp:
         return w
 
 
-def linear_model(source, height=None, width=None):
+def linear_model(source):
     """The linear model of `source`: a semiorthogonal operator with rhs().
 
-    `source` is a PatternSet, an SvdFactors (the dense reference), or an
-    effective row matrix (float32 or float64) already built for a
-    height x width grid (default 1 x n). Morlet sets hold M in their
-    row_dtype, column-major, and their rows are used without a copy; a
-    C-ordered row matrix is copied to column-major once.
+    `source` is a PatternSet or an SvdFactors (the dense reference); anything
+    else raises TypeError. A morlet set's model is its effective rows, held
+    in its row_dtype, column-major and used without a copy, with the W of
+    `gram_orthogonalize`: the only place a Gram model's W is computed.
     """
     if isinstance(source, SvdFactors):
         return _DenseVtOp(source)
-    if isinstance(source, PatternSet):
-        if source.kind == "walsh-hadamard":
-            return _WhtSubsetOp(source.row_meta, source.width, source.height)
-        if source.kind == "noiselet":
-            return _NoiseletSubsetOp(source.row_meta, source.width, source.height)
-        height, width = source.height, source.width
-        source = effective_matrix(source, source.row_dtype)
-    m_rows = np.asarray(source)
-    if m_rows.ndim != 2 or m_rows.dtype not in (np.float32, np.float64):
-        raise TypeError("expected a PatternSet, SvdFactors or a real 2D row matrix")
-    if width is None:
-        height, width = 1, m_rows.shape[1]
-    w, _ = gram_orthogonalize(m_rows)
-    return _GramVtOp(m_rows, w, width, height)
+    if not isinstance(source, PatternSet):
+        raise TypeError(f"expected a PatternSet or SvdFactors, got {type(source).__name__}")
+    if source.kind == "walsh-hadamard":
+        return _WhtSubsetOp(source.row_meta, source.width, source.height)
+    if source.kind == "noiselet":
+        return _NoiseletSubsetOp(source.row_meta, source.width, source.height)
+    rows = effective_matrix(source, source.row_dtype)
+    return _GramVtOp(rows, gram_orthogonalize(rows)[0], source.width, source.height)
 
 
 def _as_model(source):
@@ -505,13 +501,11 @@ class PinvStream:
 @dataclass(frozen=True)
 class SpivRecord:
     """W (k x r float64, W W^T = G^+ for the Gram matrix G) of a Gram model,
-    with what a cache hit must match: the pattern set's content hash, the
-    rank tolerance (RANK_TOL when written by cached_pinv) and the itemsize
-    of the rows W was computed from."""
+    with what a cache hit must match besides k: the pattern set's content
+    hash and the itemsize of the rows W was computed from."""
 
     w: np.ndarray
     source_hash: bytes
-    rank_tol: float
     row_itemsize: int
 
 
@@ -520,14 +514,13 @@ def save_pinv(rec: SpivRecord, path):
     k, r = w.shape
     with open(path, "wb") as fh:
         fh.write(_SPIV_HEADER.pack(SPIV_MAGIC, SPIV_VERSION, k, r, rec.row_itemsize,
-                                   rec.rank_tol, rec.source_hash,
-                                   hashlib.sha256(w).digest()))
+                                   rec.source_hash, hashlib.sha256(w).digest()))
         w.tofile(fh)
 
 
 def load_pinv(path) -> SpivRecord:
     with open(path, "rb") as fh:
-        k, r, itemsize, rank_tol, digest, payload_hash = \
+        k, r, itemsize, digest, payload_hash = \
             read_header(fh, _SPIV_HEADER, SPIV_MAGIC, SPIV_VERSION, "SPIV")
         if not 1 <= r <= k:
             raise FormatError(f"SPIV rank {r} outside 1..k={k}")
@@ -535,39 +528,38 @@ def load_pinv(path) -> SpivRecord:
         w = np.fromfile(fh, dtype="<f8", count=k * r).reshape(k, r)
     if hashlib.sha256(w).digest() != payload_hash:
         raise FormatError("SPIV payload does not match its SHA-256")
-    return SpivRecord(w=w, source_hash=digest, rank_tol=rank_tol, row_itemsize=itemsize)
+    return SpivRecord(w=w, source_hash=digest, row_itemsize=itemsize)
 
 
 def cached_pinv(ps: PatternSet, cache_dir):
     """The linear model of `ps`, its W cached in cache_dir as <content hash>.spiv.
 
     A morlet model is the set's effective rows (in its row_dtype) plus
-    its W from gram_orthogonalize. Any W with W W^T = G^+ gives the same
+    its W from `linear_model`. Any W with W W^T = G^+ gives the same
     model up to rounding, so a file written by either orthogonalization
     path is a valid hit. A hit rebuilds the model from the rows and the
-    cached W, with no Gram product or factorization. A file that load_pinv rejects, or
-    one written for another hash, rank tolerance, k or row itemsize, is a
-    miss; a miss computes the model and writes its W through a temp file.
-    Fast-transform models have nothing to cache and are returned unwritten.
-    The model serves pinv_reconstruct and tv_reconstruct alike.
+    cached W, with no Gram product or factorization. A file that load_pinv
+    rejects (an older SPIV version among them), or one written for another
+    hash, k or row itemsize, is a miss; a miss builds the model with
+    `linear_model` and writes its W through a temp file. Fast-transform
+    models have nothing to cache and are returned unwritten. The model
+    serves pinv_reconstruct and tv_reconstruct alike.
     """
     if ps.kind in DETERMINISTIC_KINDS:
         return linear_model(ps)
     digest = ps.content_hash()
     path = os.path.join(cache_dir, digest.hex() + ".spiv")
-    rows = effective_matrix(ps, ps.row_dtype)
+    itemsize = np.dtype(ps.row_dtype).itemsize
     try:
         rec = load_pinv(path)
-        if (rec.source_hash, rec.rank_tol, rec.w.shape[0], rec.row_itemsize) == \
-                (digest, RANK_TOL, rows.shape[0], rows.itemsize):
-            return _GramVtOp(rows, rec.w, ps.width, ps.height)
+        if (rec.source_hash, rec.w.shape[0], rec.row_itemsize) == (digest, ps.k, itemsize):
+            return _GramVtOp(effective_matrix(ps, ps.row_dtype), rec.w, ps.width, ps.height)
     except (OSError, ValueError):
         pass
-    model = linear_model(rows, ps.height, ps.width)
+    model = linear_model(ps)
     os.makedirs(cache_dir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
-    save_pinv(SpivRecord(w=model.w, source_hash=digest, rank_tol=RANK_TOL,
-                         row_itemsize=rows.itemsize), tmp)
+    save_pinv(SpivRecord(w=model.w, source_hash=digest, row_itemsize=itemsize), tmp)
     os.replace(tmp, path)
     return model
 
@@ -582,16 +574,11 @@ def tv_norm(x):
     batched = x.ndim == 3
     if not batched:
         x = x[None]
-    dx = np.empty_like(x)
-    dy = np.empty_like(x)
-    dx[:, :, -1] = 0.0
-    dy[:, -1, :] = 0.0
-    np.subtract(x[:, :, 1:], x[:, :, :-1], out=dx[:, :, :-1])
-    np.subtract(x[:, 1:, :], x[:, :-1, :], out=dy[:, :-1, :])
-    dx *= dx
-    dy *= dy
-    dx += dy
-    val = np.sqrt(dx, out=dx).sum(axis=(1, 2))
+    dx = np.zeros_like(x)
+    dy = np.zeros_like(x)
+    dx[:, :, :-1] = x[:, :, 1:] - x[:, :, :-1]
+    dy[:, :-1, :] = x[:, 1:, :] - x[:, :-1, :]
+    val = np.sqrt(dx * dx + dy * dy).sum(axis=(1, 2))
     return val if batched else float(val[0])
 
 

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import complex_grid
-
 
 @dataclass(frozen=True)
 class MorletParams:
@@ -118,14 +116,17 @@ def morlet_wavelet(p: MorletParams, width: int, height: int):
     """Morlet wavelet centered at the grid center ((w-1)/2, (h-1)/2).
 
     Formed as (b a^T - kappa ey ex^T) from the 1D factors, then scaled to
-    unit discrete L2 norm. Raises ValueError for a degenerate grid, where
-    the carrier is constant and the wavelet vanishes up to rounding.
+    unit discrete L2 norm: a read-only complex128 (h, w) grid. Raises
+    ValueError for a degenerate grid, where the carrier is constant and the
+    wavelet vanishes up to rounding.
     """
     a, b, ex, ey, kappa = _morlet_factor_block([p], width, height)
     _require_nondegenerate(np.stack([b, -kappa[:, None] * ey], axis=1),
                            np.stack([a, ex], axis=1), ex, ey)
     g = np.outer(b, a) - kappa * np.outer(ey, ex)
-    return complex_grid(g / np.linalg.norm(g))
+    g /= np.linalg.norm(g)
+    g.flags.writeable = False
+    return g
 
 
 def morlet_spectra(params, width: int, height: int):

@@ -80,6 +80,11 @@ class TestMeasure:
         with pytest.raises(ValueError, match="match"):
             measure(Image(np.zeros((8, 8))), binary_set)
 
+    @pytest.mark.parametrize("fn", [measure, measure_differential])
+    def test_grid_mismatch_names_both_grids(self, binary_set, fn):
+        with pytest.raises(ValueError, match="^image 8x8 does not match patterns 16x16$"):
+            fn(Image(np.zeros((8, 8))), binary_set)
+
     def test_quantization_error_bound(self, rng, binary_set):
         img = Image(rng.random((16, 16)))
         exact = measure(img, binary_set).values

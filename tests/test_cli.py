@@ -305,7 +305,7 @@ class TestMeasureReconstruct:
         spiv = cache / (load_pattern_set(ps).content_hash().hex() + ".spiv")
         spiv.write_bytes(bytes(20))
         assert self._reconstruct(tmp_path, ps, m, "--cache-dir", str(cache)) == 0
-        assert spiv.stat().st_size == 88 + 8 * 12 * 12  # header + W, k x r float64
+        assert spiv.stat().st_size == 80 + 8 * 12 * 12  # header + W, k x r float64
         assert [f.name for f in cache.iterdir()] == [spiv.name]
 
     def test_tv_reads_the_warm_cache(self, tmp_path, pgm16, monkeypatch):

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from spisim import acquire, patterns, recon
 from spisim.acquire import load_measurement, measure, save_measurement
-from spisim.imgcore import (FormatError, Image, complex_grid, load_image,
-                            save_image, save_spif)
+from spisim.imgcore import FormatError, Image, load_image, save_image, save_spif
 from spisim.patterns import gen_pattern_set, load_pattern_set
 from spisim.recon import SpivRecord, load_pinv, save_pinv
 
@@ -109,7 +108,7 @@ def _save_spim(path):
 
 
 def _save_spiv(path):
-    save_pinv(SpivRecord(np.eye(4, 2), bytes(32), 1e-10, 8), path)
+    save_pinv(SpivRecord(np.eye(4, 2), bytes(32), 8), path)
 
 
 # name: (writer, loader, header struct, version)
@@ -153,10 +152,6 @@ class TestValueTypes:
             random_image.data[0, 0] = 3.0
         with pytest.raises(AttributeError):
             random_image.data = np.zeros((2, 2))
-
-    def test_complex_grid_rejects_nan(self):
-        with pytest.raises(ValueError):
-            complex_grid([[1.0 + 1j, complex(np.nan, 0)]])
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import struct
 import tracemalloc
@@ -356,8 +357,9 @@ def _stage_model(name):
     if name == "gram-float64":
         return linear_model(gen_pattern_set("morlet-real", 16, 16, 60, master_seed=2))
     if name == "gram-float32":
-        ps = gen_pattern_set("morlet-binary", 16, 16, 60, master_seed=2)
-        return linear_model(effective_matrix(ps, np.float32), height=16, width=16)
+        rows = effective_matrix(gen_pattern_set("morlet-binary", 16, 16, 60, master_seed=2),
+                                np.float32)
+        return recon._GramVtOp(rows, recon.gram_orthogonalize(rows)[0], 16, 16)
     if name == "wht":
         return linear_model(gen_pattern_set("walsh-hadamard", 16, 16, 60, master_seed=2))
     if name == "dense":
@@ -650,14 +652,17 @@ def _flip_payload_bit(path, ps):
     path.write_bytes(bytes(raw))
 
 
-def _other_rank_tol(path, ps):
-    save_pinv(replace(load_pinv(path), rank_tol=1e-6), path)
+def _version_2(path, ps):
+    """The same W in the version-2 layout, which also recorded a rank tolerance."""
+    rec = load_pinv(path)
+    head = struct.pack("<4sHIIHd32s32s", b"SPIV", 2, *rec.w.shape, rec.row_itemsize,
+                       recon.RANK_TOL, rec.source_hash, hashlib.sha256(rec.w).digest())
+    path.write_bytes(head + rec.w.tobytes())
 
 
 def _other_k(path, ps):
     other = gen_pattern_set(ps.kind, ps.width, ps.height, ps.k - 2, master_seed=4)
-    rec = SpivRecord(w=linear_model(other).w, source_hash=ps.content_hash(),
-                     rank_tol=recon.RANK_TOL, row_itemsize=8)
+    rec = SpivRecord(w=linear_model(other).w, source_hash=ps.content_hash(), row_itemsize=8)
     save_pinv(rec, path)
 
 
@@ -676,13 +681,12 @@ def _record_bipolar_rows(monkeypatch):
 class TestSpivCache:
     def test_roundtrip(self, tmp_path):
         ps = gen_pattern_set("morlet-real", 8, 8, 10, master_seed=4)
-        rec = SpivRecord(w=linear_model(ps).w, source_hash=ps.content_hash(),
-                         rank_tol=1e-9, row_itemsize=8)
+        rec = SpivRecord(w=linear_model(ps).w, source_hash=ps.content_hash(), row_itemsize=4)
         save_pinv(rec, tmp_path / "p.spiv")
         back = load_pinv(tmp_path / "p.spiv")
         assert np.array_equal(back.w, rec.w)
-        assert (back.source_hash, back.rank_tol, back.row_itemsize) == \
-            (rec.source_hash, 1e-9, 8)
+        assert (back.source_hash, back.row_itemsize) == (ps.content_hash(), 4)
+        assert (tmp_path / "p.spiv").stat().st_size == 80 + 8 * rec.w.size
 
     def test_cached_pinv_hits_disk(self, tmp_path, rng, monkeypatch):
         ps = gen_pattern_set("morlet-real", 8, 8, 10, master_seed=4)
@@ -702,6 +706,20 @@ class TestSpivCache:
         tv = TvOptions(max_inner=5, mu_stages=2)
         assert np.array_equal(tv_reconstruct(a, y, tv).images, tv_reconstruct(b, y, tv).images)
 
+    def test_a_miss_builds_through_linear_model_and_a_hit_does_not(self, tmp_path,
+                                                                   monkeypatch):
+        ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
+        calls = []
+        for name in ("linear_model", "gram_orthogonalize"):
+            fn = getattr(recon, name)
+            monkeypatch.setattr(recon, name, lambda *a, _n=name, _f=fn, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+        miss = cached_pinv(ps, tmp_path)
+        assert calls == ["linear_model", "gram_orthogonalize"]
+        hit = cached_pinv(ps, tmp_path)
+        assert calls == ["linear_model", "gram_orthogonalize"]
+        assert np.array_equal(hit.w, miss.w) and np.array_equal(hit.m, miss.m)
+
     def test_truncated_cache_file_is_recomputed(self, tmp_path):
         ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
         fresh = cached_pinv(ps, tmp_path / "fresh")
@@ -716,8 +734,8 @@ class TestSpivCache:
 
     @pytest.mark.parametrize("spoil", [
         lambda path, ps: path.write_bytes(_spiv_v1(ps)), _flip_payload_bit,
-        _other_rank_tol, _other_k, _other_itemsize],
-        ids=["version-1", "flipped-payload-bit", "other-rank-tol", "other-k",
+        _version_2, _other_k, _other_itemsize],
+        ids=["version-1", "flipped-payload-bit", "version-2", "other-k",
              "other-itemsize"])
     def test_spoiled_file_is_a_miss_and_rewritten(self, tmp_path, rng, monkeypatch, spoil):
         ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
@@ -862,7 +880,7 @@ class TestLinearModel:
 
     def test_c_ordered_rows_from_a_caller_are_made_column_major(self, rng):
         rows = rng.standard_normal((6, 40))
-        m = linear_model(rows).m
+        m = recon._GramVtOp(rows, recon.gram_orthogonalize(rows)[0], 40, 1).m
         assert m.T.flags.c_contiguous and np.array_equal(m, rows)
 
     @pytest.mark.parametrize("kind,k", KINDS_AT_8)
@@ -874,6 +892,10 @@ class TestLinearModel:
     def test_rejects_non_matrix_source(self):
         with pytest.raises(TypeError):
             linear_model(np.zeros(5))
+
+    def test_rejects_a_row_matrix(self, rng):
+        with pytest.raises(TypeError, match="expected a PatternSet or SvdFactors, got ndarray"):
+            linear_model(rng.standard_normal((6, 40)))
 
 
 class TestGramOrthogonalize:
@@ -997,7 +1019,8 @@ class TestBinaryFloat32Band:
         img = block_phantom(128)
         y = _measure_eff(img, band_set)
         f32 = linear_model(band_set)
-        f64 = linear_model(bipolar_rows(band_set, np.float64), 128, 128)
+        m64 = bipolar_rows(band_set, np.float64)
+        f64 = recon._GramVtOp(m64, recon.gram_orthogonalize(m64)[0], 128, 128)
         assert f32.m.dtype == np.float32
         # pinv is one adjoint s M with s = rhs(y) W^T in float64 on both
         # models; the float32 one rounds s (u |s_i|) and sums k products of

@@ -33,6 +33,11 @@ class TestMorlet:
         assert abs(g.mean()) < 1e-14
         assert abs(np.linalg.norm(g) - 1.0) < 1e-12
 
+    def test_wavelet_is_a_read_only_complex_grid(self):
+        g = morlet_wavelet(MorletParams(4.0, 2.0, 0.3), 24, 16)
+        assert g.shape == (16, 24) and g.dtype == np.complex128
+        assert g.flags.c_contiguous and not g.flags.writeable
+
     def test_continuous_limit_zero_mean_constant(self):
         p = MorletParams(sigma=16.0, n_p=1.0, theta=0.3)
         kappa = _morlet_factor_block([p], 512, 512)[4][0]
