@@ -11,7 +11,11 @@ an iteration is one stacked GEMM into reused buffers. Every operator's
 adjoint takes `out=`, so the stage's adjoint writes into its row of the
 state stack, and the TV gradient (`_tv_grad`) runs on flat views of
 C-contiguous work arrays, the stack's rows. Both take one
-measurement or a batch. Morlet models take A = W^T M and b = W^T Y from
+measurement or a batch. Gram and dense models take a batch in one product
+(one pass over the rows serves every image); the fast-transform models and
+the TV gradient take one image at a time, since images share nothing there
+and a 256^2 image's 0.5 MB arrays stay in a 2 MB L2 cache where a batch's
+would not. Morlet models take A = W^T M and b = W^T Y from
 the Gram matrix G = M M^T, with W W^T = G^+ (`gram_orthogonalize`: W = L^-T
 from the Cholesky factor of G, or U_r / d_r from its eigendecomposition),
 and never form V (M in the set's `PatternSet.row_dtype`: float32 above
@@ -305,7 +309,13 @@ class _GramVtOp:
 
 
 class _WhtSubsetOp:
-    """Orthonormal Walsh-Hadamard rows selected by index; fast transform."""
+    """Orthonormal Walsh-Hadamard rows selected by index; fast transform.
+
+    Images share nothing in a transform, so `forward` and `adjoint` take one
+    image at a time: zero fill, scatter, transform and gather run on its own
+    (h, w) row, 0.5 MB at 256^2, so the transform's passes stay in a 2 MB L2
+    cache, where a (B, n) batch's would not (1.5 MB per array at B = 3).
+    """
 
     def __init__(self, indices, width, height):
         self.idx = np.asarray(indices)
@@ -316,16 +326,20 @@ class _WhtSubsetOp:
     def rhs(self, y):
         return _checked(y, self.k).astype(np.float64)
 
-    def forward(self, x):
-        t = wht2(x.reshape(-1, self.height, self.width))
-        return t.reshape(-1, self.n)[:, self.idx]
+    def forward(self, x):   # (B, n) -> (B, k)
+        x = x.reshape(-1, self.n)
+        out = np.empty((x.shape[0], self.k))
+        for xi, oi in zip(x, out):
+            np.take(wht2(xi.reshape(self.height, self.width)).reshape(self.n), self.idx, out=oi)
+        return out
 
-    def adjoint(self, z, out=None):
+    def adjoint(self, z, out=None):   # (B, k) -> (B, n)
         grid = np.empty((z.shape[0], self.n)) if out is None else out
-        grid.fill(0.0)
-        grid[:, self.idx] = z
-        g = _c_view(grid, (-1, self.height, self.width))
-        wht2(g, out=g)
+        for zi, gi in zip(z, grid):
+            gi.fill(0.0)
+            gi[self.idx] = zi
+            g = _c_view(gi, (self.height, self.width))
+            wht2(g, out=g)
         return grid
 
 
@@ -341,7 +355,9 @@ class _NoiseletSubsetOp:
     The noiselet matrix is ((1 - i) I + (1 + i) R) / 2 . S with S = H q H
     real and symmetric (`patterns.fast_noiselet`), so row i of sqrt(2)*[Re; Im]
     is sqrt(1/2) (S_i + S_r) and sqrt(1/2) (S_r - S_i), r = n-1-i: both
-    directions cost two real 2D Walsh-Hadamard transforms.
+    directions cost two real 2D Walsh-Hadamard transforms. As in
+    `_WhtSubsetOp`, each image of a batch is filled, transformed and
+    gathered on its own (h, w) row (0.5 MB at 256^2, against a 2 MB L2).
     """
 
     def __init__(self, indices, width, height):
@@ -367,25 +383,31 @@ class _NoiseletSubsetOp:
         v = np.where(self._partner >= 0, 0.5 * (v + np.conj(y[..., self._partner])), v)
         return np.concatenate([v.real, v.imag], axis=-1) * np.sqrt(2.0)
 
-    def _s(self, x, out=None):   # (B, n) -> H q H x, (B, n); out may be x
-        t = wht2(x.reshape(-1, self.height, self.width))
+    def _s(self, x, out=None):   # one image (n,) -> H q H x, (h, w); out (n,) may be x
+        t = wht2(x.reshape(self.height, self.width))
         t *= self._q
-        wht2(t, out=t if out is None else _c_view(out, t.shape))
-        return t.reshape(-1, self.n) if out is None else out
+        return wht2(t, out=None if out is None else _c_view(out, t.shape))
 
-    def forward(self, x):
-        h = self._s(x)
-        a, r = h[:, self.idx], h[:, self.ridx]
-        return np.concatenate([r + a, r - a], axis=1) * np.sqrt(0.5)
+    def forward(self, x):   # (B, n) -> (B, 2 kd)
+        x = x.reshape(-1, self.n)
+        out = np.empty((x.shape[0], 2 * self.kd))
+        for xi, oi in zip(x, out):
+            h = self._s(xi).reshape(self.n)
+            a, r = h[self.idx], h[self.ridx]
+            np.add(r, a, out=oi[: self.kd])
+            np.subtract(r, a, out=oi[self.kd:])
+        out *= np.sqrt(0.5)
+        return out
 
-    def adjoint(self, z, out=None):
-        z_re, z_im = z[:, : self.kd], z[:, self.kd:]
+    def adjoint(self, z, out=None):   # (B, 2 kd) -> (B, n)
         w = np.empty((z.shape[0], self.n)) if out is None else out
-        w.fill(0.0)
-        w[:, self.ridx] = (z_re + z_im) * np.sqrt(0.5)
-        # adds: on a 1 x 1 grid idx and ridx are the same pixel
-        w[:, self.idx] += (z_re - z_im) * np.sqrt(0.5)
-        self._s(w, w)
+        for zi, wi in zip(z, w):
+            z_re, z_im = zi[: self.kd], zi[self.kd:]
+            wi.fill(0.0)
+            wi[self.ridx] = (z_re + z_im) * np.sqrt(0.5)
+            # adds: on a 1 x 1 grid idx and ridx are the same pixel
+            wi[self.idx] += (z_re - z_im) * np.sqrt(0.5)
+            self._s(wi, wi)
         return w
 
 
@@ -588,27 +610,37 @@ def _tv_grad(x, mu, work=None):
     With m = min(|d|, mu) the Huber term of a difference d is
     m (2|d| - m) / (2 mu): |d|^2 / (2 mu) below mu and |d| - mu / 2 above.
     `work` is (dx, dy, mag, g), arrays shaped like x whose contents are
-    overwritten (allocated when omitted); the gradient is returned in g.
-    The x-differences and their divergence run on flat views, where a row's
-    last difference is the zero that separates it from the next row, so dx
-    and g must be C-contiguous (the stage's stack rows are; ValueError if not).
+    overwritten (allocated when omitted); the gradient is returned in g, and
+    dx and g must be C-contiguous (the stage's stack rows are; ValueError if
+    not). Images share nothing here, so the work runs one image at a time
+    (`_tv_grad_image`) with the first image's dx, dy and mag as scratch for
+    every image: at 256^2 that is 0.5 MB per array, so an image's passes
+    stay in a 2 MB L2 cache where a batch's would not.
     """
     if work is None:
-        x = np.ascontiguousarray(x)
-        work = [np.empty(x.shape) for _ in range(4)]
+        work = [np.empty((1,) + x.shape[1:]) for _ in range(3)] + [np.empty(x.shape)]
     dx, dy, mag, g = work
+    val = np.empty(len(x))
+    for i in range(len(x)):
+        val[i] = _tv_grad_image(x[i], mu[i], dx[0], dy[0], mag[0], g[i])
+    return val, g
+
+
+def _tv_grad_image(x, mu, dx, dy, mag, g):
+    """`_tv_grad` of one (h, w) image into g; returns the value. The
+    x-differences and their divergence run on flat views, where a row's last
+    difference is the zero that separates it from the next row."""
     xf, dxf, gf = x.reshape(-1), _c_view(dx, -1), _c_view(g, -1)
     np.subtract(xf[1:], xf[:-1], out=dxf[:-1])
-    dx[:, :, -1] = 0.0                  # also dxf[-1]
-    dy[:, -1, :] = 0.0
-    np.subtract(x[:, 1:, :], x[:, :-1, :], out=dy[:, :-1, :])
-    mu3 = mu[:, None, None]
+    dx[:, -1] = 0.0                     # also dxf[-1]
+    dy[-1] = 0.0
+    np.subtract(x[1:], x[:-1], out=dy[:-1])
     np.multiply(dx, dx, out=mag)
     mag += np.multiply(dy, dy, out=g)
     np.sqrt(mag, out=mag)
-    m = np.minimum(mag, mu3, out=g)     # g's buffer, overwritten by the gradient
-    val = (2.0 * np.einsum("bij,bij->b", m, mag) - np.einsum("bij,bij->b", m, m)) / (2.0 * mu)
-    np.maximum(mag, mu3, out=mag)
+    m = np.minimum(mag, mu, out=g)      # g's buffer, overwritten by the gradient
+    val = (2.0 * np.vdot(m, mag) - np.vdot(m, m)) / (2.0 * mu)
+    np.maximum(mag, mu, out=mag)
     dx /= mag
     dy /= mag
     # -div: g_j = (0 - dx_j) + dx_(j-1), the zero-filled formula's order. At
@@ -616,9 +648,9 @@ def _tv_grad(x, mu, work=None):
     # is never -0.0, so adding it changes no bit
     np.subtract(0.0, dxf, out=gf)
     gf[1:] += dxf[:-1]
-    g[:, :-1, :] -= dy[:, :-1, :]
-    g[:, 1:, :] += dy[:, :-1, :]
-    return val, g
+    g[:-1] -= dy[:-1]
+    g[1:] += dy[:-1]
+    return val
 
 
 @dataclass(frozen=True)
