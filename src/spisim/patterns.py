@@ -7,9 +7,11 @@ Four pattern families:
                      rescaled to unit L2 norm. Stationary, nonergodic.
                      The noise is drawn as its spectrum on the rfft
                      half-plane, so a row costs one inverse real FFT.
-* ``morlet-binary``  the same rows passed through the Heaviside step
-                     (threshold at zero, ties -> 1), stored bit-packed,
-                     with the constant all-ones row always prepended.
+* ``morlet-binary``  the Heaviside step (threshold at zero, ties -> 1) of
+                     a float32 field of the same kind, whose noise is
+                     drawn only on the bins where the kernel spectrum is
+                     not negligible; stored bit-packed, with the constant
+                     all-ones row always prepended.
 * ``walsh-hadamard`` random distinct rows of the orthonormal 2D
                      Walsh-Hadamard basis (index 0, the constant row,
                      always included).
@@ -43,8 +45,9 @@ SPIP_MAGIC = b"SPIP"
 # _DENSE_LIMIT entries are generated in float32; 4: the noise spectrum is
 # drawn directly (white_noise_spectra); 5: the morlet-real payload is the
 # rows as held, the C-contiguous (n, k) rows.T in row_dtype; 6: row norms
-# that do not depend on the BLAS thread count
-SPIP_VERSION = 6
+# that do not depend on the BLAS thread count; 7: morlet-binary rows are the
+# signs of float32 fields whose noise is drawn on the kernel's support
+SPIP_VERSION = 7
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 # flags byte of each kind: 0x01 bit-packed rows, 0x02 dense rows, 0x04 procedural
 _KIND_FLAGS = {"morlet-real": 0x02, "morlet-binary": 0x01,
@@ -133,36 +136,70 @@ class ParamDistribution:
 # single-pattern generation
 # --------------------------------------------------------------------------
 
-def white_noise_spectra(seeds, width: int, height: int):
+def white_noise_spectra(seeds, width: int, height: int, support=None,
+                        dtype=np.complex128):
     """rfft2 half-planes of white Gaussian noise, one drawn directly from each seed.
 
-    An (R, height, width//2 + 1) complex128 array. Each plane has i.i.d.
-    standard normal real and imaginary parts from one SFC64 stream, drawn
-    straight into the array. irfft2 keeps only the Hermitian part of column
-    0 and, for even width, of the Nyquist column width/2 (it drops their
-    imaginary parts after the inverse FFT along axis 0), which halves their
-    power; those columns are scaled by sqrt(2) so that every bin carries the
-    power of real white noise.
+    An (R, height, width//2 + 1) array of `dtype`, complex128 or complex64.
+    Each plane has i.i.d. standard normal real and imaginary parts from one
+    SFC64 stream, drawn in the plane's real precision. irfft2 keeps only the
+    Hermitian part of column 0 and, for even width, of the Nyquist column
+    width/2 (it drops their imaginary parts after the inverse FFT along
+    axis 0), which halves their power; those columns are scaled by sqrt(2)
+    so that every bin carries the power of real white noise.
+
+    With `support`, an (R, height, width//2 + 1) boolean array, plane r is
+    zero off support[r], and the stream's normals fill the bins of
+    support[r] in row-major order: the bins get the first normals of the
+    draw that fills a whole plane.
     """
-    spec = np.empty((len(seeds), height, width // 2 + 1), dtype=np.complex128)
-    for seed, plane in zip(seeds, spec.view(np.float64)):
-        np.random.Generator(np.random.SFC64(seed)).standard_normal(out=plane)
-    spec[:, :, 0] *= np.sqrt(2.0)
+    spec = (np.empty if support is None else np.zeros)(
+        (len(seeds), height, width // 2 + 1), dtype)
+    real = spec.real.dtype
+    for r, seed in enumerate(seeds):
+        normal = np.random.Generator(np.random.SFC64(seed)).standard_normal
+        if support is None:
+            normal(dtype=real, out=spec[r].view(real))
+        else:
+            spec[r][support[r]] = normal(2 * np.count_nonzero(support[r]), real).view(dtype)
+    sqrt2 = real.type(np.sqrt(2.0))   # a float64 scalar would widen a complex64 loop
+    spec[:, :, 0] *= sqrt2
     if width % 2 == 0:
-        spec[:, :, -1] *= np.sqrt(2.0)
+        spec[:, :, -1] *= sqrt2
     return spec
 
 
-def _morlet_patterns(params, seeds, width: int, height: int):
-    """(R, height, width) float64 unit-norm patterns of the wavelets `params`
-    and noise `seeds`, pairwise (see gen_morlet_pattern).
+def _morlet_patterns(params, seeds, width: int, height: int, binary=False):
+    """(R, height, width) patterns of the wavelets `params` and noise
+    `seeds`, pairwise: the spectrum product of `white_noise_spectra` and
+    `morlet_spectra`, and one irfft2 for the block.
 
-    One stacked spectrum product and one irfft2 serve the block; each
-    pattern is normalized by its own 2D norm, so it has the bits it has
-    when generated alone, at any BLAS thread count.
+    Real patterns (see gen_morlet_pattern) are float64, each normalized by
+    its own 2D norm, so it has the bits it has when generated alone, at any
+    BLAS thread count. Binary patterns are the float32 fields whose signs
+    are the morlet-binary rows, not normalized: the noise is drawn only on
+    the support |psi| >= tau max|psi| of the kernel spectrum psi, with
+    tau = eps(float32) / sqrt(n), and the product and the FFT are complex64
+    and float32. A dropped bin's expected power is below tau^2 times that of
+    the largest bin, and at most n full-plane bins are dropped, so they
+    carry less than n tau^2 = eps(float32)^2 of the field's expected energy:
+    at most eps(float32) in relative L2. The support is computed
+    elementwise (np.abs, a max and a comparison), so it does not depend on
+    the BLAS thread count. Raises ValueError when a pattern is zero or not
+    finite.
     """
-    spec = white_noise_spectra(seeds, width, height)
-    spec *= morlet_spectra(params, width, height)
+    if binary:
+        psi = morlet_spectra(params, width, height)
+        mag = np.abs(psi)
+        tau = np.finfo(np.float32).eps / np.sqrt(width * height)
+        support = mag >= tau * mag.max(axis=(1, 2), keepdims=True)
+        del mag
+        spec = white_noise_spectra(seeds, width, height, support, np.complex64)
+        spec *= psi.astype(np.complex64)
+        del psi
+    else:
+        spec = white_noise_spectra(seeds, width, height)
+        spec *= morlet_spectra(params, width, height)
     patterns = np.fft.irfft2(spec, s=(height, width))
     # einsum, not np.linalg.norm: BLAS ddot splits its sum over threads, so
     # the rows' bits would depend on the BLAS thread count
@@ -170,7 +207,8 @@ def _morlet_patterns(params, seeds, width: int, height: int):
     for norm in norms:
         if not 0.0 < norm < np.inf:  # also catches NaN entries
             raise ValueError(f"degenerate pattern (norm {norm})")
-    patterns /= norms[:, None, None]
+    if not binary:
+        patterns /= norms[:, None, None]
     return patterns
 
 
@@ -190,8 +228,10 @@ def gen_morlet_pattern(p: MorletParams, seed: int, width: int, height: int):
     cancels, so no wavelet grid or norm is formed. Because the wavelet has
     exactly zero discrete mean, the output has no DC component.
 
-    A block of one row of `_morlet_patterns`, which gen_pattern_set calls
-    with blocks of rows.
+    A morlet-real row: a block of one row of `_morlet_patterns`, which
+    gen_pattern_set calls with blocks of rows. A morlet-binary row is not
+    this pattern's sign but that of `_morlet_patterns(..., binary=True)`, a
+    float32 field whose noise is drawn on the kernel's support only.
     """
     pattern = _morlet_patterns([p], [seed], width, height)[0]
     pattern.flags.writeable = False
@@ -538,7 +578,8 @@ def _morlet_row(dist, master_seed, i):
 
     Row i draws parameters and noise from decorrelated sub-streams of the
     splitmix64 stream of (master_seed, i); the stored seed regenerates the
-    row via gen_morlet_pattern.
+    row: a morlet-real row via gen_morlet_pattern, a morlet-binary row as
+    the signs of `_morlet_patterns([params], [seed], w, h, binary=True)`.
     """
     params_seed, noise_seed = _row_seeds(master_seed, i)
     params = dist.sample(np.random.default_rng(params_seed))
@@ -547,7 +588,8 @@ def _morlet_row(dist, master_seed, i):
 
 def iter_morlet_rows(width, height, k, dist, master_seed, start=0):
     """Yield (MorletRowMeta, unit-norm row grid) for rows start..k-1, one
-    row at a time; the rows gen_pattern_set makes in blocks."""
+    row at a time; the morlet-real rows gen_pattern_set makes in blocks.
+    (A morlet-binary row is not the sign of this grid; see _morlet_row.)"""
     for i in range(start, k):
         params, meta = _morlet_row(dist, master_seed, i)
         yield meta, gen_morlet_pattern(params, meta.seed, width, height)
@@ -628,13 +670,16 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     if k < 2:
         raise ValueError("morlet sets need k >= 2 (constant row + patterns)")
 
-    # row 0 is the unit-norm constant row, which binarizes to the all-ones row;
-    # the others are made in blocks of _UNPACK_BYTES of float64 rows (8 at
+    # row 0 is the unit-norm constant row (all ones for morlet-binary); the
+    # others are made in blocks of _UNPACK_BYTES of float64 rows (8 at
     # 128 x 128, 2 at 256 x 256) and written in place, so a set is never held
-    # twice (a block's half-plane spectra take 16 h (w//2 + 1) bytes a row,
-    # 1.6% more at 128 x 128)
+    # twice. A block's largest temporary is its complex128 kernel spectra,
+    # 16 h (w//2 + 1) bytes a row (1.6% more than the block at 128 x 128);
+    # binary blocks hold float32 fields and complex64 noise, half the size
+    # of a real block's
+    binary = kind == "morlet-binary"
     params, metas = zip(*(_morlet_row(dist, master_seed, i) for i in range(1, k)))
-    if kind == "morlet-binary":
+    if binary:
         rows = np.empty((k, (n + 7) // 8), dtype=np.uint8)
         rows[0] = np.packbits(np.ones(n, dtype=bool), bitorder="little")
     else:
@@ -643,9 +688,9 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
         rows[0] = n ** -0.5
     for sl in _row_blocks(k - 1, 8 * n):            # over rows 1..k-1
         grids = _morlet_patterns(params[sl], [m.seed for m in metas[sl]],
-                                 width, height).reshape(-1, n)
+                                 width, height, binary).reshape(-1, n)
         block = slice(sl.start + 1, sl.stop + 1)
-        if kind == "morlet-binary":
+        if binary:
             rows[block] = np.packbits(grids >= 0.0, axis=1, bitorder="little")
         else:
             rows[block] = grids

@@ -396,6 +396,7 @@ class _NoiseletSubsetOp:
             a, r = h[self.idx], h[self.ridx]
             np.add(r, a, out=oi[: self.kd])
             np.subtract(r, a, out=oi[self.kd:])
+            del h, a, r     # the next image's transforms run without them
         out *= np.sqrt(0.5)
         return out
 

@@ -23,15 +23,15 @@ from spisim.imgcore import FormatError
 from spisim.wavelets import MorletParams
 
 
-# SHA-256 of the SPIP file (version 6) of gen_pattern_set(kind, 17, 17, 11,
+# SHA-256 of the SPIP file (version 7) of gen_pattern_set(kind, 17, 17, 11,
 # master_seed=6), whatever block size the rows were generated in
 SPIP_DIGESTS = {
     "morlet-real-float64":
-        "7d3ac84e77f8bf3903b34b31237c5aee059a41405155d6f491197ec0b4f53a5b",
+        "22e68c811b1e6cf9f3ea159052e192c0e69d42a4c566e9129f63363bfc52c6ed",
     "morlet-real-float32":
-        "eef16117ac74a0a167a5dcab4180e7b678c50b855a2adb557685fa90b7b43ee8",
+        "7d2e6107c2d78d210242896963ba2619d8ed300da0550466b80402dc22572c4e",
     "morlet-binary":
-        "ac6b459270afcc818b60714e151470510f026e1a0a3a10d2865fa68dc57011c4",
+        "cd2cc7fafe8f0b223688d88f713c5551c73db6b65e9ac967cf199e8c230d6f81",
 }
 
 # SPIP header: the flags byte ends it; each kind has one flags value
@@ -306,16 +306,39 @@ def _dense_path_pattern(p, seed, width, height):
 
 
 class TestWhiteNoiseSpectrum:
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("width,height", [(16, 16), (15, 12)])
-    def test_round_trip_power_is_flat(self, width, height):
+    def test_round_trip_power_is_flat(self, width, height, dtype):
         # irfft2 keeps only the Hermitian part of column 0 and of the even-width
         # Nyquist column; without their sqrt(2) they read ~0.5 of the interior.
         # 20000 draws put the relative standard error of a bin at <= 1%
-        spec = white_noise_spectra(range(20000), width, height)
+        spec = white_noise_spectra(range(20000), width, height, dtype=dtype)
+        assert spec.dtype == dtype
         kept = np.fft.rfft2(np.fft.irfft2(spec, s=(height, width)))
         power = (np.abs(kept) ** 2).mean(axis=0)
         interior = power[:, 1:(width - 1) // 2 + 1].mean()
         assert np.abs(power / interior - 1.0).max() < 0.05
+
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.complex128, 1e-15), (np.complex64, 1e-6)])
+    @pytest.mark.parametrize("width,height", [(16, 12), (15, 12)])
+    def test_support_gets_the_first_normals_of_the_full_draw(self, width, height, dtype,
+                                                            rtol):
+        full = white_noise_spectra([5, 6], width, height, dtype=dtype)
+        support = np.random.default_rng(1).random(full.shape) < 0.3
+        part = white_noise_spectra([5, 6], width, height, support, dtype)
+        assert part.dtype == dtype and not part[~support].any()
+        scale = np.ones(full.shape[1:])       # the sqrt(2) of column 0 and Nyquist
+        scale[:, 0] = np.sqrt(2.0)
+        if width % 2 == 0:
+            scale[:, -1] = np.sqrt(2.0)
+        for r in range(2):
+            drawn = (full[r] / scale).ravel()[:np.count_nonzero(support[r])]
+            np.testing.assert_allclose(part[r][support[r]] / scale[support[r]], drawn,
+                                       rtol=rtol)
+        everywhere = white_noise_spectra([5, 6], width, height,
+                                         np.ones(full.shape, bool), dtype)
+        assert np.array_equal(everywhere, full)
 
 
 class TestMorletPattern:
@@ -428,11 +451,16 @@ class TestGenPatternSet:
 
     @staticmethod
     def _rows_made_alone(ps):
-        """ps's payload rebuilt from one gen_morlet_pattern call per row."""
-        grids = np.stack([np.full(ps.n, ps.n ** -0.5)] + [
-            gen_morlet_pattern(MorletParams(m.sigma, m.n_p, m.theta), m.seed,
-                               ps.width, ps.height).ravel()
-            for m in ps.row_meta[1:]])
+        """ps's payload rebuilt one row at a time: gen_morlet_pattern for
+        morlet-real rows, the signs of the binary synthesis for morlet-binary
+        rows."""
+        def alone(m):
+            p = MorletParams(m.sigma, m.n_p, m.theta)
+            if ps.is_binary:
+                return patterns._morlet_patterns([p], [m.seed], ps.width, ps.height,
+                                                 binary=True)[0].ravel()
+            return gen_morlet_pattern(p, m.seed, ps.width, ps.height).ravel()
+        grids = np.stack([np.full(ps.n, ps.n ** -0.5)] + [alone(m) for m in ps.row_meta[1:]])
         if ps.is_binary:
             return np.packbits(binarize(grids), axis=1, bitorder="little")
         return grids.astype(ps.row_dtype)
@@ -469,13 +497,58 @@ class TestGenPatternSet:
         assert np.array_equal(ps.rows, alone)
 
     @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
-    def test_degenerate_row_in_a_block_raises(self):
+    @pytest.mark.parametrize("binary,dtype", [(False, np.float64), (True, np.float32)])
+    def test_degenerate_row_in_a_block_raises(self, binary, dtype):
         # theta = 0 puts the carrier on the one-pixel axis, where kappa
         # cancels it (test_wavelets' constant-carrier case)
         good, bad = MorletParams(2.0, 1.0, 0.7), MorletParams(2.0, 1.0, 0.0)
-        assert patterns._morlet_patterns([good, good], [1, 3], 1, 16).shape == (2, 16, 1)
+        fields = patterns._morlet_patterns([good, good], [1, 3], 1, 16, binary)
+        assert fields.shape == (2, 16, 1) and fields.dtype == dtype
         with pytest.raises(ValueError, match="degenerate"):
-            patterns._morlet_patterns([good, bad, good], [1, 2, 3], 1, 16)
+            patterns._morlet_patterns([good, bad, good], [1, 2, 3], 1, 16, binary)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_zero_or_non_finite_field_raises(self, monkeypatch, binary):
+        # a kernel spectrum that is zero, or NaN, for one row of a block
+        real_spectra = patterns.morlet_spectra
+        for bad in (0.0, np.nan):
+            def spectra(params, width, height, bad=bad):
+                psi = real_spectra(params, width, height)
+                psi[1] = bad
+                return psi
+            monkeypatch.setattr(patterns, "morlet_spectra", spectra)
+            with pytest.raises(ValueError, match="degenerate pattern"):
+                patterns._morlet_patterns([TestMorletPattern.P] * 3, [1, 2, 3], 32, 32, binary)
+
+    # (width, height, master_seed) of the rows whose dropped bins are checked
+    @pytest.mark.parametrize("width,height,seed", [(64, 64, 1), (64, 64, 2), (128, 128, 3)])
+    def test_dropped_bins_carry_at_most_eps32_of_the_energy(self, width, height, seed):
+        # the binary noise is drawn only where |psi| >= tau max|psi|; the
+        # expected energy of the field is the sum over full-plane bins of
+        # |psi|^2 (every bin has the power of real white noise), and a
+        # half-plane column other than 0 and the even-width Nyquist column
+        # stands for two full-plane bins
+        n = width * height
+        tau = np.finfo(np.float32).eps / np.sqrt(n)
+        dist = ParamDistribution.default_for(width, height)
+        twice = np.full(width // 2 + 1, 2.0)
+        twice[0] = 1.0
+        if width % 2 == 0:
+            twice[-1] = 1.0
+        shares, kept = [], []
+        for i in range(1, 7):
+            params, meta = patterns._morlet_row(dist, seed, i)
+            power = np.abs(patterns.morlet_spectra([params], width, height)[0]) ** 2
+            support = power >= tau * tau * power.max()
+            # the field's spectrum is zero exactly off the support
+            field = patterns._morlet_patterns([params], [meta.seed], width, height,
+                                              binary=True)[0]
+            spec = np.fft.rfft2(field.astype(np.float64))
+            assert np.abs(spec[~support]).max() <= 1e-5 * np.abs(spec).max()
+            shares.append((twice * power)[~support].sum() / (twice * power).sum())
+            kept.append(support.mean())
+        assert max(shares) <= np.finfo(np.float32).eps ** 2
+        assert max(kept) < 1.0      # every row checked drops some bins
 
     def test_deterministic_bytes(self, tmp_path):
         for kind in ("morlet-real", "morlet-binary", "walsh-hadamard", "noiselet"):
@@ -518,8 +591,8 @@ class TestGenPatternSet:
 
 
 # SHA-256 of the SPIP bytes, and of the measured values of a fixed image, of
-# morlet-real sets at 128^2 and 256^2; run in a fresh interpreter so that the
-# thread count is set before numpy loads
+# morlet-real sets at 128^2 and 256^2 and a morlet-binary set at 256^2; run in
+# a fresh interpreter so that the thread count is set before numpy loads
 _THREAD_PROBE = """
 import hashlib, tempfile
 import numpy as np
@@ -527,8 +600,9 @@ from spisim.acquire import measure
 from spisim.imgcore import Image
 from spisim.patterns import gen_pattern_set
 with tempfile.TemporaryDirectory() as tmp:
-    for size, k in ((128, 983), (256, 300)):
-        ps = gen_pattern_set("morlet-real", size, size, k, master_seed=5)
+    for kind, size, k in (("morlet-real", 128, 983), ("morlet-real", 256, 300),
+                          ("morlet-binary", 256, 300)):
+        ps = gen_pattern_set(kind, size, size, k, master_seed=5)
         ps.save(tmp + "/p.spip")
         with open(tmp + "/p.spip", "rb") as fh:
             print(hashlib.sha256(fh.read()).hexdigest())
@@ -540,7 +614,8 @@ with tempfile.TemporaryDirectory() as tmp:
 def test_spip_and_spim_bytes_do_not_depend_on_blas_threads():
     # 128^2 rows are above OpenBLAS's threading threshold for a dot product
     # (v5 moved 319 of these 983 rows by an ulp between 1 and 2 threads);
-    # 256^2 also runs the stacked spectrum product of a block of two rows
+    # 256^2 also runs the stacked spectrum product of a block of two rows,
+    # whose magnitudes decide which bins of a binary row draw noise
     src = str(Path(patterns.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -550,7 +625,7 @@ def test_spip_and_spim_bytes_do_not_depend_on_blas_threads():
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 4 and digests[0] == digests[1]
+    assert len(digests[0]) == 6 and digests[0] == digests[1]
 
 
 class TestSerialization:
@@ -659,7 +734,7 @@ class TestSerialization:
         # v1 rows came from the dense wavelet grid and differ in the last ulp
         gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
         raw = bytearray((tmp_path / "p.spip").read_bytes())
-        assert struct.unpack_from("<H", raw, 4) == (6,)
+        assert struct.unpack_from("<H", raw, 4) == (7,)
         struct.pack_into("<H", raw, 4, 1)
         (tmp_path / "p.spip").write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="unsupported SPIP version 1"):
@@ -702,6 +777,16 @@ class TestSerialization:
         with pytest.raises(FormatError, match="unsupported SPIP version 5"):
             load_pattern_set(tmp_path / "p.spip")
 
+    def test_version_6_file_is_a_format_error(self, tmp_path):
+        # v6 morlet-binary rows were the signs of the unit-norm float64
+        # morlet-real rows, with noise drawn on every bin
+        gen_pattern_set("morlet-binary", 8, 4, 5, master_seed=21).save(tmp_path / "p.spip")
+        raw = bytearray((tmp_path / "p.spip").read_bytes())
+        struct.pack_into("<H", raw, 4, 6)
+        (tmp_path / "p.spip").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported SPIP version 6"):
+            load_pattern_set(tmp_path / "p.spip")
+
     @pytest.mark.parametrize("unpack_bytes", [1 << 20, 3 * 8 * 17 * 17],
                              ids=["one-block", "blocks-of-3-rows"])
     @pytest.mark.parametrize("name", sorted(SPIP_DIGESTS))
@@ -715,6 +800,23 @@ class TestSerialization:
         assert hashlib.sha256(raw).hexdigest() == SPIP_DIGESTS[name]
         load_pattern_set(tmp_path / "a.spip").save(tmp_path / "b.spip")
         assert (tmp_path / "b.spip").read_bytes() == raw
+
+    @pytest.mark.parametrize("limit", [1 << 25, 0], ids=["float64", "float32"])
+    def test_morlet_real_payload_is_version_6s(self, tmp_path, monkeypatch, limit):
+        # version 7 changed only morlet-binary rows: a morlet-real payload is
+        # the v6 generator's rows, rebuilt here from the full-plane noise draw,
+        # the kernel spectrum, one irfft2 and the einsum norm of each row
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", limit)
+        ps = gen_pattern_set("morlet-real", 17, 17, 11, master_seed=6)
+        ps.save(tmp_path / "p.spip")
+        payload = (tmp_path / "p.spip").read_bytes()[FLAGS_BYTE + 1 + 11 * 32:]
+        params = [MorletParams(m.sigma, m.n_p, m.theta) for m in ps.row_meta[1:]]
+        spec = white_noise_spectra([m.seed for m in ps.row_meta[1:]], 17, 17)
+        spec *= patterns.morlet_spectra(params, 17, 17)
+        v6 = np.fft.irfft2(spec, s=(17, 17))
+        v6 /= np.sqrt([np.einsum("ij,ij->", g, g) for g in v6])[:, None, None]
+        v6 = np.concatenate([np.full((1, 289), 289 ** -0.5), v6.reshape(10, 289)])
+        assert payload == np.ascontiguousarray(v6.T, ps.row_dtype).tobytes()
 
     @pytest.mark.parametrize("limit", [1 << 25, 0])
     def test_morlet_real_rows_are_column_major(self, tmp_path, monkeypatch, limit):
