@@ -57,7 +57,8 @@ _SPIP_HEADER = struct.Struct("<4sHBIIIQB")
 _MORLET_META = struct.Struct("<dddQ")
 
 # morlet sets keep their model rows in float64 up to this many matrix
-# entries (k * n), float32 above (PatternSet.row_dtype)
+# entries (k * n), above it morlet-real rows in float32 and morlet-binary
+# rows in int8 (PatternSet.row_dtype)
 _DENSE_LIMIT = 1 << 25
 # morlet-binary sets also take float32 above this many entries when
 # _BINARY_F32_MIN_RATIO * k <= n (CR <= 12.5%); see PatternSet.row_dtype
@@ -395,15 +396,16 @@ MorletRowMeta.CONSTANT = MorletRowMeta(0.0, 0.0, 0.0, 0)
 _UNPACK_BYTES = 1 << 20
 
 
-def _row_blocks(k, row_bytes):
-    """Slices over k rows (or columns), each at most _UNPACK_BYTES (>= 1 row)."""
-    step = max(1, _UNPACK_BYTES // row_bytes)
+def _row_blocks(k, row_bytes, min_rows=1):
+    """Slices over k rows (or columns), each of at most _UNPACK_BYTES or of
+    min_rows rows, whichever is more."""
+    step = max(min_rows, _UNPACK_BYTES // row_bytes)
     return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 
 def _row_dtype(kind, k, n):
     if kind in MORLET_KINDS and k * n > _DENSE_LIMIT:
-        return np.float32
+        return np.int8 if kind == "morlet-binary" else np.float32
     if (kind == "morlet-binary" and k * n > _BINARY_F32_LIMIT
             and _BINARY_F32_MIN_RATIO * k <= n):
         return np.float32
@@ -416,7 +418,7 @@ class PatternSet:
 
     ``rows`` holds the payload: (k, n) ``row_dtype`` for morlet-real,
     bit-packed (k, ceil(n/8)) uint8 for morlet-binary (unpacked to
-    ``row_dtype`` by ``bipolar_rows``), and None for the
+    ``row_dtype``, float64, float32 or int8, by ``bipolar_rows``), and None for the
     deterministic kinds (regenerated from row indices on demand). ``row_meta`` is a tuple
     of MorletRowMeta or of int basis-row indices.
 
@@ -459,17 +461,21 @@ class PatternSet:
 
     @property
     def row_dtype(self):
-        """dtype of the rows the linear model multiplies: float32 for morlet
-        sets above _DENSE_LIMIT (2^25) matrix entries, and for morlet-binary
-        sets above _BINARY_F32_LIMIT (2^22) entries with 8 k <= n; float64
-        otherwise. morlet-real rows are generated and loaded in it, so the
-        model uses them as they are.
+        """dtype of the rows the linear model holds: above _DENSE_LIMIT
+        (2^25) matrix entries float32 for morlet-real sets and int8 for
+        morlet-binary sets; float32 for morlet-binary sets above
+        _BINARY_F32_LIMIT (2^22) entries with 8 k <= n; float64 otherwise.
+        morlet-real rows are generated and loaded in it, so the model uses
+        them as they are.
 
         Bipolar rows are exact in float32, and so is their Gram matrix: its
         entries and partial sums are integers of magnitude at most n < 2^24.
         A binary model in float32 therefore has the float64 model's W
         wherever the Cholesky path is taken, and differs from it only by the
-        float32 rounding of each operator input. Two bounds keep float64:
+        float32 rounding of each operator input. int8 rows hold the same ±1
+        in a quarter of the float32 bytes and are multiplied only through
+        float32 copies of column blocks (`recon._GramVtOp`), so an int8
+        model has the float32 model's W. Two bounds keep float64:
         sets of at most 2^22 entries, which covers every binary set of the
         acceptance suite (largest 512 x 4096; in float32 their Gram-built
         pinv misses the 1e-8 Moore-Penrose bound, at 8.2e-7), and
@@ -598,7 +604,8 @@ def iter_morlet_rows(width, height, k, dist, master_seed, start=0):
 def bipolar_rows(ps: PatternSet, dtype=np.float32):
     """Unpack a binary set's rows to the bipolar 2P-1 form without a dense
     {0,1} float intermediate. The (k, n) result is column-major, like
-    morlet-real rows (see PatternSet).
+    morlet-real rows (see PatternSet), and ±1 in any signed dtype: float64,
+    float32, or int8 (one byte an entry) for sets above _DENSE_LIMIT.
 
     The packed rows are unpacked by blocks of byte columns: byte column j
     holds pixels 8j..8j+7 of every row, so each block is written as a
@@ -676,7 +683,8 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     # twice. A block's largest temporary is its complex128 kernel spectra,
     # 16 h (w//2 + 1) bytes a row (1.6% more than the block at 128 x 128);
     # binary blocks hold float32 fields and complex64 noise, half the size
-    # of a real block's
+    # of a real block's, but take as many rows: their kernel spectra are
+    # complex128 too, and twice as many rows put them above _UNPACK_BYTES
     binary = kind == "morlet-binary"
     params, metas = zip(*(_morlet_row(dist, master_seed, i) for i in range(1, k)))
     if binary:

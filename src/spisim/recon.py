@@ -11,17 +11,20 @@ an iteration is one stacked GEMM into reused buffers. Every operator's
 adjoint takes `out=`, so the stage's adjoint writes into its row of the
 state stack, and the TV gradient (`_tv_grad`) runs on flat views of
 C-contiguous work arrays, the stack's rows. Both take one
-measurement or a batch. Gram and dense models take a batch in one product
-(one pass over the rows serves every image); the fast-transform models and
+measurement or a batch. Gram and dense models take a batch in one pass
+over the rows, which serves every image (one product, or one per column
+block of int8 rows); the fast-transform models and
 the TV gradient take one image at a time, since images share nothing there
 and a 256^2 image's 0.5 MB arrays stay in a 2 MB L2 cache where a batch's
 would not. Morlet models take A = W^T M and b = W^T Y from
 the Gram matrix G = M M^T, with W W^T = G^+ (`gram_orthogonalize`: W = L^-T
 from the Cholesky factor of G, or U_r / d_r from its eigendecomposition),
-and never form V (M in the set's `PatternSet.row_dtype`: float32 above
-2^25 entries, and for binary sets, whose ±1 rows and Gram are exact in
-float32, above 2^22 entries with 8 k <= n; held column-major so that
-forward is x M^T and adjoint s M, see `_GramVtOp`);
+and never form V (M in the set's `PatternSet.row_dtype`: above 2^25
+entries float32 for morlet-real and int8 ±1 for binary sets, which are
+multiplied through float32 copies of column blocks; float32 for binary
+sets, whose ±1 rows and Gram are exact in float32, above 2^22 entries with
+8 k <= n; held column-major so that forward is x M^T and adjoint s M, see
+`_GramVtOp`);
 Walsh-Hadamard and noiselet models use their fast transforms, the noiselet
 one as two real Walsh-Hadamard transforms per call. The dense SVD
 (`factorize`) is the test oracle; `linear_model` accepts its factors too.
@@ -62,7 +65,7 @@ import numpy as np
 
 from .acquire import Measurement, combine_differential
 from .imgcore import FormatError, Image, check_field_types, read_header, require_size
-from .patterns import (DETERMINISTIC_KINDS, PatternSet, _c_view, bipolar_rows,
+from .patterns import (DETERMINISTIC_KINDS, PatternSet, _c_view, _row_blocks, bipolar_rows,
                        noiselet_signs, wht2)
 
 SPIV_MAGIC = b"SPIV"
@@ -169,13 +172,47 @@ def _rank_floor(dtype):
     """Smallest kept singular value of a Gram model, relative to the largest.
 
     Squaring the singular values halves the usable precision, so the
-    threshold is 3 sqrt(eps) of the rows' dtype (4.5e-8 for float64, 1.0e-3
-    for float32): Gram eigenvalues below eps * lambda_0 are pure rounding
+    threshold is 3 sqrt(eps) of the dtype the rows are multiplied in (4.5e-8
+    for float64, 1.0e-3 for float32 and for int8 rows, which are multiplied
+    as float32 blocks, so an int8 model keeps the float32 model's W): Gram
+    eigenvalues below eps * lambda_0 are pure rounding
     noise and inverting them injects garbage into the orthogonalized system.
     RANK_TOL, far below either, cuts only the SVD oracle. A change here
     changes W, so it must bump SPIV_VERSION.
     """
-    return 3.0 * np.sqrt(float(np.finfo(dtype).eps))
+    return 3.0 * np.sqrt(float(np.finfo(_arith_dtype(dtype)).eps))
+
+
+def _arith_dtype(row_dtype):
+    """dtype the products of rows in row_dtype run in: float32 for int8 rows."""
+    return np.result_type(row_dtype, np.float32)
+
+
+def _float32_blocks(m, blocks):
+    """(slice, block) for each column slice in `blocks` of the (k, n) int8
+    rows m, held column-major: block is m.T[slice] as a C-contiguous
+    (cols, k) float32 array, in one buffer reused for every block."""
+    buf = np.empty((max(sl.stop - sl.start for sl in blocks), m.shape[0]), np.float32)
+    for sl in blocks:
+        blk = buf[: sl.stop - sl.start]
+        np.copyto(blk, m.T[sl])
+        yield sl, blk
+
+
+def _gram(m_rows):
+    """G = M M^T in float64. int8 rows are summed in float32 over column
+    blocks (`_float32_blocks`): ±1 partial sums are integers of magnitude at
+    most n < 2^24, so G is exact, bitwise the float32 rows' G. A numpy
+    product cannot add into g, so each block also costs passes over the
+    k x k g; blocks of at least k columns (as large as g when that exceeds
+    _UNPACK_BYTES) keep those passes to about 1/k of a block's flops."""
+    if m_rows.dtype != np.int8:
+        return (m_rows @ m_rows.T).astype(np.float64, copy=False)
+    k, n = m_rows.shape
+    g = np.zeros((k, k), np.float32)
+    for _, blk in _float32_blocks(m_rows, _row_blocks(n, 4 * k, k)):
+        g += blk.T @ blk
+    return g.astype(np.float64)
 
 
 _TRI_LEAF = 64
@@ -214,7 +251,8 @@ def _eigh_w(g, floor):
 
 def gram_orthogonalize(m_rows):
     """(W, path): a k x r W with W W^T = G^+ for the Gram matrix G = M M^T,
-    and the name of the path that made it.
+    and the name of the path that made it. G comes from `_gram`: exact, and
+    bitwise the float32 rows' G, for int8 ±1 rows.
 
     A = W^T M then has orthonormal rows and the row space of M, and no path
     forms V of the SVD, so this handles measurement matrices too large for
@@ -226,7 +264,7 @@ def gram_orthogonalize(m_rows):
     definite: W = U_r / d_r from the eigendecomposition, truncated at the
     floor.
     """
-    g = (m_rows @ m_rows.T).astype(np.float64, copy=False)
+    g = _gram(m_rows)
     floor = _rank_floor(m_rows.dtype)
     sigma_floor = floor * np.sqrt(np.linalg.norm(g, np.inf))
     try:
@@ -264,13 +302,26 @@ class _DenseVtOp:
 
 
 class _GramVtOp:
-    """A = W^T M without materializing V; M may be float32.
+    """A = W^T M without materializing V; M may be float32 or int8.
 
-    M is float32 when ``PatternSet.row_dtype`` says so (above 2^25
-    entries; binary sets above 2^22 entries with 8 k <= n). Each product
-    rounds its float64 input to M's dtype and returns float64; for ±1 rows
-    that rounding is the only difference from a float64 M, since M and its
-    Gram (and so W on the Cholesky path) are exact in float32.
+    M is float32 or int8 when ``PatternSet.row_dtype`` says so (above 2^25
+    entries float32 for morlet-real and int8 for morlet-binary; binary
+    sets above 2^22 entries with 8 k <= n float32). Each product rounds its
+    float64 input to float32 (float64 for float64 rows) and returns
+    float64; for ±1 rows that rounding is the only difference from a
+    float64 M, since M and its Gram (and so W on the Cholesky path) are
+    exact in float32.
+
+    int8 rows take part in no numpy product. Each product runs over column
+    blocks of M (`patterns._row_blocks(n, 4 k)`), each copied to a float32
+    (cols, k) block of at most _UNPACK_BYTES that stays in a 2 MB L2 cache
+    for its product: the forward adds each block's (B, k) product in
+    float64, and the adjoint writes each block's (B, cols) product into its
+    columns of the result. A product's float32 sums thus run over one
+    block's columns (forward) or over the k rows (adjoint, as for float32
+    rows); the adjoint equals the float32 rows' where both take the same
+    BLAS kernel. The int8 matrix is a quarter of the float32 one (43 MB
+    instead of 172 MB at 256 x 256, k = 655).
 
     W (k x r) comes from `gram_orthogonalize`, with W W^T the pseudoinverse
     of the Gram matrix M M^T, so A A^T = I to factorization accuracy while
@@ -289,13 +340,22 @@ class _GramVtOp:
         self.w = np.ascontiguousarray(w)          # (k, r)
         self.k = self.w.shape[0]
         self.width, self.height = width, height
-        self._dt = m_rows.dtype
+        self._dt = _arith_dtype(m_rows.dtype)
+        # int8 rows are multiplied through float32 copies of column blocks
+        self._blocks = (_row_blocks(self.m.shape[1], 4 * self.k)
+                        if m_rows.dtype == np.int8 else None)
 
     def rhs(self, y):
         return _checked(y, self.k) @ self.w
 
     def forward(self, x):
-        t = np.asarray(x, dtype=self._dt) @ self.m.T  # (B, k)
+        x = np.asarray(x, dtype=self._dt)
+        if self._blocks:
+            t = np.zeros((x.shape[0], self.k))  # (B, k)
+            for sl, blk in _float32_blocks(self.m, self._blocks):
+                t += x[:, sl] @ blk
+        else:
+            t = x @ self.m.T  # (B, k)
         return t.astype(np.float64, copy=False) @ self.w
 
     def adjoint(self, z, out=None):
@@ -303,8 +363,12 @@ class _GramVtOp:
         if self._dt == np.float64:
             return np.matmul(s, self.m, out=out)
         if out is None:
-            return (s @ self.m).astype(np.float64)
-        np.copyto(out, s @ self.m)
+            out = np.empty((s.shape[0], self.m.shape[1]))
+        if self._blocks:
+            for sl, blk in _float32_blocks(self.m, self._blocks):
+                np.copyto(out[:, sl], s @ blk.T)
+        else:
+            np.copyto(out, s @ self.m)
         return out
 
 

@@ -210,7 +210,8 @@ class TestRunSweep:
         cell_seed = _cell_seed(seed, kind, cr)
         ps = gen_pattern_set(kind, 16, 16, rows_for_cr(kind, cr, 256),
                              master_seed=cell_seed)
-        assert ps.row_dtype == (np.float32 if above else np.float64)
+        above_dtype = np.int8 if ps.is_binary else np.float32
+        assert ps.row_dtype == (above_dtype if above else np.float64)
         take = measure_differential if ps.is_binary else measure
         y = np.stack([effective_measurement(
             ps, take(img, ps, _image_noise_model(nm, cell_seed, i)))

@@ -715,13 +715,13 @@ class TestSerialization:
         block = patterns._UNPACK_BYTES // ps.n
         assert ps.n % 8 and k % block  # a padded last byte, a short last block
         expected = 2.0 * ps.dense() - 1.0
-        for dtype in (np.float32, np.float64):
+        for dtype in (np.int8, np.float32, np.float64):
             out = bipolar_rows(ps, dtype=dtype)
             assert out.dtype == dtype
             assert np.array_equal(out, expected)
 
     @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.int8, np.float32, np.float64])
     def test_bipolar_rows_by_column_blocks(self, monkeypatch, dtype):
         # blocks of 3 byte columns (24 pixels); the last block is cut at n
         ps = gen_pattern_set("morlet-binary", 47, 5, 13, master_seed=5)
@@ -854,7 +854,7 @@ class TestSerialization:
         above = gen_pattern_set("morlet-real", 16, 8, 9, master_seed=4)
         assert above.row_dtype == above.rows.dtype == np.float32
         assert np.array_equal(above.rows, below.rows.astype(np.float32))
-        assert gen_pattern_set("morlet-binary", 16, 8, 9).row_dtype == np.float32
+        assert gen_pattern_set("morlet-binary", 16, 8, 9).row_dtype == np.int8
         assert gen_pattern_set("noiselet", 16, 8, 9).row_dtype == np.float64
         # the payload is the rows in their dtype
         above.save(tmp_path / "p.spip")
@@ -871,8 +871,9 @@ class TestSerialization:
         assert ps.content_hash() != v2
 
 
-# (kind, width, height, k, row dtype): binary sets above 2^22 entries with
-# 8 k <= n take float32; everything else follows the 2^25 rule
+# (kind, width, height, k, row dtype): above 2^25 entries morlet-real takes
+# float32 and morlet-binary int8; below it, binary sets above 2^22 entries
+# with 8 k <= n take float32, and everything else float64
 ROW_DTYPE_TABLE = [
     ("morlet-binary", 128, 128, 256, np.float64),    # k n = 2^22 exactly
     ("morlet-binary", 128, 128, 257, np.float32),    # first k above 2^22
@@ -885,7 +886,9 @@ ROW_DTYPE_TABLE = [
     ("morlet-binary", 32, 64, 64, np.float64),
     ("morlet-binary", 64, 64, 128, np.float64),
     ("morlet-binary", 64, 64, 512, np.float64),
-    ("morlet-binary", 256, 256, 655, np.float32),    # above 2^25, as before
+    ("morlet-binary", 256, 256, 655, np.int8),       # above 2^25
+    ("morlet-binary", 256, 256, 512, np.float32),    # k n = 2^25 exactly
+    ("morlet-binary", 256, 256, 513, np.int8),       # k n = 2^25 + n
     ("morlet-real", 128, 128, 983, np.float64),      # real rows: 2^25 rule only
 ]
 

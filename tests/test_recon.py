@@ -899,7 +899,7 @@ class TestLinearModel:
         ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=3)
         assert linear_model(ps).m.dtype == np.float64
         monkeypatch.setattr(patterns, "_DENSE_LIMIT", 10 * 64 - 1)
-        assert linear_model(ps).m.dtype == np.float32
+        assert linear_model(ps).m.dtype == np.int8
 
     @pytest.mark.parametrize("limit", [1 << 25, 0])
     def test_morlet_real_rows_used_without_copy(self, monkeypatch, limit):
@@ -960,15 +960,20 @@ class TestGramOrthogonalize:
 
     @staticmethod
     def _rows(kind, dtype, monkeypatch):
+        """Rows held as the model holds them; binary rows in the f4 cases
+        are above the dense limit, so int8, multiplied in float32."""
         monkeypatch.setattr(patterns, "_DENSE_LIMIT", 0 if dtype == np.float32 else 1 << 25)
         ps = gen_pattern_set(kind, 32, 32, 100, master_seed=5)
         m = effective_matrix(ps, ps.row_dtype)
-        assert m.dtype == dtype
+        held = np.int8 if (ps.is_binary and dtype == np.float32) else dtype
+        assert m.dtype == held
         return m
 
     @staticmethod
     def _eigh(m):
-        """W of the eigh path for the Gram matrix gram_orthogonalize forms."""
+        """W of the eigh path for the Gram matrix gram_orthogonalize forms,
+        summed in float32 for int8 rows."""
+        m = m.astype(np.result_type(m.dtype, np.float32), copy=False)
         g = (m @ m.T).astype(np.float64)
         return recon._eigh_w(g, recon._rank_floor(m.dtype)), g
 
@@ -1001,7 +1006,7 @@ class TestGramOrthogonalize:
         # float32 rows: G is summed in float32, so A A^T = I to that accuracy
         tol = 1e-12 if dtype == np.float64 else 1e-5
         assert np.abs(a @ a.T - np.eye(100)).max() < tol
-        g = (m @ m.T).astype(np.float64)                # the G that was factored
+        g = self._eigh(m)[1]                            # the G that was factored
         assert np.abs(w.T @ g @ w - np.eye(100)).max() < 1e-12
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f8", "f4"])
@@ -1118,6 +1123,125 @@ class TestBinaryFloat32Band:
         assert new.row_itemsize == 4
         w_bytes = new.w.nbytes
         assert path.read_bytes()[-w_bytes:] == old[-w_bytes:]
+
+
+def _bipolar_int8(rng, k, n):
+    """k random ±1 rows of n pixels, int8 and column-major, as the model holds them."""
+    return np.asfortranarray(np.where(rng.random((k, n)) < 0.5, -1, 1).astype(np.int8))
+
+
+class _NoProducts(np.ndarray):
+    """A view of int8 rows that fails every numpy product it is an operand of."""
+
+    PRODUCTS = (np.dot, np.vdot, np.inner, np.outer, np.tensordot, np.einsum, np.kron)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc.__name__ in ("matmul", "vecdot", "matvec", "vecmat"):
+            raise AssertionError("a numpy product took the int8 rows")
+        inputs = tuple(np.asarray(a) if isinstance(a, _NoProducts) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in self.PRODUCTS:
+            raise AssertionError("a numpy product took the int8 rows")
+        return super().__array_function__(func, types, args, kwargs)
+
+
+class TestInt8Rows:
+    """Binary rows above the dense limit are held as int8 ±1 and multiplied
+    only through float32 copies of column blocks."""
+
+    K, SIDE = 60, 16          # n = 256: a raw int8 Gram overflows
+
+    @pytest.fixture
+    def rows(self, rng, monkeypatch):
+        """(int8 rows, float32 rows, float32 W) in blocks of 100, 100 and 56 columns."""
+        monkeypatch.setattr(patterns, "_UNPACK_BYTES", 4 * self.K * 100)
+        n = self.SIDE ** 2
+        blocks = patterns._row_blocks(n, 4 * self.K)
+        assert [sl.stop - sl.start for sl in blocks] == [100, 100, 56]
+        m8 = _bipolar_int8(rng, self.K, n)
+        m32 = np.asfortranarray(m8.astype(np.float32))
+        return m8, m32, recon.gram_orthogonalize(m32)[0]
+
+    def _op(self, m, w):
+        return recon._GramVtOp(m, w, self.SIDE, self.SIDE)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_operator_matches_float32_rows(self, rng, rows, batch):
+        m8, m32, w = rows
+        op8, op32 = self._op(m8, w), self._op(m32, w)
+        op64 = self._op(m8.astype(np.float64, order="F"), w)
+        assert op8.m.dtype == np.int8 and op8.m.T.flags.c_contiguous
+        # the adjoint sums the same k products per pixel as the float32 rows
+        # do, in one BLAS product per column block
+        z = rng.standard_normal((batch, w.shape[1]))
+        out = np.empty((batch, self.SIDE ** 2))
+        assert np.array_equal(op8.adjoint(z), op32.adjoint(z))
+        assert op8.adjoint(z, out=out) is out and np.array_equal(out, op32.adjoint(z))
+        # the forward rounds x to float32 as the float32 rows do, sums each
+        # block in float32 and adds the blocks in float64: per entry within
+        # twice the float32 bound (n + 1) u |x|_1 sum_i |W_ij| of the float32
+        # forward, and no farther from the float64 rows' forward than it
+        x = rng.standard_normal((batch, self.SIDE ** 2))
+        f8, f32, f64 = op8.forward(x), op32.forward(x), op64.forward(x)
+        bound = (2 * (x.shape[1] + 1) * 2.0 ** -24 * np.abs(x).sum(axis=1)[:, None]
+                 * np.abs(w).sum(axis=0))
+        assert np.all(np.abs(f8 - f32) <= bound)
+        assert np.linalg.norm(f8 - f64) <= np.linalg.norm(f32 - f64)
+
+    @pytest.mark.parametrize("k,side,unpack_bytes,cols", [
+        (60, 16, 4 * 60 * 100, 100),
+        (600, 64, None, 600),      # the default blocks: k columns once 4 k^2 bytes exceed 1 MB
+    ], ids=["16x16-blocks-of-100", "64x64-blocks-of-k"])
+    def test_gram_equals_float32_gram(self, rng, monkeypatch, k, side, unpack_bytes, cols):
+        if unpack_bytes is not None:
+            monkeypatch.setattr(patterns, "_UNPACK_BYTES", unpack_bytes)
+        n = side * side
+        assert patterns._row_blocks(n, 4 * k, k)[0] == slice(0, cols) and n % cols
+        m8 = _bipolar_int8(rng, k, n)
+        m32 = np.asfortranarray(m8.astype(np.float32))
+        assert (m8 @ m8.T)[0, 0] != n              # a raw int8 Gram wraps around
+        g32 = (m32 @ m32.T).astype(np.float64)
+        assert np.array_equal(recon._gram(m8), g32)
+        (w8, path8), (w32, path32) = recon.gram_orthogonalize(m8), recon.gram_orthogonalize(m32)
+        assert path8 == path32 == "cholesky" and w8.tobytes() == w32.tobytes()
+
+    def test_rank_floor_is_float32s(self):
+        assert recon._rank_floor(np.int8) == recon._rank_floor(np.float32)
+
+    def test_no_numpy_product_takes_int8_rows(self, rng, rows):
+        m8, m32, w = rows
+        spy = m8.view(_NoProducts)
+        with pytest.raises(AssertionError, match="product"):
+            spy @ spy.T
+        w_spy, _ = recon.gram_orthogonalize(spy)
+        assert np.array_equal(w_spy, w)
+        op = self._op(m8, w)
+        op.m = op.m.view(_NoProducts)
+        z = rng.standard_normal((3, w.shape[1]))
+        op.forward(rng.standard_normal((3, self.SIDE ** 2)))
+        op.adjoint(z)
+        op.adjoint(z, out=np.empty((3, self.SIDE ** 2)))
+
+    @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
+    def test_cached_pinv_keys_the_int8_itemsize(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(patterns, "_DENSE_LIMIT", 0)
+        ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
+        assert ps.row_dtype == np.int8
+        model = cached_pinv(ps, tmp_path)
+        path = tmp_path / (ps.content_hash().hex() + ".spiv")
+        assert model.m.dtype == np.int8 and load_pinv(path).row_itemsize == 1
+        calls = []
+        gram = recon.gram_orthogonalize
+        monkeypatch.setattr(recon, "gram_orthogonalize",
+                            lambda *a, **kw: calls.append(1) or gram(*a, **kw))
+        hit = cached_pinv(ps, tmp_path)
+        assert not calls and hit.m.dtype == np.int8 and np.array_equal(hit.w, model.w)
+        _other_itemsize(path, ps)             # as a float32 model of the set wrote it
+        miss = cached_pinv(ps, tmp_path)
+        assert calls == [1] and load_pinv(path).row_itemsize == 1
+        assert np.array_equal(miss.w, model.w)
 
 
 def _noiselet_indices(n, seed):
