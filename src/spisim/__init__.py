@@ -8,9 +8,9 @@ total-variation minimization.
 
 from .imgcore import Image, FormatError, load_image, save_image, save_spif
 from .wavelets import MorletParams, morlet_wavelet
-from .patterns import (KINDS, ParamDistribution, PatternSet, binarize,
-                       fast_noiselet, fast_wht, gen_morlet_pattern,
-                       gen_pattern_set, load_pattern_set)
+from .patterns import (KINDS, ParamDistribution, PatternSet, fast_noiselet,
+                       fast_wht, gen_morlet_pattern, gen_pattern_set,
+                       load_pattern_set)
 from .acquire import (Measurement, NoiseModel, combine_differential,
                       load_measurement, measure, measure_differential,
                       save_measurement)

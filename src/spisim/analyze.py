@@ -171,6 +171,12 @@ class SweepRow:
     iterations: int = None
     converged: bool = None
     monotone: bool = None
+    # the cell's model: rank (rows of the operator A), the path that made it
+    # (cholesky/eigh, "transform" for the fast-transform kinds) and the row
+    # dtype's name
+    rank: int = None
+    path: str = None
+    row_dtype: str = None
 
 
 @dataclass
@@ -202,10 +208,11 @@ class SweepResult:
 
     def to_csv(self, path):
         write_csv(path, ["kind", "cr", "method", "image", "psnr_db", "runtime_s",
-                         "iterations", "converged", "monotone"],
+                         "iterations", "converged", "monotone", "rank", "path", "row_dtype"],
                   ((r.kind, r.cr, r.method, r.image, r.psnr_db, r.runtime_s,
                     *(None if v is None else int(v)
-                      for v in (r.iterations, r.converged, r.monotone))) for r in self.rows))
+                      for v in (r.iterations, r.converged, r.monotone)),
+                    r.rank, r.path, r.row_dtype) for r in self.rows))
 
     def summary_to_csv(self, path):
         write_csv(path, ["kind", "cr", "method", "mean_psnr_db", "std_psnr_db", "runtime_s"],
@@ -258,6 +265,8 @@ def _run_cell(result, names, images, kind, cr, dist, cell_seed, nm, methods, tv_
         ps, take(img, ps, _image_noise_model(nm, cell_seed, i)))
         for i, img in enumerate(images)])
     model = recon.linear_model(ps)
+    cell = dict(rank=model.rhs(y[0]).shape[-1], path=model.path,
+                row_dtype=np.dtype(ps.row_dtype).name)
 
     for method in ("pinv", "tv"):
         if method not in methods:
@@ -270,7 +279,8 @@ def _run_cell(result, names, images, kind, cr, dist, cell_seed, nm, methods, tv_
             xs, tv = res.images, (res.iterations, res.converged, res.monotone)
         dt = (time.perf_counter() - t0) / len(images)
         for name, img, x in zip(names, images, xs):
-            result.rows.append(SweepRow(kind, cr, method, name, psnr(Image(x), img), dt, *tv))
+            result.rows.append(SweepRow(kind, cr, method, name, psnr(Image(x), img), dt, *tv,
+                                        **cell))
 
 
 # --------------------------------------------------------------------------

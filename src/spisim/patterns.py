@@ -239,13 +239,6 @@ def gen_morlet_pattern(p: MorletParams, seed: int, width: int, height: int):
     return pattern
 
 
-def binarize(pattern):
-    """Heaviside threshold at zero; exact zeros map to 1."""
-    out = (np.asarray(pattern) >= 0.0).astype(np.uint8)
-    out.flags.writeable = False
-    return out
-
-
 # --------------------------------------------------------------------------
 # fast transforms
 # --------------------------------------------------------------------------

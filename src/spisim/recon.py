@@ -7,16 +7,16 @@ b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
 (`pinv_reconstruct`) and total-variation minimization runs on A x = b
 (`tv_reconstruct`), where each NESTA iteration costs one forward and one
 adjoint; iterates carry their residual's back-projection, and the rest of
-an iteration is one stacked GEMM into reused buffers. Every operator's
-adjoint takes `out=`, so the stage's adjoint writes into its row of the
-state stack, and the TV gradient (`_tv_grad`) runs on flat views of
-C-contiguous work arrays, the stack's rows. Both take one
-measurement or a batch. Gram and dense models take a batch in one pass
-over the rows, which serves every image (one product, or one per column
-block of int8 rows); the fast-transform models and
-the TV gradient take one image at a time, since images share nothing there
-and a 256^2 image's 0.5 MB arrays stay in a 2 MB L2 cache where a batch's
-would not. Morlet models take A = W^T M and b = W^T Y from
+an iteration updates one state stack in place, a small matrix product per
+L2-sized block of it. Every operator's adjoint takes `out=`, so the
+stage's adjoint writes into its row of the stack, and the TV gradient
+(`_tv_grad`) runs on flat views of the stack's C-contiguous rows, with one
+image of scratch. Both take one measurement or a batch. Gram and dense
+models take a batch in one pass over the rows, which serves every image
+(one product, or one per column block of int8 rows); the fast-transform
+models and the TV gradient take one image at a time, since images share
+nothing there and a 256^2 image's 0.5 MB arrays stay in a 2 MB L2 cache
+where a batch's would not. Morlet models take A = W^T M and b = W^T Y from
 the Gram matrix G = M M^T, with W W^T = G^+ (`gram_orthogonalize`: W = L^-T
 from the Cholesky factor of G, or U_r / d_r from its eigendecomposition),
 and never form V (M in the set's `PatternSet.row_dtype`: above 2^25
@@ -57,6 +57,7 @@ iteration where it stopped.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -335,9 +336,10 @@ class _GramVtOp:
     row-major ``m @ x.T`` and ``s @ m``.
     """
 
-    def __init__(self, m_rows, w, width, height):
+    def __init__(self, m_rows, w, width, height, path=""):
         self.m = np.asfortranarray(m_rows)
         self.w = np.ascontiguousarray(w)          # (k, r)
+        self.path = path    # gram_orthogonalize's path; "" for a W from a SPIV file
         self.k = self.w.shape[0]
         self.width, self.height = width, height
         self._dt = _arith_dtype(m_rows.dtype)
@@ -381,6 +383,8 @@ class _WhtSubsetOp:
     cache, where a (B, n) batch's would not (1.5 MB per array at B = 3).
     """
 
+    path = "transform"
+
     def __init__(self, indices, width, height):
         self.idx = np.asarray(indices)
         self.width, self.height = width, height
@@ -423,6 +427,8 @@ class _NoiseletSubsetOp:
     `_WhtSubsetOp`, each image of a batch is filled, transformed and
     gathered on its own (h, w) row (0.5 MB at 256^2, against a 2 MB L2).
     """
+
+    path = "transform"
 
     def __init__(self, indices, width, height):
         idx = np.asarray(indices, dtype=np.int64)
@@ -493,7 +499,8 @@ def linear_model(source):
     if source.kind == "noiselet":
         return _NoiseletSubsetOp(source.row_meta, source.width, source.height)
     rows = effective_matrix(source, source.row_dtype)
-    return _GramVtOp(rows, gram_orthogonalize(rows)[0], source.width, source.height)
+    w, path = gram_orthogonalize(rows)
+    return _GramVtOp(rows, w, source.width, source.height, path)
 
 
 def _as_model(source):
@@ -674,11 +681,12 @@ def _tv_grad(x, mu, work=None):
 
     With m = min(|d|, mu) the Huber term of a difference d is
     m (2|d| - m) / (2 mu): |d|^2 / (2 mu) below mu and |d| - mu / 2 above.
-    `work` is (dx, dy, mag, g), arrays shaped like x whose contents are
-    overwritten (allocated when omitted); the gradient is returned in g, and
-    dx and g must be C-contiguous (the stage's stack rows are; ValueError if
-    not). Images share nothing here, so the work runs one image at a time
-    (`_tv_grad_image`) with the first image's dx, dy and mag as scratch for
+    `work` is (dx, dy, mag, g), whose contents are overwritten (allocated
+    when omitted): g is shaped like x and returns the gradient; dx, dy and
+    mag are scratch of which only the first image is used, so (1, h, w)
+    arrays serve. dx and g must be C-contiguous (the stage's stack rows are;
+    ValueError if not). Images share nothing here, so the work runs one
+    image at a time (`_tv_grad_image`) with that one image of scratch for
     every image: at 256^2 that is 0.5 MB per array, so an image's passes
     stay in a 2 MB L2 cache where a batch's would not.
     """
@@ -762,6 +770,27 @@ def _shrink(r, eps):
     return np.maximum(0.0, 1.0 - eps / np.maximum(nrm, 1e-300))
 
 
+# bytes of the stack update's 6 input rows per block: with its 5 output rows
+# (the temporary) a block takes 0.9 MB, within a 2 MB L2 cache, so the block
+# is read, multiplied and written back without a pass to memory
+_UPDATE_BYTES = 1 << 19
+
+
+def _update_blocks(batch, n):
+    """(images, columns) slices of a (6, batch, n) stack, each holding at most
+    _UPDATE_BYTES of it (or 2 columns): as many whole images as fit, else
+    near-equal column blocks of one image. No block is 1 column wide unless
+    n is: numpy multiplies a one-column matrix by gemv, whose bits can differ
+    from gemm's."""
+    column = 6 * 8                                  # bytes of one column of one image
+    per = max(1, _UPDATE_BYTES // (column * n))     # whole images per block
+    count = -(-n // max(2, _UPDATE_BYTES // column))  # column blocks per image
+    step = -(-n // count)
+    ends = [*range(step, n - 1, step), n]
+    return [(slice(i, min(i + per, batch)), slice(lo, hi)) for i in range(0, batch, per)
+            for lo, hi in zip([0] + ends[:-1], ends)]
+
+
 def _nesta_stage(op, b, x0, mu, eps, opts):
     """One continuation stage; returns each image's projected iterate from
     the iteration where its stopping rule fired, or from the last one.
@@ -775,16 +804,25 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
 
     The (B, n) state is one stack s = [x, vz, e_vz, e_x, g, p]. With the
     shrink factors c_y, c_z taken from the (B, r) residuals, the next
-    [x, vz, e_vz, e_x, y] is linear in s with per-image coefficients, so
-    the update is one batched GEMM (B, 5, 6) x (B, 6, n) into a second
-    stack; the stacks swap every iteration, and _tv_grad's scratch is the
-    idle one.
+    [x, vz, e_vz, e_x, y] is linear in s with per-image coefficients: the
+    update multiplies (B, 5, 6) by s one L2-sized block of images or
+    columns at a time (`_update_blocks`) into a small temporary, copied back
+    into rows 0-4 of the block. Each entry is the same 6-term gemm product
+    as one batched GEMM's. _tv_grad's scratch is one image.
     """
     batch, h, w = x0.shape
     n = h * w
     invl = (1.0 / (8.0 / mu))[:, None]          # 1 / L, L = 8 / mu
+    blocks = _update_blocks(batch, n)
+    tmp_shape = (blocks[0][0].stop, 5, max(c.stop - c.start for _, c in blocks))
     s = np.empty((6, batch, n))
-    t = np.empty_like(s)
+    # _tv_grad's one image of scratch (3 rows) and the update's temporary
+    # share one allocation. As four arrays they raised a 128^2 sweep's peak
+    # RSS by 2 MB from its second cycle on; inside the stack's allocation,
+    # a 256^2 binary sweep's by 1.5 MB (measured with VmHWM per cycle)
+    buf = np.empty(3 * n + math.prod(tmp_shape))
+    work = [*buf[:3 * n].reshape(3, 1, h, w), s[4].reshape(batch, h, w)]
+    tmp = buf[3 * n:].reshape(tmp_shape)
     s[0] = s[1] = s[4] = x0.reshape(batch, n)   # x, vz = x0 - sum alpha g / L, y
     r_x = b - op.forward(s[0])
     s[3] = op.adjoint(r_x, out=s[2])
@@ -797,8 +835,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
     iters = 0
     for it in range(opts.max_inner):
         iters = it + 1
-        fval, _ = _tv_grad(s[0].reshape(batch, h, w), mu,
-                           [a.reshape(batch, h, w) for a in (t[0], t[1], t[2], s[4])])
+        fval, _ = _tv_grad(s[0].reshape(batch, h, w), mu, work)
         a_g = op.forward(s[4])
         op.adjoint(a_g, out=s[5])
         a_g *= invl
@@ -826,8 +863,11 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
         coef[:, 3] = s_z * coef[:, 2]
         coef[:, 3, 3:4] += s_y
         coef[:, 3, 5:] += s_y * invl
-        np.matmul(coef, s.transpose(1, 0, 2), out=t[:5].transpose(1, 0, 2))
-        s, t = t, s
+        for imgs, cols in blocks:
+            blk = s[:, imgs, cols]
+            new = tmp[:blk.shape[1], :, :blk.shape[2]]
+            np.matmul(coef[imgs], blk.transpose(1, 0, 2), out=new)
+            blk[:5] = new.transpose(1, 0, 2)
 
         ref = hist.mean(axis=0)
         with np.errstate(invalid="ignore"):

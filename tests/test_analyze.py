@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from spisim import patterns
+from spisim import patterns, recon
 from spisim.acquire import NoiseModel, measure, measure_differential
 from spisim.analyze import (_cell_seed, _image_noise_model, decompose_features,
                             histogram_concentration, mse, psnr, run_sweep)
 from spisim.imgcore import Image
 from spisim.patterns import ParamDistribution, gen_pattern_set, rows_for_cr
-from spisim.recon import TvOptions, effective_measurement, linear_model, pinv_reconstruct
+from spisim.recon import (TvOptions, effective_matrix, effective_measurement, linear_model,
+                          pinv_reconstruct)
 
 
 class TestMse:
@@ -162,7 +163,7 @@ class TestRunSweep:
         res.summary_to_csv(tmp_path / "summary.csv")
         cells = (tmp_path / "cells.csv").read_text().strip().splitlines()
         assert cells[0] == ("kind,cr,method,image,psnr_db,runtime_s,"
-                            "iterations,converged,monotone")
+                            "iterations,converged,monotone,rank,path,row_dtype")
         assert len(cells) == 4
         summary = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert summary[0] == "kind,cr,method,mean_psnr_db,std_psnr_db,runtime_s"
@@ -180,7 +181,7 @@ class TestRunSweep:
         assert sorted(c[2] for c in cells) == ["pinv"] * 3 + ["tv"] * 3
         for c in cells:
             if c[2] == "pinv":
-                assert c[6:] == ["", "", ""]
+                assert c[6:9] == ["", "", ""]
             else:   # 2 stages of 3 iterations, too few to converge
                 assert c[6:8] == ["6", "0"] and c[8] in ("0", "1")
         tv = [r for r in res.rows if r.method == "tv"]
@@ -221,3 +222,33 @@ class TestRunSweep:
         got = [r.psnr_db for r in res.rows]
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind,above", [
+        ("morlet-real", False), ("morlet-binary", False), ("walsh-hadamard", False),
+        ("noiselet", False), ("morlet-real", True), ("morlet-binary", True)])
+    def test_cells_csv_names_each_cells_model(self, rng, tmp_path, monkeypatch, kind, above):
+        if above:
+            monkeypatch.setattr(patterns, "_DENSE_LIMIT", 0)
+        seed, cr = 5, 0.25
+        res = run_sweep(tiny_corpus(rng, count=2), [kind], [cr], ["pinv", "tv"], seed=seed,
+                        tv_opts=TvOptions(max_inner=2, mu_stages=1))
+        res.to_csv(tmp_path / "cells.csv")
+        cells = {tuple(line.split(",")[9:]) for line in
+                 (tmp_path / "cells.csv").read_text().strip().splitlines()[1:]}
+
+        ps = gen_pattern_set(kind, 16, 16, rows_for_cr(kind, cr, 256),
+                             master_seed=_cell_seed(seed, kind, cr))
+        # rank: the singular values of the effective rows above the model's
+        # floor, one per row for the fast transforms (a noiselet row's two
+        # real rows, once per conjugate pair)
+        m = effective_matrix(ps)
+        sv = np.linalg.svd(m, compute_uv=False)
+        if ps.kind in ("walsh-hadamard", "noiselet"):
+            rank, path = int(np.count_nonzero(sv > 1e-9)), "transform"
+        else:
+            rows = effective_matrix(ps, ps.row_dtype)
+            rank = int(np.count_nonzero(sv > recon._rank_floor(rows.dtype) * sv[0]))
+            path = recon.gram_orthogonalize(rows)[1]
+            assert path in ("cholesky", "eigh")
+        dtype = {"morlet-real": "float32", "morlet-binary": "int8"}[kind] if above else "float64"
+        assert cells == {(str(rank), path, dtype)}

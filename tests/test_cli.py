@@ -4,12 +4,14 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spisim.acquire import NoiseModel
+from spisim.acquire import NoiseModel, load_measurement
 from spisim.cli import RunConfig, main
-from spisim.imgcore import Image, save_image
-from spisim.recon import TvOptions
+from spisim.imgcore import Image, load_image, save_image
+from spisim.patterns import load_pattern_set
+from spisim.recon import TvOptions, effective_measurement, linear_model
 
 
 def run(*argv):
@@ -153,16 +155,45 @@ class TestMeasureReconstruct:
         ps = tmp_path / "p.spip"
         assert run("gen", "--kind", "morlet-binary", "--size", "16x16", "--cr", "0.3",
                    "--seed", "1", "--out", str(ps)) == 0
-        psnr = {}
+        psnr, y = {}, {}
+        pset = load_pattern_set(ps)
         for mode in ("auto", "off"):
             m = tmp_path / f"{mode}.spim"
             assert run("measure", "--image", pgm16, "--patterns", str(ps),
                        "--out", str(m), "--differential", mode) == 0
             assert f"differential={mode == 'auto'})" in capsys.readouterr().out
             assert self._reconstruct(tmp_path, ps, m, "--reference", pgm16) == 0
-            psnr[mode] = re.search(r"^psnr_db=(.*)$", capsys.readouterr().out, re.M)[1]
-        assert psnr["off"] == psnr["auto"]
-        assert float(psnr["auto"]) == pytest.approx(11.6747239, abs=1e-7)
+            psnr[mode] = float(re.search(r"^psnr_db=(.*)$", capsys.readouterr().out, re.M)[1])
+            y[mode] = effective_measurement(pset, load_measurement(m))
+        assert psnr["auto"] == pytest.approx(11.6747239, abs=1e-7)
+
+        # The two effective measurements are different float64 sums of the
+        # same Y = <x, P>: auto's Y - (S - Y) with S = sum(x), and off's
+        # 2Y - Y0 with Y0 the constant row's dot product. S and Y0 each lie
+        # within gamma_n ||x||_1 of sum(x) (gamma_m = m u / (1 - m u),
+        # u = 2^-53), and Y, S - Y and both results are at most ||x||_1 in
+        # magnitude, so entrywise |y_auto - y_off| <= (2 gamma_n + 3 u) ||x||_1.
+        u = 2.0 ** -53
+        ref = load_image(pgm16)
+        n, x1 = ref.data.size, np.abs(ref.vector()).sum()
+        dy = np.abs(y["auto"] - y["off"])
+        assert np.all(dy <= (2 * n * u / (1 - n * u) + 3 * u) * x1)
+        # pinv is x = ((y W) W^T) M, products over k, r and k terms; each
+        # lies within gamma_len |A| |B| of its exact value, so to first order
+        # |x_auto - x_off| <= (dy + (2 k + r) u (|y_auto| + |y_off|)) |W| |W|^T |M|.
+        # PSNR = 10 log10(peak^2 n / ||x - ref||^2) moves by at most
+        # (20 / ln 10) ||x_auto - x_off|| / ||x - ref||, and computing it
+        # (n squares summed, a division and a log) adds at most
+        # (10 / ln 10) gamma_(n+3) per mode. Both bounds are doubled for the
+        # second-order terms.
+        model = linear_model(pset)
+        (k, r), w = model.w.shape, np.abs(model.w)
+        dx = (dy + (2 * k + r) * u * (np.abs(y["auto"]) + np.abs(y["off"]))) @ w @ w.T
+        dx = dx @ np.abs(model.m)
+        err = np.sqrt(n) * ref.data.max() * 10.0 ** (-max(psnr.values()) / 20.0)
+        gamma = (n + 3) * u / (1 - (n + 3) * u)
+        bound = 2 * (20 / np.log(10) * np.linalg.norm(dx) / err + 2 * 10 / np.log(10) * gamma)
+        assert abs(psnr["auto"] - psnr["off"]) <= bound
 
     def test_differential_on_needs_a_binary_set(self, tmp_path, pgm16, capsys):
         ps = tmp_path / "p.spip"

@@ -14,9 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import dense_transform_2d, dense_transform_matrix
 from spisim import patterns
-from spisim.patterns import (ParamDistribution, PatternSet,
-                             binarize, bipolar_rows, fast_noiselet, fast_wht,
-                             gen_morlet_pattern, gen_pattern_set,
+from spisim.patterns import (ParamDistribution, PatternSet, bipolar_rows,
+                             fast_noiselet, fast_wht, gen_morlet_pattern, gen_pattern_set,
                              load_pattern_set, noiselet2, splitmix64,
                              white_noise_spectra, wht2)
 from spisim.imgcore import FormatError
@@ -273,22 +272,6 @@ class TestBasisRow2d:
             basis_set("walsh-hadamard", 4, 4, [0, 16])
 
 
-class TestBinarize:
-    def test_all_negative_gives_zeros(self):
-        assert not binarize(-np.ones((3, 3))).any()
-
-    def test_zeros_tie_to_one(self):
-        assert binarize(np.zeros((2, 2))).all()
-
-    @settings(max_examples=30, deadline=None)
-    @given(arrays(np.float64, (4, 4), elements=st.floats(-5, 5)))
-    def test_sign_antisymmetry(self, grid):
-        nz = grid != 0
-        a = binarize(grid)
-        b = binarize(-grid)
-        assert np.array_equal(a[nz], 1 - b[nz])
-
-
 def _dense_path_pattern(p, seed, width, height):
     """gen_morlet_pattern before the separable spectrum: the full complex
     wavelet grid, normalized, then its rfft2 as the kernel spectrum. The
@@ -354,7 +337,7 @@ class TestMorletPattern:
             ref = _dense_path_pattern(p, seed, width, height)
             assert np.abs(pat - ref).max() <= 1e-14
             if width == height == 64:
-                assert np.array_equal(binarize(pat), binarize(ref))
+                assert np.array_equal(pat >= 0, ref >= 0)
 
     def test_deterministic(self):
         a = gen_morlet_pattern(self.P, 42, 32, 32)
@@ -462,7 +445,7 @@ class TestGenPatternSet:
             return gen_morlet_pattern(p, m.seed, ps.width, ps.height).ravel()
         grids = np.stack([np.full(ps.n, ps.n ** -0.5)] + [alone(m) for m in ps.row_meta[1:]])
         if ps.is_binary:
-            return np.packbits(binarize(grids), axis=1, bitorder="little")
+            return np.packbits(grids >= 0, axis=1, bitorder="little")
         return grids.astype(ps.row_dtype)
 
     @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary"])
