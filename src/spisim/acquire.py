@@ -18,12 +18,13 @@ bipolar effective matrix 2P - 1.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import FormatError, read_header, require_size, write_csv
+from .imgcore import FormatError, read_header, require_size, require_u64, write_csv
 from .patterns import PatternSet, _row_blocks, noiselet2, wht2
 
 SPIM_MAGIC = b"SPIM"
@@ -44,12 +45,13 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.additive_sigma < 0:
-            raise ValueError("additive_sigma must be >= 0")
+        for name in ("additive_sigma", "source_fluctuation_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:   # also rejects NaN
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not 0 <= self.adc_bits <= 24:
             raise ValueError("adc_bits must be in [0, 24]")
-        if self.source_fluctuation_sigma < 0:
-            raise ValueError("source_fluctuation_sigma must be >= 0")
+        require_u64(self.seed, "noise seed")
 
 
 @dataclass(frozen=True)

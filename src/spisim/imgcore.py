@@ -85,6 +85,13 @@ def check_field_types(obj, label):
                 raise ValueError(f"{where}{name} must be {what}, got {v!r}")
 
 
+def require_u64(value, what):
+    """Raise ValueError unless `value` fits the unsigned 64-bit field it is
+    written to: [0, 2^64)."""
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{what} must lie in [0, 2^64), got {value!r}")
+
+
 def _require_finite(a, what):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite entries")

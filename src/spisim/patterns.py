@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import FormatError, read_header, require_size
+from .imgcore import FormatError, read_header, require_size, require_u64
 # morlet_wavelet is not called here; it stays importable from this module
 # because the benchmark's span table wraps patterns.morlet_wavelet
 from .wavelets import MorletParams, morlet_spectra, morlet_wavelet  # noqa: F401
@@ -385,7 +385,9 @@ class MorletRowMeta:
 MorletRowMeta.CONSTANT = MorletRowMeta(0.0, 0.0, 0.0, 0)
 
 
-# largest temporary a loop over blocks of rows allocates
+# largest temporary a loop over blocks of rows allocates: freeing a larger
+# one raises glibc's dynamic mmap threshold, and later large arrays then come
+# from a fragmenting heap (a 256^2 sweep's peak RSS grew from its second cycle)
 _UNPACK_BYTES = 1 << 20
 
 
@@ -438,6 +440,7 @@ class PatternSet:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={n}")
         if len(self.row_meta) != self.k:
             raise ValueError("row_meta length does not match k")
+        require_u64(self.master_seed, "master seed")
         if self.kind in DETERMINISTIC_KINDS:
             if len(set(self.row_meta)) != self.k:
                 raise ValueError("deterministic kinds require distinct row indices")
@@ -454,28 +457,15 @@ class PatternSet:
 
     @property
     def row_dtype(self):
-        """dtype of the rows the linear model holds: above _DENSE_LIMIT
-        (2^25) matrix entries float32 for morlet-real sets and int8 for
-        morlet-binary sets; float32 for morlet-binary sets above
+        """dtype of the rows the linear model holds (`_row_dtype`): above
+        _DENSE_LIMIT (2^25) matrix entries float32 for morlet-real sets and
+        int8 ±1 for morlet-binary sets; float32 for morlet-binary sets above
         _BINARY_F32_LIMIT (2^22) entries with 8 k <= n; float64 otherwise.
-        morlet-real rows are generated and loaded in it, so the model uses
-        them as they are.
-
-        Bipolar rows are exact in float32, and so is their Gram matrix: its
-        entries and partial sums are integers of magnitude at most n < 2^24.
-        A binary model in float32 therefore has the float64 model's W
-        wherever the Cholesky path is taken, and differs from it only by the
-        float32 rounding of each operator input. int8 rows hold the same ±1
-        in a quarter of the float32 bytes and are multiplied only through
-        float32 copies of column blocks (`recon._GramVtOp`), so an int8
-        model has the float32 model's W. Two bounds keep float64:
-        sets of at most 2^22 entries, which covers every binary set of the
-        acceptance suite (largest 512 x 4096; in float32 their Gram-built
-        pinv misses the 1e-8 Moore-Penrose bound, at 8.2e-7), and
-        near-square sets, 8 k > n, where float32 costs accuracy (64 x 64,
-        k = 4000: TV PSNR 100.74 -> 98.80 dB; k = 4096: the float32 rank
-        floor cuts rank 4096 -> 4075 and pinv PSNR falls from above 230 dB
-        to about 40 dB).
+        morlet-real rows are generated and loaded in it. ±1 rows and their
+        Gram matrix are exact in float32 and int8, so a binary model has the
+        float64 model's W wherever the Cholesky path is taken. The accuracy
+        behind both float64 bounds is in CHANGES.md ("128² binary models in
+        float32") and BENCH_binary_f32.json.
         """
         return _row_dtype(self.kind, self.k, self.n)
 
@@ -595,18 +585,11 @@ def iter_morlet_rows(width, height, k, dist, master_seed, start=0):
 
 
 def bipolar_rows(ps: PatternSet, dtype=np.float32):
-    """Unpack a binary set's rows to the bipolar 2P-1 form without a dense
-    {0,1} float intermediate. The (k, n) result is column-major, like
-    morlet-real rows (see PatternSet), and ±1 in any signed dtype: float64,
-    float32, or int8 (one byte an entry) for sets above _DENSE_LIMIT.
-
-    The packed rows are unpacked by blocks of byte columns: byte column j
-    holds pixels 8j..8j+7 of every row, so each block is written as a
-    contiguous block of rows of the transpose. Blocks are sized so each
-    unpacked uint8 temporary stays within _UNPACK_BYTES: freeing a larger
-    one raises glibc's dynamic mmap threshold, and later large arrays then
-    come from a fragmenting heap (peak RSS of a 256x256 sweep grew by
-    ~25 MB from its second cycle on).
+    """A binary set's (k, n) rows in bipolar form 2P - 1, column-major (like
+    morlet-real rows, see PatternSet), as ±1 in the signed `dtype` (float64,
+    float32 or int8). Unpacked by blocks of byte columns, each uint8
+    temporary within _UNPACK_BYTES, with no dense {0, 1} intermediate.
+    ValueError for a set of another kind.
     """
     if not ps.is_binary:
         raise ValueError("bipolar_rows needs a morlet-binary set")
@@ -656,6 +639,7 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     n = width * height
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n = {n}, got k={k}")
+    require_u64(master_seed, "master seed")
 
     if kind in DETERMINISTIC_KINDS:
         _check_pow2(width)

@@ -5,28 +5,12 @@ operator A (A A^T = I) and the map b = rhs(Y) from an effective measurement
 to the orthogonalized system A x = b. For M = U D V*, A = V* and
 b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
 (`pinv_reconstruct`) and total-variation minimization runs on A x = b
-(`tv_reconstruct`), where each NESTA iteration costs one forward and one
-adjoint; iterates carry their residual's back-projection, and the rest of
-an iteration updates one state stack in place, a small matrix product per
-L2-sized block of it. Every operator's adjoint takes `out=`, so the
-stage's adjoint writes into its row of the stack, and the TV gradient
-(`_tv_grad`) runs on flat views of the stack's C-contiguous rows, with one
-image of scratch. Both take one measurement or a batch. Gram and dense
-models take a batch in one pass over the rows, which serves every image
-(one product, or one per column block of int8 rows); the fast-transform
-models and the TV gradient take one image at a time, since images share
-nothing there and a 256^2 image's 0.5 MB arrays stay in a 2 MB L2 cache
-where a batch's would not. Morlet models take A = W^T M and b = W^T Y from
-the Gram matrix G = M M^T, with W W^T = G^+ (`gram_orthogonalize`: W = L^-T
-from the Cholesky factor of G, or U_r / d_r from its eigendecomposition),
-and never form V (M in the set's `PatternSet.row_dtype`: above 2^25
-entries float32 for morlet-real and int8 ±1 for binary sets, which are
-multiplied through float32 copies of column blocks; float32 for binary
-sets, whose ±1 rows and Gram are exact in float32, above 2^22 entries with
-8 k <= n; held column-major so that forward is x M^T and adjoint s M, see
-`_GramVtOp`);
-Walsh-Hadamard and noiselet models use their fast transforms, the noiselet
-one as two real Walsh-Hadamard transforms per call. The dense SVD
+(`tv_reconstruct`). Every model has forward (B, n) -> (B, r) and adjoint
+(B, r) -> (B, n), which writes into `out=` when given. Morlet models
+(`_GramVtOp`) take A = W^T M and b = W^T Y with W W^T = G^+ for the Gram
+matrix G = M M^T (`gram_orthogonalize`), hold M column-major in the set's
+`PatternSet.row_dtype` and never form V; Walsh-Hadamard and noiselet
+models use their fast transforms, one image at a time. The dense SVD
 (`factorize`) is the test oracle; `linear_model` accepts its factors too.
 
 A morlet model is its row matrix plus W (k x r), so W is all the
@@ -40,10 +24,13 @@ constant row is unchanged by that map), pairing with the differential
 measurement Y - Ybar. Complex noiselet rows enter as stacked real and
 imaginary parts, the order of a noiselet measurement's real samples.
 
-The TV solver is a Nesterov-accelerated smoothed-TV scheme with continuation
-over a decreasing smoothing parameter: isotropic TV, forward differences,
-reflexive boundary, Huber smoothing, and per-stage stopping on the relative
-change of the smoothed objective against a trailing window.
+The TV solver is a Nesterov-accelerated smoothed-TV scheme (NESTA) with
+continuation over a decreasing smoothing parameter: isotropic TV, forward
+differences, reflexive boundary, Huber smoothing, and per-stage stopping on
+the relative change of the smoothed objective against a trailing window.
+An iteration costs one forward and one adjoint; its image-sized state is
+one stack updated in place (`_nesta_stage`), and the TV gradient
+(`_tv_grad`) runs one image at a time.
 
 Fixed settings: the rank cut-offs relative to the largest singular value
 (RANK_TOL cuts only the SVD oracle, `factorize`; Gram models cut at 3
@@ -51,7 +38,8 @@ sqrt(eps) of the row dtype, `_rank_floor`), and NESTA's continuation and
 stopping rule (Becker, Bobin & Candes 2011), mu from MU_START_FRAC x the
 pinv start's dynamic range down to MU_FINAL, each image of a stage stopping
 on `tol` against its last STOP_WINDOW values, with the iterate of the
-iteration where it stopped.
+iteration where it stopped. Measurements behind these choices are in
+CHANGES.md and the BENCH_*.json files.
 """
 
 from __future__ import annotations
@@ -170,16 +158,12 @@ def factorize(source, width=None, height=None) -> SvdFactors:
 
 
 def _rank_floor(dtype):
-    """Smallest kept singular value of a Gram model, relative to the largest.
-
-    Squaring the singular values halves the usable precision, so the
-    threshold is 3 sqrt(eps) of the dtype the rows are multiplied in (4.5e-8
-    for float64, 1.0e-3 for float32 and for int8 rows, which are multiplied
-    as float32 blocks, so an int8 model keeps the float32 model's W): Gram
-    eigenvalues below eps * lambda_0 are pure rounding
-    noise and inverting them injects garbage into the orthogonalized system.
-    RANK_TOL, far below either, cuts only the SVD oracle. A change here
-    changes W, so it must bump SPIV_VERSION.
+    """Smallest kept singular value of a Gram model relative to the largest:
+    3 sqrt(eps) of `_arith_dtype(dtype)` (4.5e-8 for float64 rows, 1.0e-3
+    for float32 and int8 rows). Squaring singular values in G halves the
+    usable precision, so smaller ones are rounding noise. RANK_TOL, far
+    below either, cuts only the SVD oracle. A change here changes W, so it
+    must bump SPIV_VERSION.
     """
     return 3.0 * np.sqrt(float(np.finfo(_arith_dtype(dtype)).eps))
 
@@ -189,11 +173,20 @@ def _arith_dtype(row_dtype):
     return np.result_type(row_dtype, np.float32)
 
 
-def _float32_blocks(m, blocks):
-    """(slice, block) for each column slice in `blocks` of the (k, n) int8
-    rows m, held column-major: block is m.T[slice] as a C-contiguous
-    (cols, k) float32 array, in one buffer reused for every block."""
-    buf = np.empty((max(sl.stop - sl.start for sl in blocks), m.shape[0]), np.float32)
+def _column_blocks(m, min_cols=1):
+    """(slice, block) pairs covering, in order, the columns of the (k, n)
+    column-major rows m: block is m.T[slice] as a C-contiguous (cols, k)
+    array in `_arith_dtype`. Float rows give one block, the view m.T itself.
+    int8 rows give float32 copies of the `_row_blocks(n, 4 k, min_cols)`
+    column blocks, each at most _UNPACK_BYTES (or min_cols columns) so that
+    it stays in L2 for its product, in one reused buffer: no numpy product
+    takes int8 rows."""
+    k, n = m.shape
+    if m.dtype != np.int8:
+        yield slice(0, n), m.T
+        return
+    blocks = _row_blocks(n, 4 * k, min_cols)
+    buf = np.empty((blocks[0].stop, k), np.float32)
     for sl in blocks:
         blk = buf[: sl.stop - sl.start]
         np.copyto(blk, m.T[sl])
@@ -201,19 +194,18 @@ def _float32_blocks(m, blocks):
 
 
 def _gram(m_rows):
-    """G = M M^T in float64. int8 rows are summed in float32 over column
-    blocks (`_float32_blocks`): ±1 partial sums are integers of magnitude at
-    most n < 2^24, so G is exact, bitwise the float32 rows' G. A numpy
-    product cannot add into g, so each block also costs passes over the
-    k x k g; blocks of at least k columns (as large as g when that exceeds
-    _UNPACK_BYTES) keep those passes to about 1/k of a block's flops."""
-    if m_rows.dtype != np.int8:
-        return (m_rows @ m_rows.T).astype(np.float64, copy=False)
-    k, n = m_rows.shape
-    g = np.zeros((k, k), np.float32)
-    for _, blk in _float32_blocks(m_rows, _row_blocks(n, 4 * k, k)):
+    """G = M M^T (k x k float64) of column-major rows, summed in the rows'
+    arithmetic dtype over `_column_blocks` of at least k columns. Exact for
+    ±1 rows in float32 or int8 (integer partial sums of magnitude at most
+    n < 2^24), so an int8 G is bitwise the float32 rows' G."""
+    # each block's product also costs a pass over the k x k g: k columns or
+    # more keep it to about 1/k of the block's flops
+    blocks = _column_blocks(m_rows, m_rows.shape[0])
+    _, blk = next(blocks)
+    g = blk.T @ blk
+    for _, blk in blocks:
         g += blk.T @ blk
-    return g.astype(np.float64)
+    return g.astype(np.float64, copy=False)
 
 
 _TRI_LEAF = 64
@@ -251,19 +243,16 @@ def _eigh_w(g, floor):
 
 
 def gram_orthogonalize(m_rows):
-    """(W, path): a k x r W with W W^T = G^+ for the Gram matrix G = M M^T,
-    and the name of the path that made it. G comes from `_gram`: exact, and
-    bitwise the float32 rows' G, for int8 ±1 rows.
+    """(W, path) for the (k, n) column-major rows M: W is k x r float64 with
+    W W^T = G^+ for G = M M^T (`_gram`), so A = W^T M has orthonormal rows
+    and the row space of M.
 
-    A = W^T M then has orthonormal rows and the row space of M, and no path
-    forms V of the SVD, so this handles measurement matrices too large for
-    a dense SVD. "cholesky": G = L L^T and W = L^-T, kept only when
-    1 / ||L^-1||_F > _rank_floor * sqrt(||G||_inf); since
-    sigma_min(M) >= 1 / ||L^-1||_F and sigma_max(M)^2 <= ||G||_inf, that
-    proves no singular value falls below the floor, so nothing would be
-    truncated. "eigh" when the bound fails or G is not numerically positive
-    definite: W = U_r / d_r from the eigendecomposition, truncated at the
-    floor.
+    "cholesky": W = L^-T from G = L L^T, taken only when
+    1 / ||L^-1||_F > _rank_floor * sqrt(||G||_inf), which proves that no
+    singular value of M falls below the floor (sigma_min >= 1 / ||L^-1||_F,
+    sigma_max^2 <= ||G||_inf), so r = k. "eigh" otherwise: W = U_r / d_r
+    from the eigendecomposition of G, truncated at the floor. ValueError
+    for an all-zero M.
     """
     g = _gram(m_rows)
     floor = _rank_floor(m_rows.dtype)
@@ -303,37 +292,18 @@ class _DenseVtOp:
 
 
 class _GramVtOp:
-    """A = W^T M without materializing V; M may be float32 or int8.
+    """A = W^T M (r x n) without materializing V.
 
-    M is float32 or int8 when ``PatternSet.row_dtype`` says so (above 2^25
-    entries float32 for morlet-real and int8 for morlet-binary; binary
-    sets above 2^22 entries with 8 k <= n float32). Each product rounds its
-    float64 input to float32 (float64 for float64 rows) and returns
-    float64; for ±1 rows that rounding is the only difference from a
-    float64 M, since M and its Gram (and so W on the Cholesky path) are
-    exact in float32.
-
-    int8 rows take part in no numpy product. Each product runs over column
-    blocks of M (`patterns._row_blocks(n, 4 k)`), each copied to a float32
-    (cols, k) block of at most _UNPACK_BYTES that stays in a 2 MB L2 cache
-    for its product: the forward adds each block's (B, k) product in
-    float64, and the adjoint writes each block's (B, cols) product into its
-    columns of the result. A product's float32 sums thus run over one
-    block's columns (forward) or over the k rows (adjoint, as for float32
-    rows); the adjoint equals the float32 rows' where both take the same
-    BLAS kernel. The int8 matrix is a quarter of the float32 one (43 MB
-    instead of 172 MB at 256 x 256, k = 655).
-
-    W (k x r) comes from `gram_orthogonalize`, with W W^T the pseudoinverse
-    of the Gram matrix M M^T, so A A^T = I to factorization accuracy while
-    only k x k dense factors and the row matrix itself are kept in memory.
-
-    M is held column-major: ``m`` is the (k, n) matrix in Fortran order, so
-    ``m.T`` is a C-contiguous (n, k) array. Every pattern set produces its
-    rows in that layout, so they are used without a copy. The two products
-    are forward ``x @ m.T`` (B, k) and adjoint ``s @ m`` (B, n): at every
-    dtype and batch size measured they ran at least as fast as the
-    row-major ``m @ x.T`` and ``s @ m``.
+    ``m`` is the (k, n) effective row matrix in its ``PatternSet.row_dtype``
+    (float64, float32 or int8 ±1), held column-major so that ``m.T`` is
+    C-contiguous (n, k); every pattern set makes its rows in that layout, so
+    they are used without a copy. ``w`` (k x r float64) comes from
+    `gram_orthogonalize`, so A A^T = I to factorization accuracy. Both
+    products run over `_column_blocks`: forward (B, n) -> (B, r) is
+    x M^T W, adjoint (B, r) -> (B, n) is (z W^T) M, written into ``out``
+    when given. Each rounds its float64 input to the rows' arithmetic dtype
+    and returns float64; for float rows each is one BLAS product, and for
+    ±1 rows that rounding is the only difference from a float64 M.
     """
 
     def __init__(self, m_rows, w, width, height, path=""):
@@ -343,34 +313,23 @@ class _GramVtOp:
         self.k = self.w.shape[0]
         self.width, self.height = width, height
         self._dt = _arith_dtype(m_rows.dtype)
-        # int8 rows are multiplied through float32 copies of column blocks
-        self._blocks = (_row_blocks(self.m.shape[1], 4 * self.k)
-                        if m_rows.dtype == np.int8 else None)
 
     def rhs(self, y):
         return _checked(y, self.k) @ self.w
 
     def forward(self, x):
         x = np.asarray(x, dtype=self._dt)
-        if self._blocks:
-            t = np.zeros((x.shape[0], self.k))  # (B, k)
-            for sl, blk in _float32_blocks(self.m, self._blocks):
-                t += x[:, sl] @ blk
-        else:
-            t = x @ self.m.T  # (B, k)
-        return t.astype(np.float64, copy=False) @ self.w
+        t = np.zeros((x.shape[0], self.k))  # (B, k)
+        for sl, blk in _column_blocks(self.m):
+            t += x[:, sl] @ blk
+        return t @ self.w
 
     def adjoint(self, z, out=None):
         s = (z @ self.w.T).astype(self._dt, copy=False)  # (B, k)
-        if self._dt == np.float64:
-            return np.matmul(s, self.m, out=out)
         if out is None:
             out = np.empty((s.shape[0], self.m.shape[1]))
-        if self._blocks:
-            for sl, blk in _float32_blocks(self.m, self._blocks):
-                np.copyto(out[:, sl], s @ blk.T)
-        else:
-            np.copyto(out, s @ self.m)
+        for sl, blk in _column_blocks(self.m):
+            np.matmul(s, blk.T, out=out[:, sl])
         return out
 
 

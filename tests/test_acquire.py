@@ -171,6 +171,23 @@ class TestNoiseModelValidation:
         with pytest.raises(ValueError):
             NoiseModel(adc_bits=30)
 
+    @pytest.mark.parametrize("name", ["additive_sigma", "source_fluctuation_sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_sigmas_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            NoiseModel(**{name: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1 << 70])
+    def test_seed_must_fit_its_u64_field(self, seed):
+        with pytest.raises(ValueError, match=r"noise seed must lie in \[0, 2\^64\)"):
+            NoiseModel(seed=seed)
+
+    def test_largest_seed_round_trips(self, rng, binary_set, tmp_path):
+        nm = NoiseModel(additive_sigma=1e-3, seed=(1 << 64) - 1)
+        save_measurement(measure(Image(rng.random((16, 16))), binary_set, nm),
+                         tmp_path / "m.spim")
+        assert load_measurement(tmp_path / "m.spim").noise_model == nm
+
 
 class TestSerialization:
     @pytest.mark.parametrize("take", ["plain", "differential", "noiselet"])

@@ -80,6 +80,14 @@ class TestGen:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_out_of_range_seed_is_an_error_line(self, tmp_path, capsys, seed):
+        out = tmp_path / "p.spip"
+        assert run("gen", "--kind", "morlet-binary", "--size", "16x16", "--cr", "0.1",
+                   f"--seed={seed}", "--out", str(out)) == 2
+        assert f"error: master seed must lie in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_cr_gives_the_rows_of_a_sweep_cell(self, tmp_path, capsys, rng,
                                                    monkeypatch):
         from spisim import analyze
@@ -149,6 +157,23 @@ class TestMeasureReconstruct:
                    "--method", "pinv", "--cache-dir", str(cache),
                    "--out", str(tmp_path / "pi.pgm")) == 0
         assert len(list(cache.glob("*.spiv"))) == 1
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--noise-seed", "-1", "noise seed must lie in [0, 2^64), got -1"),
+        ("--noise-seed", str(1 << 64), f"noise seed must lie in [0, 2^64), got {1 << 64}"),
+        ("--noise-sigma", "nan", "additive_sigma must be finite and >= 0, got nan"),
+        ("--noise-sigma", "inf", "additive_sigma must be finite and >= 0, got inf"),
+        ("--fluctuation", "nan", "source_fluctuation_sigma must be finite and >= 0, got nan"),
+    ])
+    def test_bad_noise_model_is_an_error_line(self, tmp_path, pgm16, capsys,
+                                              flag, value, message):
+        ps, m = tmp_path / "p.spip", tmp_path / "m.spim"
+        assert run("gen", "--kind", "morlet-binary", "--size", "16x16", "--k", "10",
+                   "--out", str(ps)) == 0
+        assert run("measure", "--image", pgm16, "--patterns", str(ps),
+                   f"{flag}={value}", "--out", str(m)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not m.exists()
 
     def test_differential_off_gives_the_noiseless_psnr_of_auto(self, tmp_path, pgm16,
                                                                capsys):

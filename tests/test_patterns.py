@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import struct
@@ -571,6 +572,20 @@ class TestGenPatternSet:
     def test_wh_requires_power_of_two(self):
         with pytest.raises(ValueError):
             gen_pattern_set("walsh-hadamard", 10, 10, 4)
+
+    @pytest.mark.parametrize("kind", ["morlet-real", "walsh-hadamard"])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_master_seed_must_fit_its_u64_field(self, kind, seed):
+        with pytest.raises(ValueError, match=r"master seed must lie in \[0, 2\^64\)"):
+            gen_pattern_set(kind, 16, 16, 3, master_seed=seed)
+        ps = gen_pattern_set(kind, 16, 16, 3)
+        with pytest.raises(ValueError, match="master seed"):
+            dataclasses.replace(ps, master_seed=seed)
+
+    def test_largest_master_seed_round_trips(self, tmp_path):
+        ps = gen_pattern_set("morlet-binary", 16, 16, 3, master_seed=(1 << 64) - 1)
+        ps.save(tmp_path / "p.spip")
+        assert load_pattern_set(tmp_path / "p.spip").content_hash() == ps.content_hash()
 
 
 # SHA-256 of the SPIP bytes, and of the measured values of a fixed image, of

@@ -1,8 +1,12 @@
 import hashlib
 import inspect
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1244,6 +1248,18 @@ class TestInt8Rows:
         (w8, path8), (w32, path32) = recon.gram_orthogonalize(m8), recon.gram_orthogonalize(m32)
         assert path8 == path32 == "cholesky" and w8.tobytes() == w32.tobytes()
 
+    @pytest.mark.parametrize("min_cols,widths", [(1, [100, 100, 56]), (120, [120, 120, 16])])
+    def test_column_blocks_copy_each_column_once_in_order(self, rows, min_cols, widths):
+        m8 = rows[0]
+        pairs = list(recon._column_blocks(m8, min_cols))
+        assert [sl.stop - sl.start for sl, _ in pairs] == widths
+        assert [sl.start for sl, _ in pairs] == [0, *np.cumsum(widths)[:-1]]
+        blocks = list(recon._column_blocks(m8, min_cols))   # one buffer, reused
+        assert len({blk.__array_interface__["data"][0] for _, blk in blocks}) == 1
+        for sl, blk in recon._column_blocks(m8, min_cols):
+            assert blk.dtype == np.float32 and blk.flags.c_contiguous
+            assert np.array_equal(blk, m8.T[sl].astype(np.float32))
+
     def test_rank_floor_is_float32s(self):
         assert recon._rank_floor(np.int8) == recon._rank_floor(np.float32)
 
@@ -1279,6 +1295,94 @@ class TestInt8Rows:
         miss = cached_pinv(ps, tmp_path)
         assert calls == [1] and load_pinv(path).row_itemsize == 1
         assert np.array_equal(miss.w, model.w)
+
+
+# pinv and TV PSNRs of two dead-leaves images under one model of each row
+# dtype at 128^2 (float64 morlet-real, CR 2%; float32 morlet-binary, CR 4%;
+# int8 morlet-binary, CR 4%, under a zero dense limit); run in a fresh
+# interpreter so that the thread count is set before numpy loads
+_THREAD_PROBE = """
+import importlib.util, sys
+import numpy as np
+from spisim import patterns
+from spisim.acquire import measure, measure_differential
+from spisim.analyze import psnr
+from spisim.imgcore import Image
+from spisim.recon import (TvOptions, effective_measurement, linear_model,
+                          pinv_reconstruct, tv_reconstruct)
+spec = importlib.util.spec_from_file_location("corpus", sys.argv[1])
+corpus = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(corpus)
+images = [img for _, img in corpus.corpus(128, 2, 11)]
+for kind, k, seed, dense_limit in (("morlet-real", 328, 3, patterns._DENSE_LIMIT),
+                                   ("morlet-binary", 655, 3, patterns._DENSE_LIMIT),
+                                   ("morlet-binary", 655, 4, 0)):
+    patterns._DENSE_LIMIT = dense_limit
+    ps = patterns.gen_pattern_set(kind, 128, 128, k, master_seed=seed)
+    take = measure_differential if ps.is_binary else measure
+    y = np.stack([effective_measurement(ps, take(img, ps)) for img in images])
+    model = linear_model(ps)
+    pinv = pinv_reconstruct(model, y)
+    tv = tv_reconstruct(model, y, TvOptions(mu_stages=5, max_inner=60, tol=1e-5)).images
+    print(np.dtype(ps.row_dtype).name, *(psnr(Image(x), img) for x, img in
+                                         zip([*pinv, *tv], images * 2)))
+"""
+
+
+def test_pinv_and_tv_psnr_do_not_depend_on_blas_threads():
+    # the thread count changes the order of BLAS sums, so W, pinv and TV
+    # differ between 1 and 2 threads by rounding only: every PSNR agrees to
+    # well within 5e-5 dB (float32 and int8 rows differed by up to 2.5e-7 dB
+    # on a 2-vCPU machine; float64 rows not at all)
+    root = Path(recon.__file__).resolve().parents[2]
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                               os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE,
+                              str(root / "bench" / "corpus.py")],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs.append([line.split() for line in run.stdout.splitlines()])
+    one, two = runs
+    assert [r[0] for r in one] == [r[0] for r in two] == ["float64", "float32", "int8"]
+    a = np.array([r[1:] for r in one], dtype=float)
+    b = np.array([r[1:] for r in two], dtype=float)
+    assert a.shape == (3, 4) and np.all(np.isfinite(a))
+    assert np.all(np.abs(a - b) <= 5e-5), np.abs(a - b)
+
+
+class TestFloatRowsColumnBlocks:
+    """Float rows are multiplied as they are: one block, the view m.T."""
+
+    K, SIDE = 60, 16
+
+    @pytest.fixture(params=[np.float32, np.float64])
+    def rows(self, rng, request):
+        m = np.asfortranarray(rng.standard_normal((self.K, self.SIDE ** 2)).astype(request.param))
+        return m, recon.gram_orthogonalize(m)[0]
+
+    def test_one_block_shares_memory_with_the_rows(self, rows):
+        m = rows[0]
+        [(sl, blk)] = list(recon._column_blocks(m, self.K))
+        assert sl == slice(0, m.shape[1]) and blk.dtype == m.dtype
+        assert blk.flags.c_contiguous and np.shares_memory(blk, m)
+        assert np.array_equal(blk, m.T)
+
+    def test_products_are_the_single_products(self, rng, rows):
+        m, w = rows
+        op = recon._GramVtOp(m, w, self.SIDE, self.SIDE)
+        x = rng.standard_normal((3, self.SIDE ** 2))
+        z = rng.standard_normal((3, w.shape[1]))
+        t = (x.astype(m.dtype) @ m.T).astype(np.float64)
+        assert np.array_equal(op.forward(x), t @ w)
+        s = (z @ w.T).astype(m.dtype)
+        ref = (s @ m).astype(np.float64)
+        out = np.empty((3, self.SIDE ** 2))
+        assert np.array_equal(op.adjoint(z), ref)
+        assert op.adjoint(z, out=out) is out and np.array_equal(out, ref)
+        assert np.array_equal(recon._gram(m), (m @ m.T).astype(np.float64))
 
 
 def _noiselet_indices(n, seed):
