@@ -72,6 +72,9 @@ class Measurement:
         if np.iscomplexobj(self.values) or np.iscomplexobj(self.values_bar):
             raise ValueError("measurement values must be real samples "
                              "(a noiselet row gives two: Re, then Im)")
+        if not all(np.isfinite(v).all() for v in (self.values, self.values_bar)
+                   if v is not None):
+            raise ValueError("measurement samples must be finite")
 
     @property
     def k(self):

@@ -411,17 +411,15 @@ def _row_dtype(kind, k, n):
 class PatternSet:
     """k rows of a measurement matrix over a width x height pixel grid.
 
-    ``rows`` holds the payload: (k, n) ``row_dtype`` for morlet-real,
-    bit-packed (k, ceil(n/8)) uint8 for morlet-binary (unpacked to
-    ``row_dtype``, float64, float32 or int8, by ``bipolar_rows``), and None for the
-    deterministic kinds (regenerated from row indices on demand). ``row_meta`` is a tuple
-    of MorletRowMeta or of int basis-row indices.
-
-    morlet-real rows are column-major (Fortran order), so ``rows.T`` is the
-    C-contiguous (n, k) matrix the linear model multiplies
-    (``recon._GramVtOp``); the SPIP payload is that array as it is.
-    Packed binary rows stay row-major; ``bipolar_rows`` unpacks them
-    column-major.
+    ``rows``: for morlet-real, (k, n) ``row_dtype`` held column-major, so
+    ``rows.T`` is the C-contiguous (n, k) matrix ``recon._GramVtOp``
+    multiplies and the SPIP payload as it is; for morlet-binary, bit-packed
+    (k, ceil(n/8)) uint8, row-major (``bipolar_rows`` unpacks them
+    column-major); None for the deterministic kinds, whose rows are basis
+    rows regenerated on demand. ``row_meta``: k MorletRowMeta, or k
+    distinct int basis-row indices in [0, n). ValueError for an unknown
+    kind, k outside [1, n], a row_meta of another length, a master_seed
+    outside [0, 2^64) or bad basis indices.
     """
 
     kind: str
@@ -654,14 +652,11 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     if k < 2:
         raise ValueError("morlet sets need k >= 2 (constant row + patterns)")
 
-    # row 0 is the unit-norm constant row (all ones for morlet-binary); the
-    # others are made in blocks of _UNPACK_BYTES of float64 rows (8 at
-    # 128 x 128, 2 at 256 x 256) and written in place, so a set is never held
-    # twice. A block's largest temporary is its complex128 kernel spectra,
-    # 16 h (w//2 + 1) bytes a row (1.6% more than the block at 128 x 128);
-    # binary blocks hold float32 fields and complex64 noise, half the size
-    # of a real block's, but take as many rows: their kernel spectra are
-    # complex128 too, and twice as many rows put them above _UNPACK_BYTES
+    # rows 1..k-1 are made in blocks of _UNPACK_BYTES of float64 rows, for
+    # binary sets too, and written in place, so a set is never held twice;
+    # a block's largest temporary is its complex128 kernel spectra (why
+    # binary blocks are no larger: CHANGES.md, "Morlet-binary models above
+    # 2^25 entries hold int8 ±1 rows", Left out)
     binary = kind == "morlet-binary"
     params, metas = zip(*(_morlet_row(dist, master_seed, i) for i in range(1, k)))
     if binary:

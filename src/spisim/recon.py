@@ -9,9 +9,11 @@ b = D+ U* Y, so the pseudoinverse estimate is M+ Y = A* b
 (B, r) -> (B, n), which writes into `out=` when given. Morlet models
 (`_GramVtOp`) take A = W^T M and b = W^T Y with W W^T = G^+ for the Gram
 matrix G = M M^T (`gram_orthogonalize`), hold M column-major in the set's
-`PatternSet.row_dtype` and never form V; Walsh-Hadamard and noiselet
-models use their fast transforms, one image at a time. The dense SVD
-(`factorize`) is the test oracle; `linear_model` accepts its factors too.
+`PatternSet.row_dtype` and never form V. Walsh-Hadamard and noiselet
+models (`_SubsetOp`) are rows of a real orthogonal transform applied one
+image at a time: H itself, or S = H diag(q) H for noiselets, whose rows U
+are the sampled indices and their reversals. The dense SVD (`factorize`)
+is the test oracle; `linear_model` accepts its factors too.
 
 A morlet model is its row matrix plus W (k x r), so W is all the
 orthogonalization there is to keep: `linear_model` is the one place W is
@@ -21,8 +23,9 @@ the n x k pseudoinverse, except `pinv_matrix`, the SVD oracle's.
 
 Binary pattern rows enter the linear model in bipolar form 2P - 1 (the
 constant row is unchanged by that map), pairing with the differential
-measurement Y - Ybar. Complex noiselet rows enter as stacked real and
-imaginary parts, the order of a noiselet measurement's real samples.
+measurement Y - Ybar. A noiselet measurement is the sampled complex rows'
+real parts, then their imaginary parts; the SVD oracle stacks the rows the
+same way, and the fast model maps the samples to S_U x (`_NoiseletSubsetOp`).
 
 The TV solver is a Nesterov-accelerated smoothed-TV scheme (NESTA) with
 continuation over a decreasing smoothing parameter: isotropic TV, forward
@@ -333,112 +336,95 @@ class _GramVtOp:
         return out
 
 
-class _WhtSubsetOp:
-    """Orthonormal Walsh-Hadamard rows selected by index; fast transform.
-
-    Images share nothing in a transform, so `forward` and `adjoint` take one
-    image at a time: zero fill, scatter, transform and gather run on its own
-    (h, w) row, 0.5 MB at 256^2, so the transform's passes stay in a 2 MB L2
-    cache, where a (B, n) batch's would not (1.5 MB per array at B = 3).
+class _SubsetOp:
+    """A = rows ``idx`` of a real symmetric orthogonal n x n transform T, so
+    A A^T = I. A subclass supplies ``_transform(grid, out=None)``, T of one
+    (h, w) image (into ``out``, C-contiguous, when given; it may be
+    ``grid``), and ``rhs``. forward (B, n) -> (B, len(idx)) takes rows idx
+    of T x; adjoint (B, len(idx)) -> (B, n) scatters into idx and applies
+    T = T^T, written into ``out`` when given. Images share nothing in a
+    transform, so both take one image at a time on its own (h, w) row,
+    0.5 MB at 256^2, so the transform's passes stay in a 2 MB L2 cache,
+    where a (B, n) batch's would not (1.5 MB per array at B = 3).
     """
 
     path = "transform"
 
-    def __init__(self, indices, width, height):
-        self.idx = np.asarray(indices)
+    def __init__(self, idx, width, height):
+        self.idx = idx
         self.width, self.height = width, height
-        self.k = len(self.idx)
         self.n = width * height
 
-    def rhs(self, y):
-        return _checked(y, self.k).astype(np.float64)
-
-    def forward(self, x):   # (B, n) -> (B, k)
+    def forward(self, x):   # (B, n) -> (B, len(idx))
         x = x.reshape(-1, self.n)
-        out = np.empty((x.shape[0], self.k))
+        out = np.empty((x.shape[0], len(self.idx)))
         for xi, oi in zip(x, out):
-            np.take(wht2(xi.reshape(self.height, self.width)).reshape(self.n), self.idx, out=oi)
+            np.take(self._transform(xi.reshape(self.height, self.width)).reshape(self.n),
+                    self.idx, out=oi)
         return out
 
-    def adjoint(self, z, out=None):   # (B, k) -> (B, n)
+    def adjoint(self, z, out=None):   # (B, len(idx)) -> (B, n)
         grid = np.empty((z.shape[0], self.n)) if out is None else out
         for zi, gi in zip(z, grid):
             gi.fill(0.0)
             gi[self.idx] = zi
             g = _c_view(gi, (self.height, self.width))
-            wht2(g, out=g)
+            self._transform(g, g)
         return grid
 
 
-class _NoiseletSubsetOp:
-    """Orthonormalized real view of complex noiselet rows.
-
-    The squared noiselet matrix is the index-reversal permutation, so row
-    n-1-i is the conjugate of row i. Of every sampled reversal pair only the
-    first-sampled row is kept; the stacked rows sqrt(2)*[Re; Im] are then
-    exactly orthonormal, and for a real image the pair's two samples are
-    conjugate duplicates, averaged by rhs into the kept one.
-
-    The noiselet matrix is ((1 - i) I + (1 + i) R) / 2 . S with S = H q H
-    real and symmetric (`patterns.fast_noiselet`), so row i of sqrt(2)*[Re; Im]
-    is sqrt(1/2) (S_i + S_r) and sqrt(1/2) (S_r - S_i), r = n-1-i: both
-    directions cost two real 2D Walsh-Hadamard transforms. As in
-    `_WhtSubsetOp`, each image of a batch is filled, transformed and
-    gathered on its own (h, w) row (0.5 MB at 256^2, against a 2 MB L2).
-    """
-
-    path = "transform"
+class _WhtSubsetOp(_SubsetOp):
+    """Orthonormal Walsh-Hadamard rows at the sampled indices; b = Y."""
 
     def __init__(self, indices, width, height):
-        idx = np.asarray(indices, dtype=np.int64)
-        self.width, self.height = width, height
-        self.n = width * height
-        self.k = len(idx)
-        pos = np.full(self.n, -1)
-        pos[idx] = np.arange(self.k)
-        partner = pos[self.n - 1 - idx]
-        first = (partner < 0) | (partner >= np.arange(self.k))
-        self._keep = np.flatnonzero(first)       # positions of the kept samples
-        self._partner = partner[first]           # their partners' positions, -1 if unsampled
-        self.idx = idx[first]
-        self.ridx = self.n - 1 - self.idx
-        self.kd = len(self.idx)
-        self._q = noiselet_signs(self.n).reshape(height, width)
+        super().__init__(np.asarray(indices), width, height)
+        self.k = len(self.idx)
+
+    def rhs(self, y):
+        return _checked(y, self.k).astype(np.float64)
+
+    def _transform(self, grid, out=None):
+        return wht2(grid, out=out)
+
+
+class _NoiseletSubsetOp(_SubsetOp):
+    """Rows U = idx | n-1-idx of S = H diag(q) H (`patterns.fast_noiselet`),
+    real, symmetric and orthogonal, for the k sampled noiselet rows idx.
+
+    The noiselet matrix is ((1 - i) I + (1 + i) R) / 2 . S, R the index
+    reversal, so with r = n-1-i its row i is ((1 - i) S_i + (1 + i) S_r) / 2:
+    S_i x = Re - Im and S_r x = Re + Im of the sample. rhs maps the stacked
+    [Re; Im] samples (..., 2k) to those values (..., len(U)), averaging a
+    position that a sampled reversal pair (or, on a 1 x 1 grid, the one
+    sample) gives twice: the least-squares estimate.
+    """
+
+    def __init__(self, indices, width, height):
+        sampled = np.asarray(indices, dtype=np.int64)
+        n = width * height
+        u = np.zeros(n, dtype=bool)
+        u[sampled] = u[n - 1 - sampled] = True
+        super().__init__(np.flatnonzero(u), width, height)
+        self.k = len(sampled)
+        self._at = np.searchsorted(self.idx, sampled)           # positions of S_i
+        self._rat = np.searchsorted(self.idx, n - 1 - sampled)  # and of S_r
+        self._cover = np.bincount(np.concatenate([self._at, self._rat]),
+                                  minlength=len(self.idx))
+        self._q = noiselet_signs(n).reshape(height, width)
 
     def rhs(self, y):       # y: stacked [Re; Im] (..., 2k)
         y = _checked(y, 2 * self.k)
-        y = y[..., : self.k] + 1j * y[..., self.k:]
-        v = y[..., self._keep]
-        v = np.where(self._partner >= 0, 0.5 * (v + np.conj(y[..., self._partner])), v)
-        return np.concatenate([v.real, v.imag], axis=-1) * np.sqrt(2.0)
+        re, im = y[..., : self.k], y[..., self.k:]
+        b = np.zeros(y.shape[:-1] + (len(self.idx),))
+        b[..., self._at] = re - im
+        b[..., self._rat] += re + im
+        b /= self._cover
+        return b
 
-    def _s(self, x, out=None):   # one image (n,) -> H q H x, (h, w); out (n,) may be x
-        t = wht2(x.reshape(self.height, self.width))
+    def _transform(self, grid, out=None):
+        t = wht2(grid)
         t *= self._q
-        return wht2(t, out=None if out is None else _c_view(out, t.shape))
-
-    def forward(self, x):   # (B, n) -> (B, 2 kd)
-        x = x.reshape(-1, self.n)
-        out = np.empty((x.shape[0], 2 * self.kd))
-        for xi, oi in zip(x, out):
-            h = self._s(xi).reshape(self.n)
-            a, r = h[self.idx], h[self.ridx]
-            np.add(r, a, out=oi[: self.kd])
-            np.subtract(r, a, out=oi[self.kd:])
-            del h, a, r     # the next image's transforms run without them
-        out *= np.sqrt(0.5)
-        return out
-
-    def adjoint(self, z, out=None):   # (B, 2 kd) -> (B, n)
-        w = np.empty((z.shape[0], self.n)) if out is None else out
-        for zi, wi in zip(z, w):
-            z_re, z_im = zi[: self.kd], zi[self.kd:]
-            wi.fill(0.0)
-            wi[self.ridx] = (z_re + z_im) * np.sqrt(0.5)
-            # adds: on a 1 x 1 grid idx and ridx are the same pixel
-            wi[self.idx] += (z_re - z_im) * np.sqrt(0.5)
-            self._s(wi, wi)
-        return w
+        return wht2(t, out=t if out is None else out)
 
 
 def linear_model(source):
@@ -751,23 +737,21 @@ def _update_blocks(batch, n):
 
 
 def _nesta_stage(op, b, x0, mu, eps, opts):
-    """One continuation stage; returns each image's projected iterate from
-    the iteration where its stopping rule fired, or from the last one.
+    """One continuation stage at smoothing mu (B,) from x0 (B, h, w) on
+    A x = b, b (B, r); returns (images (B, h, w), whether every image
+    stopped, iterations). Each image is its projected iterate from the
+    iteration where its stopping rule fired, or from the last one. An
+    iteration costs one op.forward and one op.adjoint.
 
-    Every iterate v carries its residual r_v = b - A v and the residual's
-    back-projection e_v = A^T r_v. Projecting v onto the constraint set is
-    v + c e_v and leaves (1 - c) r_v and (1 - c) e_v. Because A^T is linear,
-    the y- and z-steps update e from p = A^T A g, so an iteration costs one
-    forward and one adjoint. r and e of the unprojected points vy, vz are
-    kept and the (1 - c) factors enter when x is mixed from them.
-
-    The (B, n) state is one stack s = [x, vz, e_vz, e_x, g, p]. With the
-    shrink factors c_y, c_z taken from the (B, r) residuals, the next
-    [x, vz, e_vz, e_x, y] is linear in s with per-image coefficients: the
-    update multiplies (B, 5, 6) by s one L2-sized block of images or
-    columns at a time (`_update_blocks`) into a small temporary, copied back
-    into rows 0-4 of the block. Each entry is the same 6-term gemm product
-    as one batched GEMM's. _tv_grad's scratch is one image.
+    Every iterate v carries its residual r_v = b - A v and e_v = A^T r_v, so
+    projecting v onto {x: ||b - A x|| <= eps} is v + c e_v (`_shrink`) with
+    no operator call, and the y- and z-steps update e from p = A^T A g. The
+    (B, n) state is one stack s = [x, vz, e_vz, e_x, g, p]; the next
+    [x, vz, e_vz, e_x, y] is linear in s with per-image coefficients,
+    applied in place one `_update_blocks` block at a time. Each entry is the
+    same 6-term gemm product in any blocking, so the result does not depend
+    on it. Memory behind this layout: CHANGES.md, "NESTA's image-sized
+    state is one stack".
     """
     batch, h, w = x0.shape
     n = h * w
@@ -776,9 +760,7 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
     tmp_shape = (blocks[0][0].stop, 5, max(c.stop - c.start for _, c in blocks))
     s = np.empty((6, batch, n))
     # _tv_grad's one image of scratch (3 rows) and the update's temporary
-    # share one allocation. As four arrays they raised a 128^2 sweep's peak
-    # RSS by 2 MB from its second cycle on; inside the stack's allocation,
-    # a 256^2 binary sweep's by 1.5 MB (measured with VmHWM per cycle)
+    # share one allocation, apart from the stack's (peak RSS: see above)
     buf = np.empty(3 * n + math.prod(tmp_shape))
     work = [*buf[:3 * n].reshape(3, 1, h, w), s[4].reshape(batch, h, w)]
     tmp = buf[3 * n:].reshape(tmp_shape)

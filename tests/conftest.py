@@ -22,6 +22,28 @@ def dense_transform_2d(width, height, kind):
                    dense_transform_matrix(width, kind))
 
 
+def self_pattern_matches_oracle():
+    """Criterion 9's self-pattern check, which needs no corpus: an image that
+    is dictionary row j has its largest least-squares coefficient at j, and
+    `decompose_features` puts its histogram peak in row j's (sigma, n_p) bin."""
+    from spisim.analyze import decompose_features
+    from spisim.patterns import ParamDistribution, gen_pattern_set
+
+    small = ParamDistribution(sigma_range=(2.0, 4.0), np_range=(0.5, 3.0))
+    ps = gen_pattern_set("morlet-real", 32, 32, 64, dist=small, master_seed=20)
+    j = 11
+    row = ps.dense()[j]
+    img = Image((row / np.abs(row).max()).reshape(32, 32))
+    c_oracle, *_ = np.linalg.lstsq(ps.dense().T, img.vector(), rcond=None)
+    if int(np.argmax(np.abs(c_oracle))) != j:
+        return False
+    hist = decompose_features([img], 64, small, seed=20)
+    meta = ps.row_meta[j]
+    si = int(np.searchsorted(hist.sigma_edges, meta.sigma)) - 1
+    pj = int(np.searchsorted(hist.np_edges, meta.n_p)) - 1
+    return bool(hist.values[si, pj] == hist.values.max())
+
+
 def block_phantom(size=64):
     """Piecewise-constant 4-block test image."""
     x = np.zeros((size, size))

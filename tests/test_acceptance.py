@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_transform_matrix
+from conftest import dense_transform_matrix, self_pattern_matches_oracle
 from spisim import recon
 from spisim.acquire import measure, measure_differential
 from spisim.analyze import (decompose_features, histogram_concentration, psnr,
@@ -246,18 +246,7 @@ def test_criterion_9_feature_decomposition(corpus):
     frac, _ = histogram_concentration(hist, level=0.1)
 
     # self-pattern sanity against the brute-force least-squares oracle
-    small = ParamDistribution(sigma_range=(2.0, 4.0), np_range=(0.5, 3.0))
-    ps = gen_pattern_set("morlet-real", 32, 32, 64, dist=small, master_seed=20)
-    j = 11
-    row = ps.dense()[j]
-    img = Image((row / np.abs(row).max()).reshape(32, 32))
-    c_oracle, *_ = np.linalg.lstsq(ps.dense().T, img.vector(), rcond=None)
-    self_ok = int(np.argmax(np.abs(c_oracle))) == j
-    h2 = decompose_features([img], 64, small, seed=20)
-    meta = ps.row_meta[j]
-    si = int(np.searchsorted(h2.sigma_edges, meta.sigma)) - 1
-    pj = int(np.searchsorted(h2.np_edges, meta.n_p)) - 1
-    self_ok = self_ok and h2.values[si, pj] == h2.values.max()
+    self_ok = self_pattern_matches_oracle()
 
     ok = frac >= 0.60 and self_ok
     report(9, ok, f"feature histogram: {frac:.0%} of mass in one contiguous "

@@ -224,6 +224,20 @@ class TestSerialization:
                         pattern_set_hash=bytes(32), noise_model=NoiseModel(),
                         compression_ratio=0.5)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("take", ["plain", "differential"])
+    def test_non_finite_samples_are_refused(self, rng, binary_set, tmp_path, bad, take):
+        fn = measure_differential if take == "differential" else measure
+        m = fn(Image(rng.random((16, 16))), binary_set)
+        save_measurement(m, tmp_path / "m.spim")
+        raw = bytearray((tmp_path / "m.spim").read_bytes())
+        # the last sample: of values_bar when differential, else of values
+        at = 11 + 8 * (m.k * (1 + m.is_differential) - 1)   # after the "<4sHIB" header
+        raw[at:at + 8] = np.float64(bad).tobytes()
+        (tmp_path / "bad.spim").write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="samples must be finite"):
+            load_measurement(tmp_path / "bad.spim")
+
     @pytest.mark.parametrize("differential", [False, True])
     def test_wrong_length_is_a_format_error(self, rng, binary_set, tmp_path,
                                             differential):

@@ -72,6 +72,48 @@ def test_operators_and_measure_go_through_transform_names(monkeypatch):
         assert calls == [f"spisim.acquire.{name}"]
 
 
+def test_subset_operators_open_only_their_own_spans(monkeypatch):
+    # both fast-transform operators inherit forward and adjoint from one
+    # base class; a wrapper landing on that shared method (or one class's
+    # wrapper reaching the other) would time a call under both labels
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from spans import Tracer
+    from spisim import recon
+    from spisim.patterns import gen_pattern_set
+
+    opened = []
+
+    class RecordingTracer(Tracer):
+        def open(self, name):
+            opened.append(name)
+            super().open(name)
+
+    ops = {label: recon.linear_model(gen_pattern_set(kind, 16, 8, 40, master_seed=3))
+           for label, kind in (("wht", "walsh-hadamard"), ("noiselet", "noiselet"))}
+    x = np.random.default_rng(0).random((2, 128))
+    want = {label: (op.forward(x), op.adjoint(op.forward(x))) for label, op in ops.items()}
+    tr = RecordingTracer()
+    try:
+        layers.install(tr)
+        for label, op in ops.items():
+            for direction in ("forward", "adjoint"):
+                opened.clear()
+                getattr(op, direction)(x if direction == "forward" else want[label][0])
+                assert [n for n in opened if n.startswith("recon.")] == \
+                    [f"recon.{direction}.{label}"]
+    finally:
+        tr.restore()
+        for name in ("layers", "spans"):
+            sys.modules.pop(name, None)
+    opened.clear()
+    for label, op in ops.items():
+        z = op.forward(x)
+        assert z.tobytes() == want[label][0].tobytes()
+        assert op.adjoint(z).tobytes() == want[label][1].tobytes()
+    assert opened == []
+
+
 def test_no_span_opens_inside_a_span_of_the_same_name(monkeypatch, rng):
     # a measurement wrapped twice under one name (say acquire.measure around
     # analyze._measure_effective calling measure) counts its time twice

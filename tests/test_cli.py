@@ -164,6 +164,8 @@ class TestMeasureReconstruct:
         ("--noise-sigma", "nan", "additive_sigma must be finite and >= 0, got nan"),
         ("--noise-sigma", "inf", "additive_sigma must be finite and >= 0, got inf"),
         ("--fluctuation", "nan", "source_fluctuation_sigma must be finite and >= 0, got nan"),
+        # a finite sigma whose noise overflows to +-inf
+        ("--noise-sigma", "1e308", "measurement samples must be finite"),
     ])
     def test_bad_noise_model_is_an_error_line(self, tmp_path, pgm16, capsys,
                                               flag, value, message):

@@ -527,7 +527,7 @@ class TestNestaStageOracle:
     # transforms' temporaries, which are one image's (a third of an array
     # each): two inside a Walsh-Hadamard transform; the noiselet operator
     # also keeps its first transform while the second runs. Measured at
-    # 12.28 and 12.79, plus 0.08 of an array (8 KB)
+    # 12.28 and 12.81; the bounds add 0.08 and 0.06 of an array (8 and 6 KB)
     @pytest.mark.parametrize("kind,arrays", [("walsh-hadamard", 12.36), ("noiselet", 12.87)])
     def test_memory_does_not_grow_with_iterations(self, kind, arrays):
         op = linear_model(gen_pattern_set(kind, 64, 64, 164, master_seed=2))
@@ -536,7 +536,9 @@ class TestNestaStageOracle:
         x0 = op.adjoint(b).reshape(3, 64, 64) + 0.05 * rng.standard_normal((3, 64, 64))
         eps = 0.05 * float(np.linalg.norm(b[0]))
         peaks = []
-        for iters in (1, 4, 40):            # the first run fills numpy's caches
+        # the first run fills numpy's caches; its cache of freed small
+        # buffers takes tens of operator calls to fill
+        for iters in (40, 4, 40):
             tracemalloc.start()
             try:
                 recon._nesta_stage(op, b, x0, np.full(3, 0.02), eps,
@@ -720,7 +722,7 @@ class TestEffectiveMeasurement:
         rec_svd = pinv_reconstruct(f, effective_measurement(ps, m))
         rec_fast = recon.pinv_reconstruct_basis(ps, m.values)
         # the SVD estimate is least-squares over the stacked system; the fast
-        # one is the adjoint of the deduplicated, pair-averaged system, which
+        # one is the adjoint of rows U of S with the pair-averaged rhs, which
         # is the same least-squares estimate
         res_a = tv_reconstruct(f, effective_measurement(ps, m), TvOptions(max_inner=300))
         res_b = tv_reconstruct(ps, m.values, TvOptions(max_inner=300))
@@ -1394,25 +1396,47 @@ def _noiselet_indices(n, seed):
 
 
 class TestNoiseletSubsetOp:
+    # A A^T = I and the oracle products hold to this many float64 epsilons
+    # times n: each entry of the dense oracle's products is a sum of n terms
+    EPS_PER_PIXEL = 4
+
     @pytest.mark.parametrize("height,width", [(1, 1), (1, 2), (2, 1), (4, 8), (16, 16)])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_matches_dense_oracle_rows(self, height, width, batch):
         n = height * width
         indices = _noiselet_indices(n, seed=n)
         op = recon._NoiseletSubsetOp(indices, width, height)
-        # every grid but 1 x 1 samples a reversal pair, so some samples are dropped
-        assert (op.kd < len(indices)) == (n > 1)
-        rows = dense_transform_2d(width, height, "noiselet")[op.idx]
-        a = np.sqrt(2.0) * np.vstack([rows.real, rows.imag])      # (2 kd, n)
+        # the rows are the sampled indices and their reversals, each once
+        assert op.idx.tolist() == sorted({*indices, *(n - 1 - i for i in indices)})
+        dense = dense_transform_2d(width, height, "noiselet")
+        a = (dense.real - dense.imag)[op.idx]     # the oracle S = H diag(q) H = Re N - Im N
+        bound = self.EPS_PER_PIXEL * n * np.finfo(np.float64).eps
         rng = np.random.default_rng(batch)
         x = rng.standard_normal((batch, n))
-        z = rng.standard_normal((batch, 2 * op.kd))
+        z = rng.standard_normal((batch, len(op.idx)))
         ax, atz = op.forward(x), op.adjoint(z)
         assert ax.dtype == atz.dtype == np.float64
-        assert np.abs(ax - x @ a.T).max() <= 1e-12 * max(1.0, np.abs(ax).max())
-        assert np.abs(atz - z @ a).max() <= 1e-12 * max(1.0, np.abs(atz).max())
+        assert np.abs(ax - x @ a.T).max() <= bound * max(1.0, np.abs(ax).max())
+        assert np.abs(atz - z @ a).max() <= bound * max(1.0, np.abs(atz).max())
         np.testing.assert_allclose(np.sum(ax * z, axis=1), np.sum(x * atz, axis=1),
                                    rtol=1e-12, atol=1e-12)
+        a_op = op.forward(np.eye(n)).T
+        assert np.abs(a_op @ a_op.T - np.eye(len(a_op))).max() <= bound
+        # the sampled rows' [Re; Im] lie in the row space of A and have its rank
+        stacked = np.vstack([dense[indices].real, dense[indices].imag])
+        assert np.abs(stacked @ a.T @ a - stacked).max() < 1e-12
+        assert np.linalg.matrix_rank(stacked) == len(op.idx)
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (1, 2), (2, 1)])
+    def test_tiny_grid_pinv_returns_the_image(self, width, height):
+        # on a 1 x 1 grid the one noiselet row is real: its sample's Im is 0
+        img = Image(np.array([[0.3, -1.7]])[:, : width * height].reshape(height, width))
+        ps = gen_pattern_set("noiselet", width, height, width * height)
+        y = effective_measurement(ps, measure(img, ps))
+        got = pinv_reconstruct(linear_model(ps), y)
+        np.testing.assert_allclose(got.data, img.data, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(pinv_reconstruct(factorize(ps), y).data, img.data,
+                                   rtol=1e-15, atol=1e-15)
 
 
 # The fast-transform operators written over the whole (B, n) batch: one
@@ -1439,16 +1463,12 @@ def _batched_noiselet_s(op, x):
 
 
 def _batched_noiselet_forward(op, x):
-    h = _batched_noiselet_s(op, x)
-    a, r = h[:, op.idx], h[:, op.ridx]
-    return np.concatenate([r + a, r - a], axis=1) * np.sqrt(0.5)
+    return _batched_noiselet_s(op, x)[:, op.idx]
 
 
 def _batched_noiselet_adjoint(op, z):
-    z_re, z_im = z[:, : op.kd], z[:, op.kd:]
     w = np.zeros((z.shape[0], op.n))
-    w[:, op.ridx] = (z_re + z_im) * np.sqrt(0.5)
-    w[:, op.idx] += (z_re - z_im) * np.sqrt(0.5)
+    w[:, op.idx] = z
     return _batched_noiselet_s(op, w)
 
 
