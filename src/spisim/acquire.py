@@ -28,7 +28,8 @@ from .imgcore import FormatError, read_header, require_size, require_u64, write_
 from .patterns import PatternSet, _row_blocks, noiselet2, wht2
 
 SPIM_MAGIC = b"SPIM"
-SPIM_VERSION = 1
+# 2: compression_ratio counts real samples per pixel (two per noiselet row)
+SPIM_VERSION = 2
 _FLAG_DIFFERENTIAL = 0x01
 _SPIM_HEADER = struct.Struct("<4sHIB")
 _SPIM_TRAILER = struct.Struct("<ddIQdd")  # additive, fluct, adc_bits, seed, cr, full_scale
@@ -64,8 +65,9 @@ class Measurement:
     full_scale: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.compression_ratio <= 1.0:
-            raise ValueError(f"compression ratio {self.compression_ratio} outside (0, 1]")
+        # real samples per pixel: a complete noiselet set gives 2
+        if not 0.0 < self.compression_ratio <= 2.0:
+            raise ValueError(f"compression ratio {self.compression_ratio} outside (0, 2]")
         if len(self.pattern_set_hash) != 32:
             raise ValueError("pattern_set_hash must be 32 bytes")
         # SPIM stores real samples only: a complex array would lose its imaginary part
@@ -97,9 +99,9 @@ def _raw_dot_products(img, ps: PatternSet):
         raise ValueError(f"image {img.width}x{img.height} does not match patterns "
                          f"{ps.width}x{ps.height}")
     if ps.kind == "walsh-hadamard":
-        return wht2(img.data).ravel()[np.asarray(ps.row_meta)]
+        return wht2(img.data).ravel()[ps.row_meta]
     if ps.kind == "noiselet":
-        t = noiselet2(img.data).ravel()[np.asarray(ps.row_meta)]
+        t = noiselet2(img.data).ravel()[ps.row_meta]
         return np.concatenate([t.real, t.imag])
     x = img.vector()
     if ps.kind == "morlet-real":
@@ -134,7 +136,7 @@ def measure(img, ps: PatternSet, nm: NoiseModel = NoiseModel()) -> Measurement:
     raw = _raw_dot_products(img, ps)
     (values,), full_scale = apply_noise_chain([raw], nm)
     return Measurement(values=values, pattern_set_hash=ps.content_hash(),
-                       noise_model=nm, compression_ratio=ps.k / ps.n,
+                       noise_model=nm, compression_ratio=len(values) / ps.n,
                        full_scale=full_scale)
 
 
@@ -147,7 +149,7 @@ def measure_differential(img, ps: PatternSet, nm: NoiseModel = NoiseModel()) -> 
     (values, values_bar), full_scale = apply_noise_chain([raw_y, raw_ybar], nm)
     return Measurement(values=values, values_bar=values_bar,
                        pattern_set_hash=ps.content_hash(), noise_model=nm,
-                       compression_ratio=ps.k / ps.n, full_scale=full_scale)
+                       compression_ratio=len(values) / ps.n, full_scale=full_scale)
 
 
 def combine_differential(m: Measurement):

@@ -100,9 +100,9 @@ def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0) -> Fe
     model = recon.linear_model(ps)
 
     # the constant row absorbs the image mean but carries no (sigma, n_p)
-    wavelet = np.array([not m.is_constant for m in ps.row_meta])
-    sigmas = np.array([m.sigma for m in ps.row_meta])[wavelet]
-    nps = np.array([m.n_p for m in ps.row_meta])[wavelet]
+    meta = ps.row_meta
+    wavelet = ~((meta.seed == 0) & (meta.sigma == 0))
+    sigmas, nps = meta.sigma[wavelet], meta.n_p[wavelet]
     sigma_edges = np.geomspace(dist.sigma_range[0] * 0.999, dist.sigma_range[1] * 1.001,
                                NBINS_SIGMA + 1)
     np_edges = np.linspace(dist.np_range[0] * 0.999, dist.np_range[1] * 1.001,

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .acquire import NoiseModel
-from .imgcore import check_field_types
+from .imgcore import check_field_types, require_u64
 from .patterns import KINDS, ParamDistribution, rows_for_cr
 from .recon import TvOptions
 
@@ -58,6 +58,12 @@ class RunConfig:
     def __post_init__(self):
         self.tv_options()  # tv_* values are reported in TvOptions' terms
         check_field_types(self, "config key {!r}")
+        require_u64(self.seed, "config key 'seed'")
+        self.noise_model()
+        self.distribution()
+        for key in ("kinds", "crs", "methods"):
+            if not getattr(self, key):
+                raise ValueError(f"config key {key!r} must not be empty")
         for key, allowed in (("kinds", KINDS), ("methods", METHODS)):
             if unknown := [v for v in getattr(self, key) if v not in allowed]:
                 raise ValueError(f"config key {key!r} has unknown entries {unknown}")
@@ -143,7 +149,8 @@ def cmd_measure(args):
     on = {"on": True, "off": False}.get(args.differential, ps.is_binary)  # auto: binary sets
     m = (measure_differential if on else measure)(img, ps, nm)
     if args.verbose:
-        print(f"measure: {time.perf_counter() - t0:.3f}s samples={m.k} cr={m.k / ps.n:.4%}")
+        print(f"measure: {time.perf_counter() - t0:.3f}s samples={m.k} "
+              f"cr={m.compression_ratio:.4%}")
     save_measurement(m, args.out)
     if args.csv:
         measurement_to_csv(m, args.csv)
@@ -164,6 +171,10 @@ def cmd_reconstruct(args):
         raise HashMismatchError(
             "pattern-set hash mismatch: this measurement was not taken with "
             f"{args.patterns}")
+    ref = load_image(args.reference) if args.reference else None
+    if ref is not None and (ref.width, ref.height) != (ps.width, ps.height):
+        raise ValueError(f"reference {ref.width}x{ref.height} does not match patterns "
+                         f"{ps.width}x{ps.height}")
 
     t0 = time.perf_counter()
     y = recon.effective_measurement(ps, m)
@@ -184,8 +195,7 @@ def cmd_reconstruct(args):
 
     save_image(img, args.out, depth=args.depth)
     print(f"wrote {args.out}")
-    if args.reference:
-        ref = load_image(args.reference)
+    if ref is not None:
         print(f"psnr_db={psnr(img, ref)!r}")
     return 0
 

@@ -54,7 +54,11 @@ _KIND_FLAGS = {"morlet-real": 0x02, "morlet-binary": 0x01,
                "walsh-hadamard": 0x04, "noiselet": 0x04}
 
 _SPIP_HEADER = struct.Struct("<4sHBIIIQB")
-_MORLET_META = struct.Struct("<dddQ")
+# one SPIP metadata record per row: a basis-row index, or a morlet row's
+# parameters and noise seed (all zero for the constant row 0)
+_MORLET_ROW = np.dtype([("sigma", "<f8"), ("n_p", "<f8"), ("theta", "<f8"), ("seed", "<u8")])
+_META_DTYPES = {"morlet-real": _MORLET_ROW, "morlet-binary": _MORLET_ROW,
+                "walsh-hadamard": np.dtype("<u8"), "noiselet": np.dtype("<u8")}
 
 # morlet sets keep their model rows in float64 up to this many matrix
 # entries (k * n), above it morlet-real rows in float32 and morlet-binary
@@ -229,10 +233,11 @@ def gen_morlet_pattern(p: MorletParams, seed: int, width: int, height: int):
     cancels, so no wavelet grid or norm is formed. Because the wavelet has
     exactly zero discrete mean, the output has no DC component.
 
-    A morlet-real row: a block of one row of `_morlet_patterns`, which
-    gen_pattern_set calls with blocks of rows. A morlet-binary row is not
-    this pattern's sign but that of `_morlet_patterns(..., binary=True)`, a
-    float32 field whose noise is drawn on the kernel's support only.
+    The morlet-real row whose row_meta record is (p.sigma, p.n_p, p.theta,
+    seed): a block of one row of `_morlet_patterns`, which gen_pattern_set
+    calls with blocks of rows. A morlet-binary row is not this pattern's
+    sign but that of `_morlet_patterns(..., binary=True)`, a float32 field
+    whose noise is drawn on the kernel's support only.
     """
     pattern = _morlet_patterns([p], [seed], width, height)[0]
     pattern.flags.writeable = False
@@ -368,23 +373,6 @@ def noiselet2(grid):
 # pattern sets
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MorletRowMeta:
-    sigma: float
-    n_p: float
-    theta: float
-    seed: int
-
-    CONSTANT = None  # set below: sentinel metadata for the all-ones row
-
-    @property
-    def is_constant(self):
-        return self.seed == 0 and self.sigma == 0.0
-
-
-MorletRowMeta.CONSTANT = MorletRowMeta(0.0, 0.0, 0.0, 0)
-
-
 # largest temporary a loop over blocks of rows allocates: freeing a larger
 # one raises glibc's dynamic mmap threshold, and later large arrays then come
 # from a fragmenting heap (a 256^2 sweep's peak RSS grew from its second cycle)
@@ -416,8 +404,12 @@ class PatternSet:
     multiplies and the SPIP payload as it is; for morlet-binary, bit-packed
     (k, ceil(n/8)) uint8, row-major (``bipolar_rows`` unpacks them
     column-major); None for the deterministic kinds, whose rows are basis
-    rows regenerated on demand. ``row_meta``: k MorletRowMeta, or k
-    distinct int basis-row indices in [0, n). ValueError for an unknown
+    rows regenerated on demand. ``row_meta``: the SPIP metadata section as
+    a read-only (k,) array of the kind's ``_META_DTYPES`` entry, built from
+    any sequence of k records: distinct ``<u8`` basis-row indices in
+    [0, n), or for morlet kinds an ``np.recarray`` of (sigma, n_p, theta,
+    seed) records, so both ``row_meta[i].sigma`` and ``row_meta.sigma``
+    work; row 0, the constant row, is all zeros. ValueError for an unknown
     kind, k outside [1, n], a row_meta of another length, a master_seed
     outside [0, 2^64) or bad basis indices.
     """
@@ -427,7 +419,7 @@ class PatternSet:
     height: int
     k: int
     master_seed: int
-    row_meta: tuple
+    row_meta: np.ndarray
     rows: object = None
 
     def __post_init__(self):
@@ -439,11 +431,18 @@ class PatternSet:
         if len(self.row_meta) != self.k:
             raise ValueError("row_meta length does not match k")
         require_u64(self.master_seed, "master seed")
-        if self.kind in DETERMINISTIC_KINDS:
+        if self.kind in DETERMINISTIC_KINDS:   # before the <u8 cast wraps a negative index
             if len(set(self.row_meta)) != self.k:
                 raise ValueError("deterministic kinds require distinct row indices")
             if not 0 <= min(self.row_meta) <= max(self.row_meta) < n:
                 raise ValueError(f"basis row indices must lie in [0, {n})")
+        # a tuple given whole would be read as one record
+        meta = self.row_meta if isinstance(self.row_meta, np.ndarray) else list(self.row_meta)
+        meta = np.array(meta, _META_DTYPES[self.kind])
+        if self.kind in MORLET_KINDS:
+            meta = meta.view(np.recarray)
+        meta.flags.writeable = False
+        object.__setattr__(self, "row_meta", meta)
 
     @property
     def n(self):
@@ -480,7 +479,7 @@ class PatternSet:
         if self.kind == "morlet-binary":
             return np.unpackbits(self.rows[rows], axis=1, count=self.n,
                                  bitorder="little").astype(dtype)
-        idx = np.asarray(self.row_meta)[rows]
+        idx = self.row_meta[rows]
         units = np.zeros((len(idx), self.n))
         units[np.arange(len(idx)), idx] = 1.0
         if self.kind == "noiselet":
@@ -494,12 +493,6 @@ class PatternSet:
                                  self.width, self.height, self.k,
                                  self.master_seed, _KIND_FLAGS[self.kind])
 
-    def _meta_bytes(self):
-        if self.kind in DETERMINISTIC_KINDS:
-            return np.asarray(self.row_meta, dtype="<u8").tobytes()
-        parts = [_MORLET_META.pack(m.sigma, m.n_p, m.theta, m.seed) for m in self.row_meta]
-        return b"".join(parts)
-
     def content_hash(self):
         """SHA-256 over header + per-row metadata.
 
@@ -508,7 +501,7 @@ class PatternSet:
         """
         h = hashlib.sha256()
         h.update(self._header_bytes())
-        h.update(self._meta_bytes())
+        h.update(self.row_meta.tobytes())
         return h.digest()
 
     def save(self, path):
@@ -516,7 +509,7 @@ class PatternSet:
         rows as the (n, k) array rows.T in row_dtype."""
         with open(path, "wb") as fh:
             fh.write(self._header_bytes())
-            fh.write(self._meta_bytes())
+            fh.write(self.row_meta.tobytes())
             if self.kind == "morlet-real":
                 np.ascontiguousarray(self.rows.T, self.rows.dtype.newbyteorder("<")).tofile(fh)
             elif self.kind == "morlet-binary":
@@ -536,50 +529,41 @@ def load_pattern_set(path) -> PatternSet:
         if not 1 <= k <= n:
             raise FormatError(f"SPIP header has k = {k} rows for n = {n} pixels")
         dtype = np.dtype(_row_dtype(kind, k, n)).newbyteorder("<")
-        row_bytes = (n + 7) // 8 if kind == "morlet-binary" else dtype.itemsize * n
-        if kind in DETERMINISTIC_KINDS:
-            need = _SPIP_HEADER.size + 8 * k
-        else:
-            need = _SPIP_HEADER.size + k * (_MORLET_META.size + row_bytes)
-        require_size(fh, need, "SPIP")
-
-        if kind in DETERMINISTIC_KINDS:
-            meta = np.fromfile(fh, dtype="<u8", count=k)
-            return PatternSet(kind, width, height, k, master_seed,
-                              tuple(int(i) for i in meta), None)
-
-        meta = tuple(MorletRowMeta(*m)
-                     for m in _MORLET_META.iter_unpack(fh.read(k * _MORLET_META.size)))
+        row_bytes = {"morlet-real": dtype.itemsize * n, "morlet-binary": (n + 7) // 8}.get(kind, 0)
+        require_size(fh, _SPIP_HEADER.size + k * (_META_DTYPES[kind].itemsize + row_bytes),
+                     "SPIP")
+        meta = np.fromfile(fh, dtype=_META_DTYPES[kind], count=k)
         # payloads are read in place; morlet-real rows come back column-major
+        rows = None
         if kind == "morlet-binary":
-            rows = np.fromfile(fh, dtype=np.uint8, count=k * row_bytes)
-            rows = rows.reshape(k, row_bytes)
-        else:
+            rows = np.fromfile(fh, dtype=np.uint8, count=k * row_bytes).reshape(k, row_bytes)
+        elif kind == "morlet-real":
             rows = np.fromfile(fh, dtype=dtype, count=n * k).reshape(n, k).T
-    rows.flags.writeable = False
+    if rows is not None:
+        rows.flags.writeable = False
     return PatternSet(kind, width, height, k, master_seed, meta, rows)
 
 
 def _morlet_row(dist, master_seed, i):
-    """(MorletParams, MorletRowMeta) of row i.
+    """(MorletParams, noise_seed) of row i, an int in [0, 2^64).
 
     Row i draws parameters and noise from decorrelated sub-streams of the
-    splitmix64 stream of (master_seed, i); the stored seed regenerates the
-    row: a morlet-real row via gen_morlet_pattern, a morlet-binary row as
-    the signs of `_morlet_patterns([params], [seed], w, h, binary=True)`.
+    splitmix64 stream of (master_seed, i); its row_meta record stores both,
+    and they regenerate the row: a morlet-real row via gen_morlet_pattern,
+    a morlet-binary row as the signs of
+    `_morlet_patterns([params], [noise_seed], w, h, binary=True)`.
     """
     params_seed, noise_seed = _row_seeds(master_seed, i)
-    params = dist.sample(np.random.default_rng(params_seed))
-    return params, MorletRowMeta(params.sigma, params.n_p, params.theta, noise_seed)
+    return dist.sample(np.random.default_rng(params_seed)), noise_seed
 
 
 def iter_morlet_rows(width, height, k, dist, master_seed, start=0):
-    """Yield (MorletRowMeta, unit-norm row grid) for rows start..k-1, one
+    """Yield (MorletParams, unit-norm row grid) for rows start..k-1, one
     row at a time; the morlet-real rows gen_pattern_set makes in blocks.
     (A morlet-binary row is not the sign of this grid; see _morlet_row.)"""
     for i in range(start, k):
-        params, meta = _morlet_row(dist, master_seed, i)
-        yield meta, gen_morlet_pattern(params, meta.seed, width, height)
+        params, seed = _morlet_row(dist, master_seed, i)
+        yield params, gen_morlet_pattern(params, seed, width, height)
 
 
 def bipolar_rows(ps: PatternSet, dtype=np.float32):
@@ -644,7 +628,7 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
         _check_pow2(height)
         rng = np.random.default_rng(splitmix64(master_seed, 0))
         others = rng.choice(n - 1, size=k - 1, replace=False) + 1 if k > 1 else []
-        indices = (0, *(int(i) for i in others))
+        indices = [0, *others]
         return PatternSet(kind, width, height, k, master_seed, indices, None)
 
     if dist is None:
@@ -658,7 +642,7 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     # binary blocks are no larger: CHANGES.md, "Morlet-binary models above
     # 2^25 entries hold int8 ±1 rows", Left out)
     binary = kind == "morlet-binary"
-    params, metas = zip(*(_morlet_row(dist, master_seed, i) for i in range(1, k)))
+    params, seeds = zip(*(_morlet_row(dist, master_seed, i) for i in range(1, k)))
     if binary:
         rows = np.empty((k, (n + 7) // 8), dtype=np.uint8)
         rows[0] = np.packbits(np.ones(n, dtype=bool), bitorder="little")
@@ -667,13 +651,12 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
         rows = np.empty((k, n), dtype=_row_dtype(kind, k, n), order="F")
         rows[0] = n ** -0.5
     for sl in _row_blocks(k - 1, 8 * n):            # over rows 1..k-1
-        grids = _morlet_patterns(params[sl], [m.seed for m in metas[sl]],
-                                 width, height, binary).reshape(-1, n)
+        grids = _morlet_patterns(params[sl], seeds[sl], width, height, binary).reshape(-1, n)
         block = slice(sl.start + 1, sl.stop + 1)
         if binary:
             rows[block] = np.packbits(grids >= 0.0, axis=1, bitorder="little")
         else:
             rows[block] = grids
     rows.flags.writeable = False
-    return PatternSet(kind, width, height, k, master_seed,
-                      (MorletRowMeta.CONSTANT, *metas), rows)
+    meta = [(0.0, 0.0, 0.0, 0), *((p.sigma, p.n_p, p.theta, s) for p, s in zip(params, seeds))]
+    return PatternSet(kind, width, height, k, master_seed, meta, rows)

@@ -102,7 +102,7 @@ def effective_measurement(ps: PatternSet, m: Measurement):
     if ps.kind == "morlet-binary":
         if m.is_differential:
             return combine_differential(m)
-        if not ps.row_meta[0].is_constant:
+        if not (ps.row_meta[0].seed == 0 and ps.row_meta[0].sigma == 0):
             raise ValueError("non-differential binary measurement needs the constant row")
         y = 2.0 * m.values - m.values[0]
         y[0] = m.values[0]
@@ -377,7 +377,7 @@ class _WhtSubsetOp(_SubsetOp):
     """Orthonormal Walsh-Hadamard rows at the sampled indices; b = Y."""
 
     def __init__(self, indices, width, height):
-        super().__init__(np.asarray(indices), width, height)
+        super().__init__(np.asarray(indices, dtype=np.int64), width, height)
         self.k = len(self.idx)
 
     def rhs(self, y):

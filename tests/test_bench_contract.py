@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -176,3 +177,39 @@ def test_spiv_cache_names_and_written_path(monkeypatch, tmp_path):
     assert tr.counters["recon.spiv_bytes"] == spiv.stat().st_size
     assert (tr.calls["recon.cache_lookup"], tr.calls["recon.spiv_write"],
             tr.calls["recon.spiv_read"]) == (2, 1, 2)
+
+
+@pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary", "walsh-hadamard", "noiselet"])
+def test_spip_save_load_and_hash_open_one_span_each(monkeypatch, tmp_path, kind):
+    # bench/layers.py wraps PatternSet.save, load_pattern_set and
+    # PatternSet.content_hash; one calling another would count a span twice,
+    # and a renamed method would count none
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from spans import Tracer
+    from spisim import patterns
+
+    opened = []
+
+    class RecordingTracer(Tracer):
+        def open(self, name):
+            opened.append(name)
+            super().open(name)
+
+    ps = patterns.gen_pattern_set(kind, 16, 8, 10, master_seed=3)
+    path = tmp_path / "p.spip"
+    tr = RecordingTracer()
+    seen = []
+    try:
+        layers.install(tr)
+        for call in (lambda: ps.save(path), lambda: patterns.load_pattern_set(path),
+                     lambda: ps.content_hash()):
+            opened.clear()
+            call()
+            seen.append([n for n in opened if n.startswith("patterns.")])
+    finally:
+        tr.restore()
+        for name in ("layers", "spans"):
+            sys.modules.pop(name, None)
+    assert seen == [["patterns.spip_write"], ["patterns.spip_read"], ["patterns.hash"]]
+    assert tr.counters["patterns.spip_bytes"] == path.stat().st_size

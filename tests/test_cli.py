@@ -268,6 +268,21 @@ class TestMeasureReconstruct:
         assert run("measure", "--image", pgm16, "--patterns", str(ps), "--verbose",
                    "--out", str(tmp_path / "m.spim")) == 0
         assert re.search(r"cr=\S+", capsys.readouterr().out).group() == gen_cr
+        # the SPIM file stores the same ratio: real samples per pixel
+        back = load_measurement(tmp_path / "m.spim")
+        assert back.compression_ratio == back.k / 256
+        assert f"cr={back.compression_ratio:.4%}" == gen_cr
+
+    def test_mismatched_reference_stops_before_the_solve(self, tmp_path, pgm16, capsys,
+                                                         rng):
+        ps, m = self._gen_measure(tmp_path, pgm16)
+        ref = tmp_path / "ref.pgm"
+        save_image(Image(rng.random((8, 8))), ref, depth=8)
+        assert self._reconstruct(tmp_path, ps, m, "--reference", str(ref)) == 2
+        err = capsys.readouterr().err
+        assert "error: reference 8x8 does not match patterns 16x16" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.pgm").exists()
 
     def test_measure_counts_samples_and_gen_counts_rows(self, tmp_path, pgm16, capsys):
         # a noiselet row gives two real samples, so 5 rows measure 10 samples
@@ -518,6 +533,11 @@ class TestSweepAndFeatures:
         ("size", "16"), ("adc_bits", "12"), ("additive_sigma", "0.1"), ("output_dir", 5),
         ("corpus_paths", [5]), ("methods", ["svd"]), ("kinds", ["bogus"]),
         ("seed", 1.5), ("crs", ["a"]), ("crs", [2.0]),
+        # splitmix64 would reduce these mod 2^64 into another seed's cells
+        ("seed", -1), ("seed", 1 << 64),
+        # checked before the corpus loads and output_dir is made
+        ("additive_sigma", -1), ("adc_bits", 99), ("sigma_range", [5, 1]),
+        ("sigma_range", [1]), ("kinds", []), ("crs", []), ("methods", []),
     ])
     def test_malformed_config_value_stops_before_any_cell(self, tmp_path, rng, capsys,
                                                           key, value):
@@ -531,6 +551,7 @@ class TestSweepAndFeatures:
         err = capsys.readouterr().err
         assert re.search(r"^error: ", err, re.M) and "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))
+        assert not (tmp_path / "out").exists()
 
     def test_readme_configs_load(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

@@ -421,7 +421,7 @@ class TestGenPatternSet:
     def test_binary_row0_all_ones(self):
         ps = gen_pattern_set("morlet-binary", 16, 16, 8, master_seed=1)
         assert ps.dense()[0].min() == 1.0
-        assert ps.row_meta[0].is_constant
+        assert ps.row_meta[0].tolist() == (0.0, 0.0, 0.0, 0)
 
     def test_rows_are_held_once(self):
         # a row list followed by np.stack peaked at 2.2x the rows
@@ -521,11 +521,11 @@ class TestGenPatternSet:
             twice[-1] = 1.0
         shares, kept = [], []
         for i in range(1, 7):
-            params, meta = patterns._morlet_row(dist, seed, i)
+            params, noise_seed = patterns._morlet_row(dist, seed, i)
             power = np.abs(patterns.morlet_spectra([params], width, height)[0]) ** 2
             support = power >= tau * tau * power.max()
             # the field's spectrum is zero exactly off the support
-            field = patterns._morlet_patterns([params], [meta.seed], width, height,
+            field = patterns._morlet_patterns([params], [noise_seed], width, height,
                                               binary=True)[0]
             spec = np.fft.rfft2(field.astype(np.float64))
             assert np.abs(spec[~support]).max() <= 1e-5 * np.abs(spec).max()
@@ -635,12 +635,54 @@ class TestSerialization:
         back = load_pattern_set(tmp_path / "p.spip")
         assert back.kind == ps.kind
         assert (back.width, back.height, back.k) == (ps.width, ps.height, ps.k)
-        assert back.row_meta == ps.row_meta
+        assert back.row_meta.tobytes() == ps.row_meta.tobytes()
         assert back.content_hash() == ps.content_hash()
         if kind == "noiselet":
             np.testing.assert_allclose(back.dense(), ps.dense(), atol=0)
         else:
             assert np.array_equal(back.dense(), ps.dense())
+
+    @pytest.mark.parametrize("kind", list(SPIP_FLAGS))
+    def test_row_meta_is_the_metadata_section(self, kind, tmp_path):
+        ps = gen_pattern_set(kind, 8, 4, 5, master_seed=21)
+        ps.save(tmp_path / "p.spip")
+        morlet = kind in ("morlet-real", "morlet-binary")
+        size = 32 if morlet else 8
+        section = (tmp_path / "p.spip").read_bytes()[FLAGS_BYTE + 1:FLAGS_BYTE + 1 + 5 * size]
+        back = load_pattern_set(tmp_path / "p.spip")
+        want = (np.dtype([("sigma", "<f8"), ("n_p", "<f8"), ("theta", "<f8"), ("seed", "<u8")])
+                if morlet else np.dtype("<u8"))
+        for meta in (ps.row_meta, back.row_meta):
+            assert meta.tobytes() == section
+            assert meta.dtype == want and meta.shape == (5,)
+            assert not meta.flags.writeable
+            assert isinstance(meta, np.recarray) == morlet
+            if morlet:
+                assert meta[0].tolist() == (0.0, 0.0, 0.0, 0)   # the constant row
+                assert meta[3].sigma == meta.sigma[3] > 0
+            else:
+                assert meta[0] == 0
+
+    @pytest.mark.parametrize("kind", ["walsh-hadamard", "noiselet"])
+    @pytest.mark.parametrize("indices,message", [
+        ((0, 1, 2), "row_meta length does not match k"),
+        ((0, 1, 2, 1), "distinct row indices"),
+        ((0, 1, 2, 32), r"basis row indices must lie in \[0, 32\)"),
+        ((0, 1, 2, -1), r"basis row indices must lie in \[0, 32\)"),
+    ], ids=["short", "repeated", "n", "negative"])
+    def test_bad_basis_tuple_is_a_value_error(self, kind, indices, message):
+        # checked on the given ints, before the <u8 cast would wrap -1
+        with pytest.raises(ValueError, match=message):
+            PatternSet(kind, 8, 4, 4, 0, indices)
+
+    def test_metadata_array_is_copied_and_read_only(self):
+        meta = np.array([0, 5, 7], dtype=np.int64)
+        ps = PatternSet("walsh-hadamard", 8, 4, 3, 0, meta)
+        assert meta.flags.writeable and ps.row_meta.dtype == np.dtype("<u8")
+        meta[1] = 6
+        assert ps.row_meta.tolist() == [0, 5, 7]
+        with pytest.raises(ValueError, match="read-only"):
+            ps.row_meta[1] = 6
 
     @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary",
                                       "walsh-hadamard", "noiselet"])
@@ -898,7 +940,7 @@ def test_row_dtype_rule(kind, width, height, k, dtype, tmp_path):
     n = width * height
     rows = (np.zeros((k, (n + 7) // 8), np.uint8) if kind == "morlet-binary"
             else np.zeros((k, n), dtype, order="F"))
-    ps = PatternSet(kind, width, height, k, 1, (patterns.MorletRowMeta.CONSTANT,) * k, rows)
+    ps = PatternSet(kind, width, height, k, 1, [(0.0, 0.0, 0.0, 0)] * k, rows)
     assert ps.row_dtype == dtype
     ps.save(tmp_path / "p.spip")
     back = load_pattern_set(tmp_path / "p.spip")
