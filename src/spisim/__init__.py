@@ -2,8 +2,9 @@
 
 Generates wavelet-correlated nonergodic random sampling patterns (plus
 Walsh-Hadamard and noiselet baselines), simulates differential single-pixel
-measurements, and reconstructs images by truncated-SVD pseudoinverse or
-total-variation minimization.
+measurements, and reconstructs images by pseudoinverse or total-variation
+minimization on one orthogonalized system, built through the Gram matrix of
+the pattern rows or a fast transform.
 """
 
 from .imgcore import Image, FormatError, load_image, save_image, save_spif

@@ -107,14 +107,11 @@ def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0) -> Fe
                                NBINS_SIGMA + 1)
     np_edges = np.linspace(dist.np_range[0] * 0.999, dist.np_range[1] * 1.001,
                            NBINS_NP + 1)
-    si = np.clip(np.searchsorted(sigma_edges, sigmas, side="right") - 1, 0, NBINS_SIGMA - 1)
-    pj = np.clip(np.searchsorted(np_edges, nps, side="right") - 1, 0, NBINS_NP - 1)
-
+    # every row lies inside the widened edges, so histogram2d drops none
+    edges = (sigma_edges, np_edges)
     coeffs = model.forward(np.stack([img.vector() for img in corpus])) @ model.w.T
-    sums = np.zeros((NBINS_SIGMA, NBINS_NP))
-    counts = np.zeros((NBINS_SIGMA, NBINS_NP), dtype=np.int64)
-    np.add.at(sums, (si, pj), np.abs(coeffs[:, wavelet]).sum(axis=0))
-    np.add.at(counts, (si, pj), len(corpus))
+    sums = np.histogram2d(sigmas, nps, edges, weights=np.abs(coeffs[:, wavelet]).sum(axis=0))[0]
+    counts = np.histogram2d(sigmas, nps, edges)[0].astype(np.int64) * len(corpus)
     values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     return FeatureHistogram(sigma_edges=sigma_edges, np_edges=np_edges,
                             values=values, counts=counts, corpus_size=len(corpus))
@@ -123,35 +120,27 @@ def decompose_features(corpus, dict_size, dist: ParamDistribution, seed=0) -> Fe
 def histogram_concentration(hist: FeatureHistogram, level=0.1):
     """Mass fraction inside the largest 4-connected above-threshold bin region.
 
-    Threshold = level * peak bin value. Returns (fraction, mask).
+    Threshold = level * peak bin value. Returns (fraction, mask); (0.0, an
+    empty mask) when no bin reaches the threshold. Of regions with equal
+    mass, the first in row-major order wins.
     """
     v = hist.values
     total = v.sum()
-    if total <= 0:
-        return 0.0, np.zeros_like(v, dtype=bool)
-    above = v >= level * v.max()
-    labels = np.full(v.shape, -1, dtype=np.int64)
-    best_mass, best_label = 0.0, -1
-    current = 0
-    for i in range(v.shape[0]):
-        for j in range(v.shape[1]):
-            if not above[i, j] or labels[i, j] >= 0:
-                continue
-            stack = [(i, j)]
-            labels[i, j] = current
-            mass = 0.0
-            while stack:
-                a, c = stack.pop()
-                mass += v[a, c]
-                for a2, c2 in ((a - 1, c), (a + 1, c), (a, c - 1), (a, c + 1)):
-                    if 0 <= a2 < v.shape[0] and 0 <= c2 < v.shape[1] \
-                            and above[a2, c2] and labels[a2, c2] < 0:
-                        labels[a2, c2] = current
-                        stack.append((a2, c2))
-            if mass > best_mass:
-                best_mass, best_label = mass, current
-            current += 1
-    return best_mass / total, labels == best_label
+    above = v >= level * v.max(initial=0.0)
+    if total <= 0 or not above.any():
+        return 0.0, np.zeros_like(above)
+    # each above-threshold bin takes the smallest flat index in its region
+    labels = np.where(above, np.arange(v.size).reshape(v.shape), v.size)
+    while True:
+        p = np.pad(labels, 1, constant_values=v.size)
+        new = np.where(above, np.minimum.reduce([p[1:-1, 1:-1], p[:-2, 1:-1], p[2:, 1:-1],
+                                                 p[1:-1, :-2], p[1:-1, 2:]]), v.size)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    mass = np.bincount(labels[above], weights=v[above], minlength=v.size)
+    best = mass.argmax()
+    return mass[best] / total, labels == best
 
 
 # --------------------------------------------------------------------------
@@ -199,12 +188,10 @@ class SweepResult:
         return out
 
     def mean_psnr(self, kind, cr, method):
-        vals = [r.psnr_db for r in self.rows
-                if r.kind == kind and abs(r.cr - cr) < 1e-12 and r.method == method]
-        if not vals:
-            raise KeyError(f"no sweep cell ({kind}, {cr}, {method})")
-        finite = [v for v in vals if np.isfinite(v)]
-        return float(np.mean(finite)) if finite else PSNR_INF
+        for k, c, m, mean, *_ in self.summary():
+            if k == kind and abs(c - cr) < 1e-12 and m == method:
+                return mean
+        raise KeyError(f"no sweep cell ({kind}, {cr}, {method})")
 
     def to_csv(self, path):
         write_csv(path, ["kind", "cr", "method", "image", "psnr_db", "runtime_s",
@@ -333,7 +320,12 @@ def standard_corpus(size=512, names=STANDARD_CORPUS_NAMES):
 
 
 def load_corpus(paths, size=None):
-    """Load a corpus from image files, optionally center-crop/resizing to square."""
+    """Load a corpus from image files, optionally center-crop/resizing to square.
+
+    Empty (or None) `paths` gives the standard corpus, at `size` if given.
+    """
+    if not paths:
+        return standard_corpus() if size is None else standard_corpus(size)
     from .imgcore import load_image
 
     out = []

@@ -94,11 +94,12 @@ class RunConfig:
 
 
 def _distribution(width, height, sigma_range=None, np_range=None):
-    """ParamDistribution.default_for(width, height) with the given ranges in
-    place of its own."""
+    """ParamDistribution.default_for(width, height) with the ranges that are
+    not None in place of its own."""
     base = ParamDistribution.default_for(width, height)
-    return ParamDistribution(sigma_range=tuple(sigma_range or base.sigma_range),
-                             np_range=tuple(np_range or base.np_range))
+    return ParamDistribution(
+        sigma_range=tuple(base.sigma_range if sigma_range is None else sigma_range),
+        np_range=tuple(base.np_range if np_range is None else np_range))
 
 
 def _parse_size(text):
@@ -110,8 +111,11 @@ def _parse_size(text):
 
 
 def _parse_range(text):
-    lo, hi = (float(t) for t in text.split(","))
-    return lo, hi
+    try:
+        lo, hi = text.split(",")
+        return float(lo), float(hi)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"range must look like lo,hi, got {text!r}") from e
 
 
 # --------------------------------------------------------------------------
@@ -201,13 +205,10 @@ def cmd_reconstruct(args):
 
 
 def cmd_sweep(args):
-    from .analyze import load_corpus, run_sweep, standard_corpus
+    from .analyze import load_corpus, run_sweep
 
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-    if cfg.corpus_paths:
-        corpus = load_corpus(cfg.corpus_paths, size=cfg.size)
-    else:
-        corpus = standard_corpus(size=cfg.size)
+    corpus = load_corpus(cfg.corpus_paths, size=cfg.size)
     os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.perf_counter()
 
@@ -233,14 +234,9 @@ def cmd_sweep(args):
 
 
 def cmd_analyze_features(args):
-    from .analyze import (decompose_features, histogram_concentration, load_corpus,
-                          standard_corpus)
+    from .analyze import decompose_features, histogram_concentration, load_corpus
 
-    if args.corpus:
-        corpus = load_corpus(args.corpus, size=args.size)
-    else:
-        corpus = standard_corpus(size=args.size)
-    images = [img for _, img in corpus]
+    images = [img for _, img in load_corpus(args.corpus, size=args.size)]
     dist = _distribution(args.size, args.size, args.dist_sigma)
     hist = decompose_features(images, args.dict_size, dist, seed=args.seed)
     hist.to_csv(args.out)

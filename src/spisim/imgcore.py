@@ -6,8 +6,8 @@ Conventions shared by every other module:
   canonical dynamic range [0, 1] on load (reconstructions may exceed it; the
   range is re-imposed only when exporting),
 * flattening an image into the linear measurement model is always row-major,
-* file formats: binary PGM (``P5``, 8/16-bit, big-endian samples) and the
-  lossless SPIF raw-float grid used as an intermediate in tests,
+* file formats: binary PGM (``P5``, 8/16-bit, big-endian samples) and
+  SPIF, a lossless raw-float grid that load_image also reads,
 * the binary SPIP, SPIM and SPIV readers check their headers through
   read_header and require_size; every CSV export goes through write_csv.
 """

@@ -108,12 +108,11 @@ class ParamDistribution:
     np_range: tuple = (0.5, 4.0)
 
     def __post_init__(self):
-        slo, shi = self.sigma_range
-        plo, phi = self.np_range
-        if not (0 < slo <= shi):
-            raise ValueError(f"bad sigma_range {self.sigma_range}")
-        if not (0 < plo <= phi):
-            raise ValueError(f"bad np_range {self.np_range}")
+        for name in ("sigma_range", "np_range"):
+            r = getattr(self, name)
+            if len(r) != 2 or not 0 < r[0] <= r[1]:
+                raise ValueError(f"bad {name} {r}")
+        shi, plo = self.sigma_range[1], self.np_range[0]
         if plo > 2.0 * shi:
             raise ValueError(
                 f"unsatisfiable distribution: n_p >= {plo} but 2*sigma <= {2.0 * shi}"

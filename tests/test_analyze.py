@@ -3,8 +3,8 @@ import pytest
 
 from spisim import patterns, recon
 from spisim.acquire import NoiseModel, measure, measure_differential
-from spisim.analyze import (_cell_seed, _image_noise_model, decompose_features,
-                            histogram_concentration, mse, psnr, run_sweep)
+from spisim.analyze import (FeatureHistogram, SweepRow, _cell_seed, _image_noise_model,
+                            decompose_features, histogram_concentration, mse, psnr, run_sweep)
 from spisim.imgcore import Image
 from spisim.patterns import ParamDistribution, gen_pattern_set, rows_for_cr
 from spisim.recon import (TvOptions, effective_matrix, effective_measurement, linear_model,
@@ -112,6 +112,130 @@ class TestDecomposeFeatures:
         assert frac == pytest.approx(19.0 / 19.3)
         assert mask.sum() == 2
 
+    @pytest.mark.parametrize("dist", [
+        ParamDistribution(sigma_range=(2.0, 4.0), np_range=(0.5, 3.0)),
+        ParamDistribution(sigma_range=(2.0, 2.0), np_range=(1.0, 1.0)),
+        ParamDistribution.default_for(16, 16)])
+    def test_bins_equal_a_per_row_loop(self, rng, dist):
+        imgs = [Image(rng.random((16, 16))) for _ in range(3)]
+        hist = decompose_features(imgs, 120, dist, seed=9)
+        ps = gen_pattern_set("morlet-real", 16, 16, 120, dist=dist, master_seed=9)
+        model = linear_model(ps)
+        coeffs = model.forward(np.stack([img.vector() for img in imgs])) @ model.w.T
+        weights = np.abs(coeffs).sum(axis=0)
+        sums = np.zeros(hist.values.shape)
+        counts = np.zeros(hist.values.shape, dtype=np.int64)
+        for r, meta in enumerate(ps.row_meta):
+            if meta.seed == 0 and meta.sigma == 0:   # the constant row
+                continue
+            # inside the widened edges: no row falls outside or is clipped
+            assert hist.sigma_edges[0] < meta.sigma < hist.sigma_edges[-1]
+            assert hist.np_edges[0] < meta.n_p < hist.np_edges[-1]
+            i = int(np.searchsorted(hist.sigma_edges, meta.sigma, side="right")) - 1
+            j = int(np.searchsorted(hist.np_edges, meta.n_p, side="right")) - 1
+            sums[i, j] += weights[r]
+            counts[i, j] += len(imgs)
+        assert counts.sum() == (ps.k - 1) * len(imgs)
+        assert hist.counts.dtype == np.int64 and np.array_equal(hist.counts, counts)
+        values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+        assert hist.values.tobytes() == values.tobytes()
+
+
+def _hist(values):
+    v = np.asarray(values, dtype=np.float64)
+    return FeatureHistogram(sigma_edges=np.arange(v.shape[0] + 1.0),
+                            np_edges=np.arange(v.shape[1] + 1.0), values=v,
+                            counts=np.ones(v.shape, dtype=np.int64), corpus_size=1)
+
+
+def _flood_fill_concentration(v, level):
+    """Reference: grow each 4-connected above-threshold region from its
+    first bin in row-major order; keep the first region of largest mass."""
+    above = v >= level * v.max()
+    seen = np.zeros(v.shape, dtype=bool)
+    best, best_mass = [], 0.0
+    for start in zip(*np.nonzero(above)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        region, todo = [], [start]
+        while todo:
+            a, c = todo.pop()
+            region.append((a, c))
+            for nb in ((a - 1, c), (a + 1, c), (a, c - 1), (a, c + 1)):
+                if 0 <= nb[0] < v.shape[0] and 0 <= nb[1] < v.shape[1] \
+                        and above[nb] and not seen[nb]:
+                    seen[nb] = True
+                    todo.append(nb)
+        mass = sum(v[b] for b in region)
+        if mass > best_mass:
+            best, best_mass = region, mass
+    mask = np.zeros(v.shape, dtype=bool)
+    for b in best:
+        mask[b] = True
+    return (best_mass / v.sum() if best else 0.0), mask
+
+
+class TestHistogramConcentration:
+    def test_equal_masses_first_region_in_row_major_order_wins(self):
+        frac, mask = histogram_concentration(_hist([[0, 0, 2], [1, 0, 0], [1, 0, 0]]))
+        assert frac == 0.5
+        assert np.array_equal(mask, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+        frac, mask = histogram_concentration(_hist([[0, 0, 0], [1, 0, 0], [1, 0, 2]]))
+        assert frac == 0.5
+        assert np.array_equal(mask, [[0, 0, 0], [1, 0, 0], [1, 0, 0]])
+
+    def test_diagonal_neighbours_are_separate_regions(self):
+        frac, mask = histogram_concentration(_hist([[1, 0], [0, 3]]), level=0.1)
+        assert frac == 0.75
+        assert np.array_equal(mask, [[0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_label_flows_round_a_u_bend(self, turns):
+        # in each rotation the smallest index has to travel a different way
+        v = np.rot90(np.array([[1, 0, 1, 0, 3],
+                               [1, 0, 1, 0, 0],
+                               [1, 1, 1, 0, 0.]]), turns)
+        frac, mask = histogram_concentration(_hist(v), level=0.1)
+        assert frac == 0.7
+        assert np.array_equal(mask, (v > 0) & (v < 3))
+
+    def test_one_bin(self):
+        frac, mask = histogram_concentration(_hist([[5.0]]))
+        assert frac == 1.0 and mask.tolist() == [[True]]
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_one_row_or_column(self, transpose):
+        v = np.array([[1.0, 0.0, 2.0, 2.0, 0.0, 1.0]])
+        v = v.T if transpose else v
+        frac, mask = histogram_concentration(_hist(v))
+        assert frac == pytest.approx(4.0 / 6.0, rel=1e-15)
+        assert np.array_equal(mask.ravel(), [0, 0, 1, 1, 0, 0])
+
+    @pytest.mark.parametrize("level", [2.0, np.nan])
+    def test_no_bin_above_the_threshold(self, level):
+        frac, mask = histogram_concentration(_hist([[1.0, 2.0], [3.0, 4.0]]), level=level)
+        assert frac == 0.0
+        assert mask.shape == (2, 2) and mask.dtype == bool and not mask.any()
+
+    def test_empty_histogram(self):
+        frac, mask = histogram_concentration(_hist([[0.0, 0.0], [0.0, 0.0]]))
+        assert frac == 0.0 and not mask.any()
+
+    def test_matches_flood_fill_reference(self):
+        rng = np.random.default_rng(3)
+        for t in range(200):
+            shape = rng.integers(1, 10, size=2)
+            v = rng.random(shape) ** rng.integers(1, 6)
+            v[rng.random(shape) < 0.3 * (t % 2)] = 0.0
+            for level in (0.0, 0.1, 0.3, 0.6, 1.0):
+                frac, mask = histogram_concentration(_hist(v), level)
+                ref_frac, ref_mask = _flood_fill_concentration(v, level)
+                assert np.array_equal(mask, ref_mask)
+                # the region's mass is summed in another order: at most 81
+                # terms, so well inside 1e-12 relative in float64
+                assert frac == pytest.approx(ref_frac, rel=1e-12)
+
 
 def tiny_corpus(rng, size=16, count=3):
     return [(f"img{i}", Image(rng.random((size, size)))) for i in range(count)]
@@ -193,6 +317,25 @@ class TestRunSweep:
         mean = res.mean_psnr("morlet-real", 0.5, "pinv")
         vals = [r.psnr_db for r in res.rows]
         assert mean == pytest.approx(np.mean(vals))
+
+    def test_mean_psnr_reads_the_summary(self, rng):
+        res = run_sweep(tiny_corpus(rng), ["walsh-hadamard", "morlet-real"], [0.5],
+                        ["pinv", "tv"], seed=4, tv_opts=TvOptions(max_inner=5, mu_stages=2))
+        # identical reconstructions: inf PSNRs, left out of a mean or all of it
+        for image, psnr_db in (("a", 10.0), ("b", np.inf), ("c", 12.5)):
+            res.rows.append(SweepRow("noiselet", 1.0, "pinv", image, psnr_db, 0.0))
+        for image in ("a", "b"):
+            res.rows.append(SweepRow("noiselet", 1.0, "tv", image, np.inf, 0.0))
+        summary = res.summary()
+        assert len(summary) == 6
+        for kind, cr, method, mean, _, _ in summary:
+            assert res.mean_psnr(kind, cr, method) == mean
+        assert res.mean_psnr("noiselet", 1.0, "pinv") == 11.25
+        assert res.mean_psnr("noiselet", 1.0, "tv") == np.inf
+        with pytest.raises(KeyError, match="no sweep cell"):
+            res.mean_psnr("noiselet", 0.5, "pinv")
+        with pytest.raises(KeyError, match="no sweep cell"):
+            res.mean_psnr("morlet-real", 0.5, "svd")
 
     @pytest.mark.parametrize("kind,above", [
         ("morlet-real", False), ("morlet-binary", False), ("walsh-hadamard", False),

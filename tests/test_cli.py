@@ -49,6 +49,17 @@ class TestGen:
                    "--out", str(tmp_path / "x.spip")) == 2
         assert "power of 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--dist-sigma", "--dist-np"])
+    @pytest.mark.parametrize("text", ["1", "1,2,3", "a,b", ""])
+    def test_malformed_range_names_the_form(self, tmp_path, capsys, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--kind", "morlet-real", "--size", "16x16", flag, text,
+                "--out", str(tmp_path / "p.spip"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: range must look like lo,hi, got {text!r}" in err
+        assert not (tmp_path / "p.spip").exists()
+
     def test_cr_to_k_rounding(self, tmp_path, capsys):
         assert run("gen", "--kind", "morlet-binary", "--size", "256x256",
                    "--cr", "0.06", "--out", str(tmp_path / "p.spip")) == 0
@@ -538,6 +549,7 @@ class TestSweepAndFeatures:
         # checked before the corpus loads and output_dir is made
         ("additive_sigma", -1), ("adc_bits", 99), ("sigma_range", [5, 1]),
         ("sigma_range", [1]), ("kinds", []), ("crs", []), ("methods", []),
+        ("np_range", [1]), ("sigma_range", []), ("np_range", []),
     ])
     def test_malformed_config_value_stops_before_any_cell(self, tmp_path, rng, capsys,
                                                           key, value):
@@ -575,3 +587,14 @@ class TestSweepAndFeatures:
         assert lines[0].startswith("sigma_lo")
         text = capsys.readouterr().out
         assert re.search(r"^histogram_concentration=[01]\.\d{4} ", text, re.M)
+
+    @pytest.mark.parametrize("corpus", [[], ["--corpus"]], ids=["no-corpus", "bare-corpus"])
+    def test_analyze_features_defaults_to_the_standard_corpus(self, tmp_path, capsys,
+                                                              monkeypatch, corpus):
+        for name in ("skimage", "skimage.data", "skimage.transform"):
+            monkeypatch.setitem(sys.modules, name, None)   # import fails
+        out = tmp_path / "hist.csv"
+        assert run("analyze-features", *corpus, "--size", "16", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^error: standard_corpus needs scikit-image", err, re.M)
+        assert "Traceback" not in err and not out.exists()

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -398,6 +399,12 @@ class TestParamDistribution:
             ParamDistribution(sigma_range=(3.0, 2.0))
         with pytest.raises(ValueError):
             ParamDistribution(sigma_range=(0.5, 1.0), np_range=(3.0, 4.0))
+
+    @pytest.mark.parametrize("key", ["sigma_range", "np_range"])
+    @pytest.mark.parametrize("value", [(1.0,), (), (1.0, 2.0, 3.0)])
+    def test_range_needs_two_entries(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"bad {key} {value}")):
+            ParamDistribution(**{key: value})
 
     def test_sampling_respects_guard(self, rng):
         dist = ParamDistribution(sigma_range=(0.5, 4.0), np_range=(0.5, 4.0))
