@@ -3,17 +3,20 @@
 Every sample is real, one per detector frame: a complex noiselet row gives
 two, so a k-row noiselet set yields 2k samples [Re(N x)[idx]; Im(N x)[idx]].
 
-Noise pipeline order mirrors the physical chain: multiplicative source
-fluctuation, then additive detector noise, then uniform ADC quantization.
-The reference scale for both the additive term and the quantizer is the
-maximum absolute sample observed after source fluctuation in the run
-(oscilloscope range selection), recorded on the Measurement.
-
 Differential photodetection measures Y = <X, P> and Ybar = <X, 1-P>
-simultaneously for binary patterns P; the per-sample source fluctuation is
-shared between the two detectors (same illumination) while additive noise
-is independent. Their difference feeds reconstruction, pairing with the
-bipolar effective matrix 2P - 1.
+simultaneously for binary patterns P. Their difference feeds
+reconstruction, pairing with the bipolar effective matrix 2P - 1.
+
+The noise chain (`apply_noise_chain`) runs on one (detectors, k) array of
+raw samples, Y or [Y; Ybar], in the order of the physical chain:
+multiplicative source fluctuation, one draw per frame shared by the
+detectors (same illumination); additive detector noise, independent per
+sample; then uniform ADC quantization. The reference scale for both the
+additive term and the quantizer is the largest absolute sample after
+source fluctuation (oscilloscope range selection), and the quantizer's
+full scale is recorded on the Measurement. `measure` and
+`measure_differential` hand their raw samples to one constructor,
+`_measurement`.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ class Measurement:
             raise ValueError(f"compression ratio {self.compression_ratio} outside (0, 2]")
         if len(self.pattern_set_hash) != 32:
             raise ValueError("pattern_set_hash must be 32 bytes")
+        shapes = [np.shape(v) for v in (self.values, self.values_bar) if v is not None]
+        if len(shapes[0]) != 1 or len(set(shapes)) > 1:
+            raise ValueError("measurement values and values_bar must be 1-D arrays of one "
+                             f"length, got shapes {shapes}")
         # SPIM stores real samples only: a complex array would lose its imaginary part
         if np.iscomplexobj(self.values) or np.iscomplexobj(self.values_bar):
             raise ValueError("measurement values must be real samples "
@@ -112,32 +119,35 @@ def _raw_dot_products(img, ps: PatternSet):
     return np.concatenate([ps.dense(rows=sl) @ x for sl in _row_blocks(ps.k, 8 * ps.n)])
 
 
-def apply_noise_chain(raw_blocks, nm: NoiseModel):
-    """Shared-fluctuation noise chain over one or two sample blocks."""
-    k = len(raw_blocks[0])
+def apply_noise_chain(y, nm: NoiseModel):
+    """(noisy samples, full_scale) of the raw (detectors, k) samples y. The
+    additive draw is one (detectors, k) block, detector by detector;
+    full_scale is 0.0 unless the ADC quantized."""
     rng = np.random.default_rng(nm.seed)
-    fluct = 1.0 + nm.source_fluctuation_sigma * rng.standard_normal(k) \
-        if nm.source_fluctuation_sigma > 0 else np.ones(k)
-    blocks = [b * fluct for b in raw_blocks]
-    scale = max(float(np.max(np.abs(b))) if b.size else 0.0 for b in blocks)
+    if nm.source_fluctuation_sigma > 0:
+        y = y * (1.0 + nm.source_fluctuation_sigma * rng.standard_normal(y.shape[1]))
+    scale = float(np.max(np.abs(y), initial=0.0))
     if nm.additive_sigma > 0 and scale > 0:
-        blocks = [b + nm.additive_sigma * scale * rng.standard_normal(k) for b in blocks]
-    full_scale = 0.0
-    if nm.adc_bits > 0 and scale > 0:
-        full_scale = max(float(np.max(np.abs(b))) for b in blocks)
-        if full_scale > 0:
-            step = full_scale / (1 << nm.adc_bits)
-            blocks = [np.round(b / step) * step for b in blocks]
-    return blocks, full_scale
+        y = y + nm.additive_sigma * scale * rng.standard_normal(y.shape)
+    full_scale = float(np.max(np.abs(y))) if nm.adc_bits > 0 and scale > 0 else 0.0
+    if full_scale > 0:
+        step = full_scale / (1 << nm.adc_bits)
+        y = np.round(y / step) * step
+    return y, full_scale
+
+
+def _measurement(ps: PatternSet, raw, nm: NoiseModel) -> Measurement:
+    """The Measurement of ps's raw samples, Y[None] or [Y; Ybar], through
+    the noise chain."""
+    samples, full_scale = apply_noise_chain(raw, nm)
+    return Measurement(values=samples[0], values_bar=samples[1] if len(samples) > 1 else None,
+                       pattern_set_hash=ps.content_hash(), noise_model=nm,
+                       compression_ratio=raw.shape[1] / ps.n, full_scale=full_scale)
 
 
 def measure(img, ps: PatternSet, nm: NoiseModel = NoiseModel()) -> Measurement:
     """Simulate the plain (single-detector) measurement Y = M x."""
-    raw = _raw_dot_products(img, ps)
-    (values,), full_scale = apply_noise_chain([raw], nm)
-    return Measurement(values=values, pattern_set_hash=ps.content_hash(),
-                       noise_model=nm, compression_ratio=len(values) / ps.n,
-                       full_scale=full_scale)
+    return _measurement(ps, _raw_dot_products(img, ps)[None], nm)
 
 
 def measure_differential(img, ps: PatternSet, nm: NoiseModel = NoiseModel()) -> Measurement:
@@ -145,11 +155,7 @@ def measure_differential(img, ps: PatternSet, nm: NoiseModel = NoiseModel()) -> 
     if not ps.is_binary:
         raise ValueError(f"differential measurement needs a binary set, got {ps.kind!r}")
     raw_y = _raw_dot_products(img, ps)
-    raw_ybar = img.vector().sum() - raw_y
-    (values, values_bar), full_scale = apply_noise_chain([raw_y, raw_ybar], nm)
-    return Measurement(values=values, values_bar=values_bar,
-                       pattern_set_hash=ps.content_hash(), noise_model=nm,
-                       compression_ratio=len(values) / ps.n, full_scale=full_scale)
+    return _measurement(ps, np.stack([raw_y, img.vector().sum() - raw_y]), nm)
 
 
 def combine_differential(m: Measurement):
@@ -167,9 +173,8 @@ def save_measurement(m: Measurement, path):
     flags = _FLAG_DIFFERENTIAL if m.is_differential else 0
     with open(path, "wb") as fh:
         fh.write(_SPIM_HEADER.pack(SPIM_MAGIC, SPIM_VERSION, m.k, flags))
-        fh.write(np.ascontiguousarray(m.values, dtype="<f8").tobytes())
-        if m.is_differential:
-            fh.write(np.ascontiguousarray(m.values_bar, dtype="<f8").tobytes())
+        for v in (m.values, m.values_bar)[:1 + m.is_differential]:
+            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
         fh.write(m.pattern_set_hash)
         nm = m.noise_model
         fh.write(_SPIM_TRAILER.pack(nm.additive_sigma, nm.source_fluctuation_sigma,
@@ -198,9 +203,6 @@ def load_measurement(path) -> Measurement:
 
 def measurement_to_csv(m: Measurement, path):
     """CSV export: index,value[,value_bar], one line per real sample."""
-    if m.is_differential:
-        header, columns = ["value", "value_bar"], [m.values, m.values_bar]
-    else:
-        header, columns = ["value"], [m.values]
-    write_csv(path, ["index", *header],
+    columns = (m.values, m.values_bar)[:1 + m.is_differential]
+    write_csv(path, ["index", "value", "value_bar"][:1 + len(columns)],
               zip(range(m.k), *(np.asarray(c, dtype=np.float64).tolist() for c in columns)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 from .acquire import NoiseModel
 from .imgcore import check_field_types, require_u64
-from .patterns import KINDS, ParamDistribution, rows_for_cr
+from .patterns import DETERMINISTIC_KINDS, KINDS, ParamDistribution, rows_for_cr
 from .recon import TvOptions
 
 DEFAULT_FRAME_RATE = 22000.0  # binary modulator frames per second
@@ -59,6 +59,9 @@ class RunConfig:
         self.tv_options()  # tv_* values are reported in TvOptions' terms
         check_field_types(self, "config key {!r}")
         require_u64(self.seed, "config key 'seed'")
+        if self.size < 1 or self.size & (self.size - 1) and {*self.kinds} & {*DETERMINISTIC_KINDS}:
+            raise ValueError("config key 'size' must be >= 1, and a power of 2 for "
+                             f"{' and '.join(DETERMINISTIC_KINDS)}, got {self.size}")
         self.noise_model()
         self.distribution()
         for key in ("kinds", "crs", "methods"):

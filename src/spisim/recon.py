@@ -31,9 +31,11 @@ The TV solver is a Nesterov-accelerated smoothed-TV scheme (NESTA) with
 continuation over a decreasing smoothing parameter: isotropic TV, forward
 differences, reflexive boundary, Huber smoothing, and per-stage stopping on
 the relative change of the smoothed objective against a trailing window.
-An iteration costs one forward and one adjoint; its image-sized state is
-one stack updated in place (`_nesta_stage`), and the TV gradient
-(`_tv_grad`) runs one image at a time.
+`tv_reconstruct` runs the continuation itself: it starts at the pinv image
+A^T b, sets the mu schedule, calls `_nesta_stage` once per stage and
+records each stage's TV. An iteration costs one forward and one adjoint;
+its image-sized state is one stack updated in place (`_nesta_stage`), and
+the TV gradient (`_tv_grad`) runs one image at a time.
 
 Fixed settings: the rank cut-offs relative to the largest singular value
 (RANK_TOL cuts only the SVD oracle, `factorize`; Gram models cut at 3
@@ -824,52 +826,38 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
     return out.reshape(batch, h, w), bool(done.all()), iters
 
 
-def _nesta_solve(op, b, opts: TvOptions):
-    """Continuation-wrapped NESTA; b is (B, r), returns (B, h, w) iterates."""
-    batch = b.shape[0]
-    x = op.adjoint(b).reshape(batch, op.height, op.width)
-    dyn = x.max(axis=(1, 2)) - x.min(axis=(1, 2))
-    dyn = np.where(dyn > 0, dyn, 1.0)
-    mu0 = MU_START_FRAC * dyn
-    mu_end = np.minimum(MU_FINAL, mu0)
-    stages = opts.mu_stages
-    converged = True
-    stage_tv = []
-    total_iters = 0
-    for s in range(stages):
-        t = s / (stages - 1) if stages > 1 else 1.0
-        mu = mu0 * (mu_end / mu0) ** t
-        x, ok, iters = _nesta_stage(op, b, x, mu, opts.epsilon, opts)
-        converged &= ok
-        total_iters += iters
-        stage_tv.append(tv_norm(x))
-    return x, converged, stage_tv, total_iters
-
-
-def _monotone_stages(stage_tv):
-    seq = np.array(stage_tv)         # (stages, B)
-    if seq.shape[0] < 2:
-        return True
-    prev = seq[:-1]
-    nxt = seq[1:]
-    return bool(np.all(nxt <= prev * (1.0 + 1e-6) + 1e-12))
-
-
 def tv_reconstruct(model, y, opts: TvOptions = TvOptions()) -> TvResult:
     """TV minimization on the orthogonalized system A x = rhs(Y).
 
     `model` is a linear model or anything linear_model accepts; y is one
-    effective measurement (k,) or a batch (B, k) solved together. Returns
-    the last feasible iterates with convergence/monotonicity flags over the
-    whole batch.
+    effective measurement (k,) or a batch (B, k) solved together. From the
+    pinv image A^T b, opts.mu_stages calls of `_nesta_stage` run, each from
+    the last one's images, at mu falling geometrically from MU_START_FRAC x
+    each image's dynamic range (1 for a flat image) to MU_FINAL, or to that
+    start if smaller (one stage runs at the end value). Returns the last
+    stage's images; converged when every stage stopped on its rule,
+    monotone when no stage's TV exceeds the previous one's by more than a
+    relative 1e-6 plus 1e-12.
     """
     model = _as_model(model)
     b = np.atleast_2d(model.rhs(y))
-    x, converged, stage_tv, iters = _nesta_solve(model, b, opts)
+    x = model.adjoint(b).reshape(len(b), model.height, model.width)
+    dyn = x.max(axis=(1, 2)) - x.min(axis=(1, 2))
+    mu0 = MU_START_FRAC * np.where(dyn > 0, dyn, 1.0)
+    mu_end = np.minimum(MU_FINAL, mu0)
+    stages = opts.mu_stages
+    converged, iterations, stage_tv = True, 0, []
+    for t in [s / (stages - 1) for s in range(stages)] if stages > 1 else [1.0]:
+        x, ok, iters = _nesta_stage(model, b, x, mu0 * (mu_end / mu0) ** t, opts.epsilon, opts)
+        converged &= ok
+        iterations += iters
+        stage_tv.append(tv_norm(x))
+    seq = np.array(stage_tv)         # (stages, B)
+    monotone = bool(np.all(seq[1:] <= seq[:-1] * (1.0 + 1e-6) + 1e-12))
     if np.ndim(y) == 1:
         stage_tv = [float(v[0]) for v in stage_tv]
-    return TvResult(images=x, converged=converged, monotone=_monotone_stages(stage_tv),
-                    stage_tv=stage_tv, iterations=iters)
+    return TvResult(images=x, converged=converged, monotone=monotone,
+                    stage_tv=stage_tv, iterations=iterations)
 
 
 # Earlier per-path names, kept because the benchmark's span table

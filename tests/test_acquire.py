@@ -1,9 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spisim.acquire import (Measurement, NoiseModel, combine_differential,
+from spisim.acquire import (Measurement, NoiseModel, apply_noise_chain, combine_differential,
                             load_measurement, measure, measure_differential,
                             measurement_to_csv, save_measurement)
 from spisim.imgcore import FormatError, Image
@@ -109,6 +110,13 @@ class TestMeasure:
 
 
 class TestDifferential:
+    def test_additive_noise_is_one_block_drawn_detector_by_detector(self):
+        raw = np.array([[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]])
+        noisy, full_scale = apply_noise_chain(raw, NoiseModel(additive_sigma=0.1, seed=3))
+        # Y's k draws first, then Ybar's, scaled by the largest |raw sample|
+        want = raw + 0.1 * 3.0 * np.random.default_rng(3).standard_normal((2, 3))
+        assert np.array_equal(noisy, want) and full_scale == 0.0
+
     def test_complementary_fluxes(self, rng, binary_set):
         img = Image(rng.random((16, 16)))
         m = measure_differential(img, binary_set)
@@ -223,6 +231,31 @@ class TestSerialization:
                         values_bar=None if values_bar is None else np.array(values_bar),
                         pattern_set_hash=bytes(32), noise_model=NoiseModel(),
                         compression_ratio=0.5)
+
+    # a values_bar of another length used to be accepted and broadcast by
+    # combine_differential, and a 2-D values saved under a header whose k
+    # was its row count
+    @pytest.mark.parametrize("fields,message", [
+        (dict(values=[1, 2, 3], values_bar=[1]),
+         "measurement values and values_bar must be 1-D arrays of one length, "
+         "got shapes [(3,), (1,)]"),
+        (dict(values=np.ones((2, 3))),
+         "measurement values and values_bar must be 1-D arrays of one length, "
+         "got shapes [(2, 3)]"),
+        (dict(values=np.ones((2, 3)), values_bar=np.ones((2, 3))),
+         "measurement values and values_bar must be 1-D arrays of one length, "
+         "got shapes [(2, 3), (2, 3)]"),
+        (dict(values=np.ones(3), values_bar=np.ones((1, 3))),
+         "measurement values and values_bar must be 1-D arrays of one length, "
+         "got shapes [(3,), (1, 3)]"),
+        (dict(values=np.ones(3), compression_ratio=0.0), "compression ratio 0.0 outside (0, 2]"),
+        (dict(values=np.ones(3), compression_ratio=2.5), "compression ratio 2.5 outside (0, 2]"),
+        (dict(values=np.ones(3), pattern_set_hash=bytes(31)), "pattern_set_hash must be 32 bytes"),
+    ], ids=["bar-length", "2d", "2d-pair", "2d-bar", "cr-0", "cr-2.5", "hash-31"])
+    def test_malformed_measurement_is_refused(self, fields, message):
+        kw = dict(pattern_set_hash=bytes(32), noise_model=NoiseModel(), compression_ratio=0.5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Measurement(**{**kw, **fields})
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("take", ["plain", "differential"])

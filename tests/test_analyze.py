@@ -93,6 +93,24 @@ class TestDecomposeFeatures:
         with pytest.raises(ValueError, match="empty"):
             decompose_features([], 16, self.DIST)
 
+    def test_mixed_image_sizes(self, rng):
+        imgs = [Image(rng.random((16, 16))), Image(rng.random((16, 8)))]
+        with pytest.raises(ValueError, match="corpus images must share dimensions"):
+            decompose_features(imgs, 16, self.DIST)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("sigma_edges", [1.0, 1.0, 4.0], "histogram bin edges must be strictly increasing"),
+        ("np_edges", [2.0, 1.0, 0.5], "histogram bin edges must be strictly increasing"),
+        ("values", [[1.0, -0.5], [0.0, 0.0]], "histogram values must be nonnegative"),
+    ], ids=["sigma-edges", "np-edges", "negative-value"])
+    def test_malformed_histogram_is_refused(self, field, value, message):
+        parts = dict(sigma_edges=np.array([1.0, 2.0, 4.0]), np_edges=np.array([0.5, 1.0, 2.0]),
+                     values=np.ones((2, 2)), counts=np.ones((2, 2), dtype=np.int64),
+                     corpus_size=1)
+        parts[field] = np.array(value)
+        with pytest.raises(ValueError, match=message):
+            FeatureHistogram(**parts)
+
     def test_csv_format(self, rng, tmp_path):
         hist = decompose_features([Image(rng.random((16, 16)))], 32, self.DIST, seed=4)
         hist.to_csv(tmp_path / "h.csv")
@@ -272,6 +290,14 @@ class TestRunSweep:
         nm = NoiseModel(additive_sigma=1e-2, seed=5)
         res = run_sweep(corpus, ["morlet-real"], [0.5], ["pinv"], nm=nm, seed=2)
         assert len({r.psnr_db for r in res.rows}) == 2
+
+    @pytest.mark.parametrize("empty", ["corpus", "kinds", "crs", "methods"])
+    def test_empty_list_is_refused(self, rng, empty):
+        args = dict(corpus=[("a", Image(rng.random((8, 8))))], kinds=["walsh-hadamard"],
+                    crs=[0.5], methods=["pinv"])
+        args[empty] = []
+        with pytest.raises(ValueError, match="corpus, kinds, crs, and methods must be non-empty"):
+            run_sweep(**args)
 
     def test_failed_cell_recorded_not_fatal(self, rng):
         corpus = tiny_corpus(rng, size=12)  # 12 is not a power of 2

@@ -49,6 +49,15 @@ class TestGen:
                    "--out", str(tmp_path / "x.spip")) == 2
         assert "power of 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["12", "12x", "axb"])
+    def test_malformed_size_names_the_form(self, tmp_path, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--kind", "morlet-real", "--size", text, "--out", str(tmp_path / "p.spip"))
+        assert exc.value.code == 2
+        assert f"argument --size: size must look like 256x256, got {text!r}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "p.spip").exists()
+
     @pytest.mark.parametrize("flag", ["--dist-sigma", "--dist-np"])
     @pytest.mark.parametrize("text", ["1", "1,2,3", "a,b", ""])
     def test_malformed_range_names_the_form(self, tmp_path, capsys, flag, text):
@@ -564,6 +573,27 @@ class TestSweepAndFeatures:
         assert re.search(r"^error: ", err, re.M) and "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))
         assert not (tmp_path / "out").exists()
+
+    # a size-100 image loads without resizing, so before the check this
+    # config made output_dir and recorded the failed cell; -8 failed at the
+    # corpus with a scikit-image error
+    @pytest.mark.parametrize("kinds,size", [(["morlet-real", "walsh-hadamard"], 100),
+                                            (["noiselet"], 100), (["morlet-real"], -8),
+                                            (["morlet-binary"], 0)])
+    def test_bad_size_stops_before_any_work(self, tmp_path, rng, capsys, kinds, size):
+        img = tmp_path / "c.pgm"
+        save_image(Image(rng.random((100, 100))), img, depth=8)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "kinds": kinds, "crs": [0.1], "methods": ["pinv"], "size": size,
+            "corpus_paths": [str(img)], "output_dir": str(tmp_path / "out")}))
+        assert run("sweep", "--config", str(cfg)) == 2
+        assert ("error: config key 'size' must be >= 1, and a power of 2 for walsh-hadamard "
+                f"and noiselet, got {size}") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_morlet_sizes_need_not_be_powers_of_2(self):
+        assert RunConfig(kinds=["morlet-real", "morlet-binary"], size=100).size == 100
 
     def test_readme_configs_load(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

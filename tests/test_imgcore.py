@@ -52,6 +52,17 @@ class TestLoadPgm:
         with pytest.raises(FormatError, match="unsupported"):
             load_image(write(tmp_path / "a.png", b"\x89PNG\r\n"))
 
+    @pytest.mark.parametrize("buf,message", [
+        (b"P5\n2 2\n", "truncated PGM header"),
+        (b"P5\n2 2 # a comment with no newline", "truncated PGM header"),
+        (b"P5x\n1 1\n255\n\x00", "not a binary PGM (magic b'P5x')"),
+        (b"P5\n1 1\n0\n\x00", "PGM maxval 0 out of range"),
+        (b"P5\n1 1\n70000\n\x00\x00", "PGM maxval 70000 out of range"),
+    ], ids=["eof-before-maxval", "comment-without-newline", "magic", "maxval-0", "maxval-70000"])
+    def test_malformed_header(self, tmp_path, buf, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_image(write(tmp_path / "a.pgm", buf))
+
 
 class TestSavePgm:
     def test_half_rounds_up_to_128(self, tmp_path):
@@ -96,6 +107,11 @@ def test_spif_wrong_length(tmp_path):
         (tmp_path / "b.spif").write_bytes(bad)
         with pytest.raises(FormatError, match=f"SPIF file is {len(bad)} bytes, header says 144"):
             load_image(tmp_path / "b.spif")
+
+
+def test_spif_truncated_header(tmp_path):
+    with pytest.raises(FormatError, match=re.escape("truncated SPIF header (8 bytes)")):
+        load_image(write(tmp_path / "a.spif", b"SPIF" + bytes(4)))
 
 
 def _save_spip(path):

@@ -580,6 +580,10 @@ class TestGenPatternSet:
         with pytest.raises(ValueError):
             gen_pattern_set("walsh-hadamard", 10, 10, 4)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown pattern kind 'hadamard'"):
+            gen_pattern_set("hadamard", 8, 8, 4)
+
     @pytest.mark.parametrize("kind", ["morlet-real", "walsh-hadamard"])
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_master_seed_must_fit_its_u64_field(self, kind, seed):
@@ -682,6 +686,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             PatternSet(kind, 8, 4, 4, 0, indices)
 
+    @pytest.mark.parametrize("kind,k,message", [
+        ("hadamard", 4, "unknown pattern kind 'hadamard'"),
+        ("walsh-hadamard", 0, "need 1 <= k <= n, got k=0, n=32"),
+        ("noiselet", 33, "need 1 <= k <= n, got k=33, n=32"),
+    ], ids=["kind", "k-0", "k-above-n"])
+    def test_bad_kind_or_k_is_a_value_error(self, kind, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PatternSet(kind, 8, 4, k, 0, tuple(range(k)))
+
     def test_metadata_array_is_copied_and_read_only(self):
         meta = np.array([0, 5, 7], dtype=np.int64)
         ps = PatternSet("walsh-hadamard", 8, 4, 3, 0, meta)
@@ -754,6 +767,11 @@ class TestSerialization:
         ps = gen_pattern_set("morlet-binary", 16, 8, 9, master_seed=3)
         np.testing.assert_allclose(bipolar_rows(ps, dtype=np.float64),
                                    2.0 * ps.dense() - 1.0, atol=0)
+
+    def test_bipolar_rows_needs_a_binary_set(self):
+        ps = gen_pattern_set("morlet-real", 16, 8, 9, master_seed=3)
+        with pytest.raises(ValueError, match="bipolar_rows needs a morlet-binary set"):
+            bipolar_rows(ps)
 
     @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
     @pytest.mark.parametrize("width,height,k", [(5, 3, 7), (47, 45, 1200)])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import os
@@ -55,6 +56,10 @@ class TestFactorize:
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             factorize(np.zeros((3, 9)))
+
+    def test_1d_array_rejected(self):
+        with pytest.raises(ValueError, match="matrix must be 2D"):
+            factorize(np.ones(9))
 
     def test_binary_rows_become_bipolar(self):
         ps = gen_pattern_set("morlet-binary", 8, 8, 5, master_seed=3)
@@ -166,6 +171,13 @@ class TestPinvStream:
         s = PinvStream(pm).update(0, y[0])
         with pytest.raises(ValueError, match="duplicate"):
             s.update(0, y[0])
+
+    @pytest.mark.parametrize("j", [-1, 15])
+    def test_out_of_range_rejected(self, setup, j):
+        pm, _ = setup
+        assert pm.k == 15
+        with pytest.raises(IndexError, match=f"row index {j} out of range"):
+            PinvStream(pm).update(j, 1.0)
 
 
 def _tv_subgradient(z):
@@ -485,7 +497,13 @@ class TestNestaStageOracle:
             _, _, iters = recon._nesta_stage(op, b, x0, mu, eps, opts)
             assert calls == {"forward": iters + 1, "adjoint": iters + 1}
         calls.update(forward=0, adjoint=0)
-        iters = recon._nesta_solve(op, b, TvOptions(max_inner=7, mu_stages=3))[3]
+        # through tv_reconstruct, whose rhs calls neither operator: the
+        # Walsh-Hadamard rhs is the identity, so y = b there, and any
+        # measurement of the model's length (2k samples for noiselets) serves
+        # the others
+        length = 2 * op.k if name == "noiselet" else op.k
+        y = b if name == "wht" else np.random.default_rng(1).random((3, length))
+        iters = recon.tv_reconstruct(op, y, TvOptions(max_inner=7, mu_stages=3)).iterations
         assert iters == 21
         # one adjoint for the pinv start, then iterations + 1 per stage
         assert calls == {"forward": 21 + 3, "adjoint": 21 + 3 + 1}
@@ -512,7 +530,8 @@ class TestNestaStageOracle:
         mus, stage = [], recon._nesta_stage
         monkeypatch.setattr(recon, "_nesta_stage", lambda op, b, x0, mu, eps, opts:
                             mus.append(mu) or stage(op, b, x0, mu, eps, opts))
-        iters = recon._nesta_solve(op, b, TvOptions(mu_stages=3, tol=float("inf")))[3]
+        # the Walsh-Hadamard rhs is the identity, so the solve runs on b itself
+        iters = recon.tv_reconstruct(op, b, TvOptions(mu_stages=3, tol=float("inf"))).iterations
         x = op.adjoint(b)
         mu0 = 0.1 * (x.max(axis=1) - x.min(axis=1))
         np.testing.assert_allclose(mus, [mu0, np.sqrt(mu0 * 1e-4), np.full(3, 1e-4)],
@@ -704,6 +723,14 @@ class TestEffectiveMeasurement:
         a = effective_measurement(ps, measure_differential(img, ps))
         b = effective_measurement(ps, measure(img, ps))
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+    def test_plain_binary_needs_the_constant_row_first(self, rng):
+        img = Image(rng.random((16, 16)))
+        ps = gen_pattern_set("morlet-binary", 16, 16, 12, master_seed=2)
+        moved = dataclasses.replace(ps, row_meta=np.roll(ps.row_meta, -1))
+        with pytest.raises(ValueError,
+                           match="non-differential binary measurement needs the constant row"):
+            effective_measurement(moved, measure(img, ps))
 
     def test_noiselet_stacks_re_im(self, rng):
         img = Image(rng.random((8, 8)))

@@ -76,6 +76,11 @@ class TestMorlet:
         with pytest.warns(UserWarning, match="8\\*sigma"):
             make(MorletParams(sigma=8.0, n_p=1.0, theta=0.0), 32, 32)
 
+    @pytest.mark.parametrize("width,height", [(0, 8), (8, 0)])
+    def test_empty_grid_is_refused(self, width, height):
+        with pytest.raises(ValueError, match=f"grid must be at least 1x1, got {width}x{height}"):
+            morlet_wavelet(MorletParams(sigma=2.0, n_p=1.0, theta=0.0), width, height)
+
     @pytest.mark.filterwarnings("ignore:grid .* is below 8:UserWarning")
     @pytest.mark.parametrize("width,height,theta", [(1, 16, 0.0), (16, 1, np.pi / 2)])
     def test_constant_carrier_grid_is_degenerate(self, width, height, theta):
