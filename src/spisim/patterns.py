@@ -34,7 +34,7 @@ import numpy as np
 from .imgcore import FormatError, read_header, require_size, require_u64
 # morlet_wavelet is not called here; it stays importable from this module
 # because the benchmark's span table wraps patterns.morlet_wavelet
-from .wavelets import MorletParams, morlet_spectra, morlet_wavelet  # noqa: F401
+from .wavelets import MorletParams, morlet_factor_spectra, morlet_spectra, morlet_wavelet  # noqa
 
 KINDS = ("morlet-real", "morlet-binary", "walsh-hadamard", "noiselet")
 MORLET_KINDS = ("morlet-real", "morlet-binary")
@@ -64,10 +64,10 @@ _META_DTYPES = {"morlet-real": _MORLET_ROW, "morlet-binary": _MORLET_ROW,
 # entries (k * n), above it morlet-real rows in float32 and morlet-binary
 # rows in int8 (PatternSet.row_dtype)
 _DENSE_LIMIT = 1 << 25
-# morlet-binary sets also take float32 above this many entries when
-# _BINARY_F32_MIN_RATIO * k <= n (CR <= 12.5%); see PatternSet.row_dtype
-_BINARY_F32_LIMIT = 1 << 22
-_BINARY_F32_MIN_RATIO = 8
+# morlet-binary sets also take int8 above this many entries when
+# _BINARY_BAND_MIN_RATIO * k <= n (CR <= 12.5%); see PatternSet.row_dtype
+_BINARY_BAND_LIMIT = 1 << 22
+_BINARY_BAND_MIN_RATIO = 8
 
 
 # --------------------------------------------------------------------------
@@ -173,10 +173,10 @@ def white_noise_spectra(seeds, width: int, height: int, support=None,
     return spec
 
 
-def _morlet_patterns(params, seeds, width: int, height: int, binary=False):
+def _morlet_patterns(params, seeds, width: int, height: int, binary=False, factors=None):
     """(R, height, width) patterns of the wavelets `params` and noise
-    `seeds`, pairwise: the spectrum product of `white_noise_spectra` and
-    `morlet_spectra`, and one irfft2 for the block.
+    `seeds`, pairwise: `white_noise_spectra` times `morlet_spectra` (or the
+    product of `factors`, its `morlet_factor_spectra`), and one irfft2.
 
     Real patterns (see gen_morlet_pattern) are float64, each normalized by
     its own 2D norm, so it has the bits it has when generated alone, at any
@@ -192,18 +192,18 @@ def _morlet_patterns(params, seeds, width: int, height: int, binary=False):
     the BLAS thread count. Raises ValueError when a pattern is zero or not
     finite.
     """
+    psi = morlet_spectra(params, width, height) if factors is None else factors[0] @ factors[1]
     if binary:
-        psi = morlet_spectra(params, width, height)
         mag = np.abs(psi)
         tau = np.finfo(np.float32).eps / np.sqrt(width * height)
         support = mag >= tau * mag.max(axis=(1, 2), keepdims=True)
         del mag
         spec = white_noise_spectra(seeds, width, height, support, np.complex64)
         spec *= psi.astype(np.complex64)
-        del psi
     else:
         spec = white_noise_spectra(seeds, width, height)
-        spec *= morlet_spectra(params, width, height)
+        spec *= psi
+    del psi
     patterns = np.fft.irfft2(spec, s=(height, width))
     # einsum, not np.linalg.norm: BLAS ddot splits its sum over threads, so
     # the rows' bits would depend on the BLAS thread count
@@ -386,12 +386,10 @@ def _row_blocks(k, row_bytes, min_rows=1):
 
 
 def _row_dtype(kind, k, n):
-    if kind in MORLET_KINDS and k * n > _DENSE_LIMIT:
-        return np.int8 if kind == "morlet-binary" else np.float32
-    if (kind == "morlet-binary" and k * n > _BINARY_F32_LIMIT
-            and _BINARY_F32_MIN_RATIO * k <= n):
-        return np.float32
-    return np.float64
+    if kind == "morlet-binary" and (k * n > _DENSE_LIMIT or (
+            k * n > _BINARY_BAND_LIMIT and _BINARY_BAND_MIN_RATIO * k <= n)):
+        return np.int8
+    return np.float32 if kind == "morlet-real" and k * n > _DENSE_LIMIT else np.float64
 
 
 @dataclass(frozen=True)
@@ -453,16 +451,16 @@ class PatternSet:
 
     @property
     def row_dtype(self):
-        """dtype of the rows the linear model holds (`_row_dtype`): above
-        _DENSE_LIMIT (2^25) matrix entries float32 for morlet-real sets and
-        int8 ±1 for morlet-binary sets; float32 for morlet-binary sets above
-        _BINARY_F32_LIMIT (2^22) entries with 8 k <= n; float64 otherwise.
-        morlet-real rows are generated and loaded in it. ±1 rows and their
-        Gram matrix are exact in float32 and int8, so a binary model has the
-        float64 model's W wherever the Cholesky path is taken. The accuracy
-        behind both float64 bounds is in CHANGES.md ("128² binary models in
-        float32") and BENCH_binary_f32.json.
-        """
+        """dtype of the rows the linear model holds (`_row_dtype`): int8 ±1
+        for morlet-binary sets above _DENSE_LIMIT (2^25) matrix entries, or
+        above _BINARY_BAND_LIMIT (2^22) with 8 k <= n; float32 for
+        morlet-real sets above _DENSE_LIMIT; float64 otherwise, so small and
+        near-square binary sets keep the float64 rank floor, which the
+        float32 one would cut (CHANGES.md FOUND on `_row_dtype`). morlet-real
+        rows are generated and loaded in it. ±1 rows and their Gram matrix
+        are exact in int8 and float32 products, so a binary model has the
+        float64 model's W wherever the Cholesky path is taken
+        (BENCH_int8_band.json, BENCH_binary_f32.json)."""
         return _row_dtype(self.kind, self.k, self.n)
 
     def dense(self, dtype=np.float64, rows=slice(None)):
@@ -639,7 +637,8 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
     # binary sets too, and written in place, so a set is never held twice;
     # a block's largest temporary is its complex128 kernel spectra (why
     # binary blocks are no larger: CHANGES.md, "Morlet-binary models above
-    # 2^25 entries hold int8 ±1 rows", Left out)
+    # 2^25 entries hold int8 ±1 rows", Left out), whose 1D factors are made
+    # once for a group of whole blocks, at 48 (h + w//2 + 1) bytes a row
     binary = kind == "morlet-binary"
     params, seeds = zip(*(_morlet_row(dist, master_seed, i) for i in range(1, k)))
     if binary:
@@ -649,13 +648,15 @@ def gen_pattern_set(kind, width, height, k, dist=None, master_seed=0) -> Pattern
         # column-major: each block is written as a strided scatter of its rows
         rows = np.empty((k, n), dtype=_row_dtype(kind, k, n), order="F")
         rows[0] = n ** -0.5
-    for sl in _row_blocks(k - 1, 8 * n):            # over rows 1..k-1
-        grids = _morlet_patterns(params[sl], seeds[sl], width, height, binary).reshape(-1, n)
-        block = slice(sl.start + 1, sl.stop + 1)
-        if binary:
-            rows[block] = np.packbits(grids >= 0.0, axis=1, bitorder="little")
-        else:
-            rows[block] = grids
+    step = _row_blocks(k - 1, 8 * n)[0].stop
+    group = step * max(1, _UNPACK_BYTES // (48 * (height + width // 2 + 1) * step))
+    for g in range(0, k - 1, group):                # over rows 1..k-1
+        ys, xs = morlet_factor_spectra(params[g:g + group], width, height)
+        for sl in _row_blocks(len(ys), 8 * n):
+            grids = _morlet_patterns(params[g:][sl], seeds[g:][sl], width, height, binary,
+                                     (ys[sl], xs[sl])).reshape(-1, n)
+            rows[g + sl.start + 1:g + sl.stop + 1] = (
+                np.packbits(grids >= 0.0, axis=1, bitorder="little") if binary else grids)
     rows.flags.writeable = False
     meta = [(0.0, 0.0, 0.0, 0), *((p.sigma, p.n_p, p.theta, s) for p, s in zip(params, seeds))]
     return PatternSet(kind, width, height, k, master_seed, meta, rows)

@@ -164,12 +164,12 @@ def factorize(source, width=None, height=None) -> SvdFactors:
 
 def _rank_floor(dtype):
     """Smallest kept singular value of a Gram model relative to the largest:
-    3 sqrt(eps) of `_arith_dtype(dtype)` (4.5e-8 for float64 rows, 1.0e-3
-    for float32 and int8 rows). Squaring singular values in G halves the
-    usable precision, so smaller ones are rounding noise. RANK_TOL, far
-    below either, cuts only the SVD oracle. A change here changes W, so it
-    must bump SPIV_VERSION.
-    """
+    3 sqrt(eps) of `_arith_dtype(dtype)`: 4.5e-8 for float64 rows, and one
+    floor, 1.0e-3, for float32 and int8 rows, so a ±1 model's W does not
+    depend on which of the two holds its rows. Squaring singular values in
+    G halves the usable precision, so smaller ones are rounding noise.
+    RANK_TOL, far below either, cuts only the SVD oracle. A change here
+    changes W, so it must bump SPIV_VERSION."""
     return 3.0 * np.sqrt(float(np.finfo(_arith_dtype(dtype)).eps))
 
 

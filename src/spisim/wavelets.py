@@ -16,10 +16,11 @@ a = ex e^{i f cos(theta) dx}, b = ey e^{i f sin(theta) dy},
 
 and the discrete mean of g is zero because sum(b a^T) = (sum a)(sum b).
 Pattern generation needs only the spectrum of Re g, a sum of three outer
-products, whose 2D real FFT is a product of 1D FFTs (`morlet_spectra`); no
-n-sized exponential or 2D transform is evaluated for it. The factors and
-spectra are computed for a block of wavelets at once, one row per wavelet;
-`morlet_wavelet` is a block of one.
+products, whose 2D real FFT is a product of 1D FFTs (`morlet_spectra` of
+the factors of `morlet_factor_spectra`); no n-sized exponential or 2D
+transform is evaluated for it. The factors and spectra are computed for a
+block of wavelets at once, one row per wavelet; `morlet_wavelet` is a block
+of one.
 """
 
 from __future__ import annotations
@@ -129,6 +130,19 @@ def morlet_wavelet(p: MorletParams, width: int, height: int):
     return g
 
 
+def morlet_factor_spectra(params, width: int, height: int):
+    """The 1D FFT factors of `morlet_spectra`: complex128 stacks (R, h, 3)
+    and (R, 3, w//2 + 1) whose stacked product, taken over any slice of
+    rows of both, is that function's spectra of those rows bit for bit."""
+    a, b, ex, ey, kappa = _morlet_factor_block(params, width, height)
+    xs = np.stack([a.real, a.imag, ex], axis=1)                           # (R, 3, w)
+    ys = np.stack([b.real, -b.imag, -kappa.real[:, None] * ey], axis=1)   # (R, 3, h)
+    _require_nondegenerate(ys, xs, ex, ey)
+    cols = np.fft.rfft(np.roll(xs, -(width // 2), axis=2))
+    rows = np.fft.fft(np.roll(ys, -(height // 2), axis=2))
+    return np.swapaxes(rows, 1, 2), cols
+
+
 def morlet_spectra(params, width: int, height: int):
     """rfft2(ifftshift(Re g)) of each Morlet wavelet g in `params`, up to a
     positive scale: an (R, h, w//2 + 1) array.
@@ -136,15 +150,9 @@ def morlet_spectra(params, width: int, height: int):
     Re g = Re b Re a^T - Im b Im a^T - Re(kappa) ey ex^T (unnormalized),
     ifftshift rolls each factor by -(len // 2), and
     rfft2(u v^T) = fft(u) rfft(v)^T, so each spectrum is one
-    (h x 3)(3 x (w//2 + 1)) product of 1D FFTs, and the block's are one
-    stacked product. Same validation and warning as morlet_wavelet; raises
-    ValueError when any Re g, not only g, vanishes up to rounding (e.g. a
-    two-pixel axis under a symmetric real carrier).
+    (h x 3)(3 x (w//2 + 1)) product of 1D FFTs (`morlet_factor_spectra`),
+    and the block's are one stacked product. Same validation and warning as
+    morlet_wavelet; raises ValueError when any Re g, not only g, vanishes up
+    to rounding (e.g. a two-pixel axis under a symmetric real carrier).
     """
-    a, b, ex, ey, kappa = _morlet_factor_block(params, width, height)
-    xs = np.stack([a.real, a.imag, ex], axis=1)                           # (R, 3, w)
-    ys = np.stack([b.real, -b.imag, -kappa.real[:, None] * ey], axis=1)   # (R, 3, h)
-    _require_nondegenerate(ys, xs, ex, ey)
-    cols = np.fft.rfft(np.roll(xs, -(width // 2), axis=2))
-    rows = np.fft.fft(np.roll(ys, -(height // 2), axis=2))
-    return np.swapaxes(rows, 1, 2) @ cols
+    return np.matmul(*morlet_factor_spectra(params, width, height))

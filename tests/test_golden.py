@@ -7,11 +7,11 @@ The file holds:
   three 32x32 dead-leaves images (bench/corpus.py, corpus seed 11), sweep
   seed 5, once noiseless and once with additive noise, source fluctuation
   and ADC all on;
-* one cell of each row dtype that 32x32 does not reach, made by lowering
-  the dtype limits as `test_pinv_and_tv_psnr_do_not_depend_on_blas_threads`
-  does: the float32 binary band and int8 binary rows at CR 10%, and
-  float32 morlet-real rows at CR 30%, whose Cholesky guard passes the
-  float32 rank floor by less than a factor of 10;
+* one cell of each row-dtype rule that 32x32 does not reach, made by
+  setting its limit to 0 as `test_pinv_and_tv_psnr_do_not_depend_on_blas_threads`
+  does: int8 binary rows of the 8 k <= n band and int8 binary rows above
+  the dense limit at CR 10%, and float32 morlet-real rows at CR 30%, whose
+  Cholesky guard passes the float32 rank floor by less than a factor of 10;
 * the SHA-256 of the SPIM bytes of a plain measurement of each kind and a
   differential binary one, under each noise model, and of a zero image's;
 * the `analyze-features` CSV and concentration line on the three images
@@ -60,7 +60,7 @@ TV = TvOptions(mu_stages=5, max_inner=40, tol=1e-5)
 NOISY = NoiseModel(additive_sigma=0.01, adc_bits=10, source_fluctuation_sigma=0.01)
 # (kind, CR, the limit set to 0 that puts a 32x32 cell in the row dtype)
 ROW_DTYPE_CELLS = {
-    "binary-float32": ("morlet-binary", 0.10, "_BINARY_F32_LIMIT"),
+    "binary-int8-band": ("morlet-binary", 0.10, "_BINARY_BAND_LIMIT"),
     "binary-int8": ("morlet-binary", 0.10, "_DENSE_LIMIT"),
     "real-float32": ("morlet-real", 0.30, "_DENSE_LIMIT"),
 }
@@ -170,8 +170,11 @@ def test_golden_file_covers_every_kind_row_dtype_and_method():
     assert {r["cell"].split()[0] for r in cells} == set(KINDS)
     assert {r["cell"].split()[2] for r in cells} == {"pinv", "tv"}
     assert {r["row_dtype"] for r in cells} == {"float64", "float32", "int8"}
-    assert {(r["cell"].split()[0], r["row_dtype"]) for r in cells} >= {
-        ("morlet-real", "float32"), ("morlet-binary", "float32"), ("morlet-binary", "int8")}
+    assert {name: {(r["cell"].split()[0], r["row_dtype"]) for r in cell["rows"]}
+            for name, cell in want["row_dtypes"].items()} == {
+        "binary-int8-band": {("morlet-binary", "int8")},
+        "binary-int8": {("morlet-binary", "int8")},
+        "real-float32": {("morlet-real", "float32")}}
 
 
 if __name__ == "__main__":

@@ -470,6 +470,22 @@ class TestGenPatternSet:
         ps = gen_pattern_set(kind, width, height, k, master_seed=6)
         assert np.array_equal(ps.rows, self._rows_made_alone(ps))
 
+    @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary"])
+    def test_factors_made_once_per_group_of_blocks(self, monkeypatch, kind):
+        # 2 KB blocks of 2 rows at 32x32; a row's 1D factors take
+        # 48 (32 + 17) bytes, so a group holds 3 blocks: 19 rows in groups
+        # of 6, 6, 6 and 1, each block one product of its slice of factors
+        monkeypatch.setattr(patterns, "_UNPACK_BYTES", 2 * 8 * 32 * 32)
+        groups = []
+        factors = patterns.morlet_factor_spectra
+        monkeypatch.setattr(patterns, "morlet_factor_spectra",
+                            lambda params, w, h: groups.append(len(params)) or factors(params, w, h))
+        monkeypatch.setattr(patterns, "morlet_spectra", None)   # no block builds its own
+        ps = gen_pattern_set(kind, 32, 32, 20, master_seed=6)
+        assert groups == [6, 6, 6, 1]
+        monkeypatch.undo()
+        assert np.array_equal(ps.rows, self._rows_made_alone(ps))
+
     def test_float32_rows_made_by_blocks_equal_rows_made_alone(self, monkeypatch):
         monkeypatch.setattr(patterns, "_UNPACK_BYTES", 3 * 8 * 15 * 9)
         monkeypatch.setattr(patterns, "_DENSE_LIMIT", 0)
@@ -938,12 +954,12 @@ class TestSerialization:
 
 # (kind, width, height, k, row dtype): above 2^25 entries morlet-real takes
 # float32 and morlet-binary int8; below it, binary sets above 2^22 entries
-# with 8 k <= n take float32, and everything else float64
+# with 8 k <= n take int8 too, and everything else float64
 ROW_DTYPE_TABLE = [
     ("morlet-binary", 128, 128, 256, np.float64),    # k n = 2^22 exactly
-    ("morlet-binary", 128, 128, 257, np.float32),    # first k above 2^22
+    ("morlet-binary", 128, 128, 257, np.int8),       # first k above 2^22
     ("morlet-binary", 64, 64, 1100, np.float64),     # 8 k > n
-    ("morlet-binary", 128, 64, 1024, np.float32),    # 8 k = n
+    ("morlet-binary", 128, 64, 1024, np.int8),       # 8 k = n
     ("morlet-binary", 128, 64, 1025, np.float64),    # 8 k > n, below 2^25
     # the binary sets of acceptance criterion 8
     ("morlet-binary", 16, 16, 16, np.float64),
@@ -952,7 +968,7 @@ ROW_DTYPE_TABLE = [
     ("morlet-binary", 64, 64, 128, np.float64),
     ("morlet-binary", 64, 64, 512, np.float64),
     ("morlet-binary", 256, 256, 655, np.int8),       # above 2^25
-    ("morlet-binary", 256, 256, 512, np.float32),    # k n = 2^25 exactly
+    ("morlet-binary", 256, 256, 512, np.int8),       # k n = 2^25 exactly
     ("morlet-binary", 256, 256, 513, np.int8),       # k n = 2^25 + n
     ("morlet-real", 128, 128, 983, np.float64),      # real rows: 2^25 rule only
 ]

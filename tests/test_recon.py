@@ -19,7 +19,7 @@ from spisim import patterns, recon
 from spisim.acquire import NoiseModel, measure, measure_differential
 from spisim.analyze import psnr
 from spisim.imgcore import FormatError, Image
-from spisim.patterns import bipolar_rows, gen_pattern_set, noiselet2, wht2
+from spisim.patterns import bipolar_rows, gen_pattern_set, noiselet2, rows_for_cr, wht2
 from spisim.recon import (PinvMatrix, PinvStream, SpivRecord, TvOptions, cached_pinv,
                           effective_matrix, effective_measurement, factorize,
                           linear_model, load_pinv, pinv_matrix, pinv_reconstruct,
@@ -1117,74 +1117,122 @@ class TestGramOrthogonalize:
 
 @pytest.fixture(scope="module")
 def band_set():
-    """A binary set in the float32 band: 128 x 128, k = 328 (CR 2%)."""
+    """A binary set in the int8 band: 128 x 128, k = 328 (CR 2%)."""
     return gen_pattern_set("morlet-binary", 128, 128, 328, master_seed=1)
 
 
-class TestBinaryFloat32Band:
-    """±1 rows are exact in float32, and so is their Gram matrix, whose
-    entries are integers of magnitude at most n < 2^24: a float32 model of a
-    band set has the float64 model's W and differs only in the rounding of
-    each operator input to float32."""
+class TestBinaryInt8Band:
+    """±1 rows are exact in int8 and float32, and so is their Gram matrix,
+    whose entries are integers of magnitude at most n < 2^24: an int8 model
+    of a band set has the float64 model's W and differs only in the rounding
+    of each operator input to float32."""
 
     def test_grams_are_equal(self, band_set):
-        assert band_set.row_dtype == np.float32
+        assert band_set.row_dtype == np.int8
         m32 = bipolar_rows(band_set, np.float32)
         m64 = bipolar_rows(band_set, np.float64)
         assert np.array_equal((m32 @ m32.T).astype(np.float64), m64 @ m64.T)
+        assert np.array_equal(recon._gram(bipolar_rows(band_set, np.int8)), m64 @ m64.T)
 
     def test_same_w_bytes(self, band_set):
         w32, path32 = recon.gram_orthogonalize(bipolar_rows(band_set, np.float32))
         w64, path64 = recon.gram_orthogonalize(bipolar_rows(band_set, np.float64))
         assert path32 == path64 == "cholesky"
         assert w32.tobytes() == w64.tobytes()
+        w8, path8 = recon.gram_orthogonalize(bipolar_rows(band_set, np.int8))
+        assert path8 == "cholesky" and w8.tobytes() == w64.tobytes()
 
     def test_images_match_the_float64_model(self, band_set):
         img = block_phantom(128)
         y = _measure_eff(img, band_set)
-        f32 = linear_model(band_set)
+        f8 = linear_model(band_set)
         m64 = bipolar_rows(band_set, np.float64)
         f64 = recon._GramVtOp(m64, recon.gram_orthogonalize(m64)[0], 128, 128)
-        assert f32.m.dtype == np.float32
+        assert f8.m.dtype == np.int8
         # pinv is one adjoint s M with s = rhs(y) W^T in float64 on both
-        # models; the float32 one rounds s (u |s_i|) and sums k products of
-        # ±1 in float32 (gamma_k sum |s_i|), so per pixel
-        # |x32 - x64| <= (k + 2) u sum |s_i| with u = 2^-24
+        # models; the int8 one rounds s (u |s_i|) and sums k products of ±1
+        # in float32 (gamma_k sum |s_i|), so per pixel
+        # |x8 - x64| <= (k + 2) u sum |s_i| with u = 2^-24
         s = f64.rhs(y) @ f64.w.T
         bound = (band_set.k + 2) * 2.0 ** -24 * np.abs(s).sum()
-        p32, p64 = pinv_reconstruct(f32, y), pinv_reconstruct(f64, y)
-        assert np.abs(p32.data - p64.data).max() <= bound
+        p8, p64 = pinv_reconstruct(f8, y), pinv_reconstruct(f64, y)
+        assert np.abs(p8.data - p64.data).max() <= bound
         # TV (5 stages x 12) repeats that rounding in each of its 60 forward
         # and 60 adjoint products; a pinv-sized step (5e-7 here) added up
         # 120 times without damping stays below 1e-4, and the PSNR agrees
-        # to 4 decimals. Measured: 1.2e-6 and 3.7e-6 dB.
+        # to 4 decimals. Measured: 1.1e-6 dB (TV) and 1.4e-7 dB (pinv).
         opts = TvOptions(mu_stages=5, max_inner=12, tol=1e-5)
-        t32 = tv_reconstruct(f32, y, opts).image
+        t8 = tv_reconstruct(f8, y, opts).image
         t64 = tv_reconstruct(f64, y, opts).image
-        assert np.abs(t32.data - t64.data).max() < 1e-4
-        assert abs(psnr(img, t32) - psnr(img, t64)) < 5e-5
-        assert abs(psnr(img, p32) - psnr(img, p64)) < 5e-5
+        assert np.abs(t8.data - t64.data).max() < 1e-4
+        assert abs(psnr(img, t8) - psnr(img, t64)) < 5e-5
+        assert abs(psnr(img, p8) - psnr(img, p64)) < 5e-5
 
-    def test_float64_spiv_is_a_miss_rewritten_in_float32(self, band_set, tmp_path,
-                                                         monkeypatch):
+    @pytest.mark.parametrize("earlier", [np.float64, np.float32])
+    def test_earlier_spiv_is_a_miss_rewritten_in_int8(self, band_set, tmp_path, monkeypatch,
+                                                      earlier):
+        # float64 rows before the band existed, float32 rows in it until int8
         path = tmp_path / (band_set.content_hash().hex() + ".spiv")
         with monkeypatch.context() as m:
-            m.setattr(patterns, "_BINARY_F32_LIMIT", 1 << 25)  # the earlier rule
-            assert band_set.row_dtype == np.float64
+            m.setattr(patterns, "_row_dtype", lambda kind, k, n: earlier)  # an earlier rule
+            assert band_set.row_dtype == earlier
             cached_pinv(band_set, tmp_path)
         old = path.read_bytes()
-        assert load_pinv(path).row_itemsize == 8
+        assert load_pinv(path).row_itemsize == np.dtype(earlier).itemsize
 
         calls = []
         gram = recon.gram_orthogonalize
         monkeypatch.setattr(recon, "gram_orthogonalize",
                             lambda *a, **kw: calls.append(1) or gram(*a, **kw))
-        cached_pinv(band_set, tmp_path)
-        assert calls == [1]
+        model = cached_pinv(band_set, tmp_path)
+        assert calls == [1] and model.m.dtype == np.int8
         new = load_pinv(path)
-        assert new.row_itemsize == 4
+        assert new.row_itemsize == 1
         w_bytes = new.w.nbytes
         assert path.read_bytes()[-w_bytes:] == old[-w_bytes:]
+
+
+class TestInt8BandMemory:
+    """A 128 x 128 binary model at CR 4% holds its ±1 rows once, as k n
+    bytes of int8, and multiplies them through float32 column blocks of at
+    most _UNPACK_BYTES (k columns for the Gram matrix)."""
+
+    @pytest.fixture(scope="class")
+    def cr4_set(self):
+        k = rows_for_cr("morlet-binary", 0.04, 128 * 128)
+        assert k == 655
+        return gen_pattern_set("morlet-binary", 128, 128, k, master_seed=3)
+
+    def test_rows_are_int8_column_major_k_n_bytes(self, cr4_set):
+        m = linear_model(cr4_set).m
+        assert m.dtype == np.int8 and m.flags.f_contiguous
+        assert m.nbytes == cr4_set.k * cr4_set.n == 10_731_520
+
+    def test_cached_pinv_holds_the_same_rows_with_no_float_copy(self, cr4_set, tmp_path):
+        rows = linear_model(cr4_set).m
+        cached_pinv(cr4_set, tmp_path)                  # the miss writes W
+        tracemalloc.start()
+        try:
+            hit = cached_pinv(cr4_set, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hit.m.dtype == np.int8 and hit.m.flags.f_contiguous
+        assert np.array_equal(hit.m, rows)
+        # the rows, W and the unpacking temporaries of bipolar_rows (2.1 MB
+        # measured): a float32 copy of the rows would add 4 k n bytes
+        assert peak <= rows.nbytes + hit.w.nbytes + 4 * patterns._UNPACK_BYTES
+
+    def test_column_blocks_stay_within_the_unpack_size(self, cr4_set):
+        m = linear_model(cr4_set).m
+        k = cr4_set.k
+        blocks = list(recon._column_blocks(m))
+        assert all(blk.dtype == np.float32 and blk.nbytes <= patterns._UNPACK_BYTES
+                   for _, blk in blocks)
+        assert sum(sl.stop - sl.start for sl, _ in blocks) == cr4_set.n
+        gram_blocks = list(recon._column_blocks(m, k))
+        assert all(blk.shape == (k, k) for _, blk in gram_blocks[:-1])
+        assert gram_blocks[-1][1].shape[0] <= k
 
 
 def _bipolar_int8(rng, k, n):
@@ -1327,8 +1375,8 @@ class TestInt8Rows:
 
 
 # pinv and TV PSNRs of two dead-leaves images under one model of each row
-# dtype at 128^2 (float64 morlet-real, CR 2%; float32 morlet-binary, CR 4%;
-# int8 morlet-binary, CR 4%, under a zero dense limit); run in a fresh
+# dtype at 128^2 (float64 morlet-real, CR 2%; int8 morlet-binary, CR 4%;
+# float32 morlet-real, CR 2%, under a zero dense limit); run in a fresh
 # interpreter so that the thread count is set before numpy loads
 _THREAD_PROBE = """
 import importlib.util, sys
@@ -1345,7 +1393,7 @@ spec.loader.exec_module(corpus)
 images = [img for _, img in corpus.corpus(128, 2, 11)]
 for kind, k, seed, dense_limit in (("morlet-real", 328, 3, patterns._DENSE_LIMIT),
                                    ("morlet-binary", 655, 3, patterns._DENSE_LIMIT),
-                                   ("morlet-binary", 655, 4, 0)):
+                                   ("morlet-real", 328, 4, 0)):
     patterns._DENSE_LIMIT = dense_limit
     ps = patterns.gen_pattern_set(kind, 128, 128, k, master_seed=seed)
     take = measure_differential if ps.is_binary else measure
@@ -1361,8 +1409,8 @@ for kind, k, seed, dense_limit in (("morlet-real", 328, 3, patterns._DENSE_LIMIT
 def test_pinv_and_tv_psnr_do_not_depend_on_blas_threads():
     # the thread count changes the order of BLAS sums, so W, pinv and TV
     # differ between 1 and 2 threads by rounding only: every PSNR agrees to
-    # well within 5e-5 dB (float32 and int8 rows differed by up to 2.5e-7 dB
-    # on a 2-vCPU machine; float64 rows not at all)
+    # well within 5e-5 dB (int8 and float32 rows differed by up to 2.7e-8 and
+    # 1.0e-8 dB on a 2-vCPU machine; float64 rows not at all)
     root = Path(recon.__file__).resolve().parents[2]
     runs = []
     for threads in ("1", "2"):
@@ -1375,7 +1423,7 @@ def test_pinv_and_tv_psnr_do_not_depend_on_blas_threads():
         assert run.returncode == 0, run.stderr
         runs.append([line.split() for line in run.stdout.splitlines()])
     one, two = runs
-    assert [r[0] for r in one] == [r[0] for r in two] == ["float64", "float32", "int8"]
+    assert [r[0] for r in one] == [r[0] for r in two] == ["float64", "int8", "float32"]
     a = np.array([r[1:] for r in one], dtype=float)
     b = np.array([r[1:] for r in two], dtype=float)
     assert a.shape == (3, 4) and np.all(np.isfinite(a))
