@@ -63,9 +63,10 @@ from .patterns import (DETERMINISTIC_KINDS, PatternSet, _c_view, _row_blocks, bi
                        noiselet_signs, wht2)
 
 SPIV_MAGIC = b"SPIV"
-# 3: no rank tolerance in the header. Any change to how W is derived from
-# the rows must bump this version, so that a cached W stays valid.
-SPIV_VERSION = 3
+# 3: no rank tolerance in the header; 4: the Cholesky path's L is
+# `_cholesky_lower`'s. Any change to how W is derived from the rows must bump
+# this version, so that a cached W stays valid.
+SPIV_VERSION = 4
 # magic, version, k, r, row itemsize, pattern-set hash, W payload SHA-256
 _SPIV_HEADER = struct.Struct("<4sHIIH32s32s")
 
@@ -200,38 +201,64 @@ def _column_blocks(m, min_cols=1):
 
 def _gram(m_rows):
     """G = M M^T (k x k float64) of column-major rows, summed in the rows'
-    arithmetic dtype over `_column_blocks` of at least k columns. Exact for
-    ±1 rows in float32 or int8 (integer partial sums of magnitude at most
-    n < 2^24), so an int8 G is bitwise the float32 rows' G."""
+    arithmetic dtype over `_column_blocks` of at least k columns. The
+    products share one buffer, freed with the last block before the float64
+    cast. Exact for ±1 rows in float32 or int8 (integer partial sums of
+    magnitude at most n < 2^24), so an int8 G is bitwise the float32 rows' G."""
     # each block's product also costs a pass over the k x k g: k columns or
     # more keep it to about 1/k of the block's flops
     blocks = _column_blocks(m_rows, m_rows.shape[0])
     _, blk = next(blocks)
     g = blk.T @ blk
+    prod = None
     for _, blk in blocks:
-        g += blk.T @ blk
+        prod = np.matmul(blk.T, blk, out=prod)
+        g += prod
+    del blk, prod
     return g.astype(np.float64, copy=False)
 
 
 _TRI_LEAF = 64
+_CHOL_PANEL = 128
 
 
-def _tril_inverse(l, out=None):
-    """Inverse of the lower-triangular l, column-major, by the block recursion
-    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], with
-    np.linalg.inv on blocks of at most _TRI_LEAF rows (its LU pivots, so
-    its result is made exactly triangular)."""
-    if out is None:
-        out = np.zeros_like(l, order="F")
+def _cholesky_lower(a):
+    """Overwrite the column-major symmetric a (k x k float64, lower triangle
+    read) with its Cholesky factor L, a = L L^T, and return it; LinAlgError,
+    leaving a partly overwritten, when a is not positive definite.
+    Left-looking by _CHOL_PANEL-column panels: the update from the columns
+    left of a panel (one k x _CHOL_PANEL temporary), np.linalg.cholesky of
+    its diagonal block D, then the rows below D times D^-T."""
+    k = a.shape[0]
+    for j0 in range(0, k, _CHOL_PANEL):
+        nb = min(_CHOL_PANEL, k - j0)
+        panel = a[j0:, j0:j0 + nb]
+        if j0:
+            panel -= a[j0:, :j0] @ a[j0:j0 + nb, :j0].T
+            a[:j0, j0:j0 + nb] = 0.0
+        d = np.linalg.cholesky(panel[:nb])
+        panel[:nb] = d
+        if nb < panel.shape[0]:
+            panel[nb:] = panel[nb:] @ _tril_inverse(d).T
+    return a
+
+
+def _tril_inverse(l):
+    """Overwrite the lower-triangular l with its inverse and return it, by the
+    block recursion [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]:
+    C A^-1 is the level's one (k/2)^2 temporary, and np.linalg.inv runs on
+    blocks of at most _TRI_LEAF rows (its LU pivots, so its result is made
+    exactly triangular)."""
     k = l.shape[0]
     if k <= _TRI_LEAF:
-        out[:] = np.tril(np.linalg.inv(l))
-        return out
+        l[:] = np.tril(np.linalg.inv(l))
+        return l
     h = k // 2
-    _tril_inverse(l[:h, :h], out[:h, :h])
-    _tril_inverse(l[h:, h:], out[h:, h:])
-    out[h:, :h] = -out[h:, h:] @ (l[h:, :h] @ out[:h, :h])
-    return out
+    _tril_inverse(l[:h, :h])
+    _tril_inverse(l[h:, h:])
+    t = l[h:, :h] @ l[:h, :h]
+    np.matmul(l[h:, h:], np.negative(t, out=t), out=l[h:, :h])
+    return l
 
 
 def _eigh_w(g, floor):
@@ -255,20 +282,24 @@ def gram_orthogonalize(m_rows):
     "cholesky": W = L^-T from G = L L^T, taken only when
     1 / ||L^-1||_F > _rank_floor * sqrt(||G||_inf), which proves that no
     singular value of M falls below the floor (sigma_min >= 1 / ||L^-1||_F,
-    sigma_max^2 <= ||G||_inf), so r = k. "eigh" otherwise: W = U_r / d_r
-    from the eigendecomposition of G, truncated at the floor. ValueError
-    for an all-zero M.
+    sigma_max^2 <= ||G||_inf), so r = k; L and then L^-1 are made in place
+    in one column-major copy of G, so W is its C-ordered transpose. "eigh"
+    otherwise, from the untouched G: W = U_r / d_r from the
+    eigendecomposition of G, truncated at the floor. ValueError for an
+    all-zero M.
     """
     g = _gram(m_rows)
     floor = _rank_floor(m_rows.dtype)
     sigma_floor = floor * np.sqrt(np.linalg.norm(g, np.inf))
+    l_inv = g.copy(order="F")
     try:
-        l_inv = _tril_inverse(np.linalg.cholesky(g))   # column-major: W = l_inv.T is C-ordered
+        _tril_inverse(_cholesky_lower(l_inv))
     except np.linalg.LinAlgError:
         pass
     else:
         if 1.0 / np.linalg.norm(l_inv) > sigma_floor:
             return l_inv.T, "cholesky"
+    del l_inv
     return _eigh_w(g, floor), "eigh"
 
 

@@ -779,6 +779,14 @@ def _version_2(path, ps):
     path.write_bytes(head + rec.w.tobytes())
 
 
+def _version_3(path, ps):
+    """The same header and W marked version 3, whose Cholesky W came from
+    np.linalg.cholesky of the whole G."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<H", raw, 4, 3)
+    path.write_bytes(bytes(raw))
+
+
 def _other_k(path, ps):
     other = gen_pattern_set(ps.kind, ps.width, ps.height, ps.k - 2, master_seed=4)
     rec = SpivRecord(w=linear_model(other).w, source_hash=ps.content_hash(), row_itemsize=8)
@@ -853,13 +861,14 @@ class TestSpivCache:
 
     @pytest.mark.parametrize("spoil", [
         lambda path, ps: path.write_bytes(_spiv_v1(ps)), _flip_payload_bit,
-        _version_2, _other_k, _other_itemsize],
-        ids=["version-1", "flipped-payload-bit", "version-2", "other-k",
+        _version_2, _version_3, _other_k, _other_itemsize],
+        ids=["version-1", "flipped-payload-bit", "version-2", "version-3", "other-k",
              "other-itemsize"])
     def test_spoiled_file_is_a_miss_and_rewritten(self, tmp_path, rng, monkeypatch, spoil):
         ps = gen_pattern_set("morlet-binary", 8, 8, 10, master_seed=4)
         fresh = cached_pinv(ps, tmp_path / "fresh")
         good = (tmp_path / "fresh" / (ps.content_hash().hex() + ".spiv")).read_bytes()
+        assert good[4:6] == struct.pack("<H", recon.SPIV_VERSION) == struct.pack("<H", 4)
         path = tmp_path / (ps.content_hash().hex() + ".spiv")
         cached_pinv(ps, tmp_path)
         spoil(path, ps)
@@ -985,17 +994,26 @@ class TestLinearModel:
         assert len(made) == 1 and np.shares_memory(m, made[0])
         assert m.dtype == ps.row_dtype and m.T.flags.c_contiguous
 
-    def test_morlet_binary_model_memory_is_bounded(self):
-        # a row-major copy of the bipolar matrix would peak at twice it
-        ps = gen_pattern_set("morlet-binary", 64, 64, 400, master_seed=2)
+    @pytest.mark.parametrize("kind", ["morlet-binary", "morlet-real"])
+    def test_morlet_binary_model_memory_is_bounded(self, kind):
+        # float64 rows at 64 x 64, k = 400. A binary model makes its bipolar
+        # rows (a row-major copy would peak at twice them); a morlet-real one
+        # uses the set's rows, so none are made. Then G and one column-major
+        # copy of it that becomes L and then L^-1, one k x _CHOL_PANEL panel
+        # or one (k/2)^2 temporary, and a margin of two diagonal blocks for
+        # np.linalg.cholesky's copy and result.
+        ps = gen_pattern_set(kind, 64, 64, 400, master_seed=2)
         tracemalloc.start()
         try:
             model = linear_model(ps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        factors = 3 * 8 * ps.k * ps.k       # Gram matrix, eigenvectors, W
-        assert peak <= 1.2 * (model.m.nbytes + factors)
+        assert model.m.dtype == np.float64 and model.path == "cholesky"
+        made = model.m.nbytes if kind == "morlet-binary" else 0
+        k, panel = ps.k, recon._CHOL_PANEL
+        factors = 2 * 8 * k * k + 8 * (k // 2) ** 2 + 8 * k * panel
+        assert peak <= made + factors + 2 * 8 * panel * panel
 
     def test_c_ordered_rows_from_a_caller_are_made_column_major(self, rng):
         rows = rng.standard_normal((6, 40))
@@ -1109,10 +1127,88 @@ class TestGramOrthogonalize:
         # LU inside np.linalg.inv pivots and leaves rounding above the diagonal
         m = rng.standard_normal((150, 400))
         m[:, :5] *= 100.0
-        l = np.linalg.cholesky(m @ m.T)
-        out = recon._tril_inverse(l)
-        assert np.array_equal(out, np.tril(out)) and out.T.flags.c_contiguous
+        l = np.asfortranarray(np.linalg.cholesky(m @ m.T))
+        expected = _tril_inverse_out_of_place(l)
+        a = l.copy(order="F")
+        out = recon._tril_inverse(a)
+        assert out is a and out.flags.f_contiguous
+        # the same products on the same operands, in the same order
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out, np.tril(out))
         assert np.abs(out @ l - np.eye(150)).max() < 1e-12
+
+    @staticmethod
+    def _cholesky_rows(rng, repeated):
+        """300 x 700 Gaussian rows, so G's panels are 128, 128 and 44
+        columns. `repeated`: row 290 repeats row 7, which is 16 ones on
+        columns no other row touches. L's row 290 is then 4 e_7 exactly, and
+        so the pivot of column 290 is 16 - 4^2 = 0 exactly, in the last panel."""
+        m = rng.standard_normal((300, 700))
+        if repeated:
+            m[:, 684:] = 0.0
+            m[7] = 0.0
+            m[7, 684:] = 1.0
+            m[290] = m[7]
+        return np.asfortranarray(m)
+
+    def test_blocked_cholesky_is_backward_stable(self, rng):
+        m = self._cholesky_rows(rng, repeated=False)
+        g = m @ m.T
+        l = g.copy(order="F")
+        assert recon._cholesky_lower(l) is l
+        assert np.array_equal(l, np.tril(l))
+        # Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3:
+        # L L^T = G + dG with |dG| <= gamma_{k+1} |L| |L^T|; the residual is
+        # formed in long double, whose own rounding the bound adds
+        k = g.shape[0]
+
+        def gamma(n, dtype):
+            nu = n * np.finfo(dtype).eps / 2
+            return nu / (1 - nu)
+        ll = l.astype(np.longdouble)
+        residual = np.abs(ll @ ll.T - g)
+        bound = (gamma(k + 1, np.float64) + gamma(k, np.longdouble)) * (np.abs(ll) @ np.abs(ll.T))
+        assert np.all(residual <= bound)
+
+    def test_blocked_cholesky_of_a_repeated_row_raises_and_keeps_g(self, rng, monkeypatch):
+        m = self._cholesky_rows(rng, repeated=True)
+        g = recon._gram(m)
+        before = g.tobytes()
+        with pytest.raises(np.linalg.LinAlgError):
+            recon._cholesky_lower(g.copy(order="F"))
+        assert g.tobytes() == before
+        # gram_orthogonalize hands the eigh fallback its G untouched
+        raised, seen = [], []
+        chol, eigh = recon._cholesky_lower, recon._eigh_w
+
+        def spy_chol(a):
+            try:
+                return chol(a)
+            except np.linalg.LinAlgError:
+                raised.append(1)
+                raise
+        monkeypatch.setattr(recon, "_cholesky_lower", spy_chol)
+        monkeypatch.setattr(recon, "_eigh_w", lambda g, floor: seen.append(g.tobytes())
+                            or eigh(g, floor))
+        w, path = recon.gram_orthogonalize(m)
+        assert raised == [1] and seen == [before]
+        assert path == "eigh" and w.shape == (300, 299)
+
+
+def _tril_inverse_out_of_place(l, out=None):
+    """The triangular inverse as it was computed into a new column-major
+    array, before _tril_inverse wrote over its input."""
+    if out is None:
+        out = np.zeros_like(l, order="F")
+    k = l.shape[0]
+    if k <= recon._TRI_LEAF:
+        out[:] = np.tril(np.linalg.inv(l))
+        return out
+    h = k // 2
+    _tril_inverse_out_of_place(l[:h, :h], out[:h, :h])
+    _tril_inverse_out_of_place(l[h:, h:], out[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (l[h:, :h] @ out[:h, :h])
+    return out
 
 
 @pytest.fixture(scope="module")
