@@ -17,9 +17,10 @@ Four pattern families:
                      always included).
 * ``noiselet``       same selection scheme over the complex noiselet basis.
 
-Deterministic kinds are stored procedurally (row indices only); morlet kinds
-store per-row (sigma, n_p, theta, seed) so any row can be regenerated
-bit-exactly without keeping dense payloads around.
+Deterministic kinds are stored procedurally (row indices only). Morlet
+kinds store per-row (sigma, n_p, theta, seed), from which any row can be
+regenerated bit-exactly, and their rows too: SPIP files carry morlet-real
+rows in the set's row dtype and morlet-binary rows as packed bits.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ CHANGES.md and the BENCH_*.json files.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -271,7 +270,9 @@ def _eigh_w(g, floor):
     rank = int(np.count_nonzero(d > floor * d[0])) if d[0] > 0 else 0
     if rank == 0:
         raise ValueError("degenerate all-zero measurement matrix")
-    return np.ascontiguousarray(u[:, :rank]) / d[:rank]
+    out = np.ascontiguousarray(u[:, :rank])
+    out /= d[:rank]
+    return out
 
 
 def gram_orthogonalize(m_rows):
@@ -754,19 +755,15 @@ def _shrink(r, eps):
 _UPDATE_BYTES = 1 << 19
 
 
-def _update_blocks(batch, n):
-    """(images, columns) slices of a (6, batch, n) stack, each holding at most
-    _UPDATE_BYTES of it (or 2 columns): as many whole images as fit, else
-    near-equal column blocks of one image. No block is 1 column wide unless
-    n is: numpy multiplies a one-column matrix by gemv, whose bits can differ
-    from gemm's."""
-    column = 6 * 8                                  # bytes of one column of one image
-    per = max(1, _UPDATE_BYTES // (column * n))     # whole images per block
-    count = -(-n // max(2, _UPDATE_BYTES // column))  # column blocks per image
+def _update_blocks(n):
+    """Near-equal column slices of one image of a (6, batch, n) stack, each
+    holding at most _UPDATE_BYTES of it (or 2 columns); the last one absorbs
+    the tail of the split. No slice is 1 column wide unless n is: numpy
+    multiplies a one-column matrix by gemv, whose bits can differ from gemm's."""
+    count = -(-n // max(2, _UPDATE_BYTES // 48))   # 48 bytes: one column of one image
     step = -(-n // count)
     ends = [*range(step, n - 1, step), n]
-    return [(slice(i, min(i + per, batch)), slice(lo, hi)) for i in range(0, batch, per)
-            for lo, hi in zip([0] + ends[:-1], ends)]
+    return [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def _nesta_stage(op, b, x0, mu, eps, opts):
@@ -781,22 +778,22 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
     no operator call, and the y- and z-steps update e from p = A^T A g. The
     (B, n) state is one stack s = [x, vz, e_vz, e_x, g, p]; the next
     [x, vz, e_vz, e_x, y] is linear in s with per-image coefficients,
-    applied in place one `_update_blocks` block at a time. Each entry is the
-    same 6-term gemm product in any blocking, so the result does not depend
-    on it. Memory behind this layout: CHANGES.md, "NESTA's image-sized
-    state is one stack".
+    applied in place image by image, one `_update_blocks` column slice at a
+    time. Each entry is the same 6-term gemm product in any blocking, so the
+    result does not depend on it. Memory behind this layout: CHANGES.md,
+    "NESTA's image-sized state is one stack".
     """
     batch, h, w = x0.shape
     n = h * w
     invl = (1.0 / (8.0 / mu))[:, None]          # 1 / L, L = 8 / mu
-    blocks = _update_blocks(batch, n)
-    tmp_shape = (blocks[0][0].stop, 5, max(c.stop - c.start for _, c in blocks))
+    blocks = _update_blocks(n)
+    width = max(c.stop - c.start for c in blocks)
     s = np.empty((6, batch, n))
     # _tv_grad's one image of scratch (3 rows) and the update's temporary
     # share one allocation, apart from the stack's (peak RSS: see above)
-    buf = np.empty(3 * n + math.prod(tmp_shape))
+    buf = np.empty(3 * n + 5 * width)
     work = [*buf[:3 * n].reshape(3, 1, h, w), s[4].reshape(batch, h, w)]
-    tmp = buf[3 * n:].reshape(tmp_shape)
+    tmp = buf[3 * n:].reshape(5, width)
     s[0] = s[1] = s[4] = x0.reshape(batch, n)   # x, vz = x0 - sum alpha g / L, y
     r_x = b - op.forward(s[0])
     s[3] = op.adjoint(r_x, out=s[2])
@@ -837,11 +834,11 @@ def _nesta_stage(op, b, x0, mu, eps, opts):
         coef[:, 3] = s_z * coef[:, 2]
         coef[:, 3, 3:4] += s_y
         coef[:, 3, 5:] += s_y * invl
-        for imgs, cols in blocks:
-            blk = s[:, imgs, cols]
-            new = tmp[:blk.shape[1], :, :blk.shape[2]]
-            np.matmul(coef[imgs], blk.transpose(1, 0, 2), out=new)
-            blk[:5] = new.transpose(1, 0, 2)
+        for i in range(batch):
+            for cols in blocks:
+                new = tmp[:, :cols.stop - cols.start]
+                np.matmul(coef[i], s[:, i, cols], out=new)
+                s[:5, i, cols] = new
 
         ref = hist.mean(axis=0)
         with np.errstate(invalid="ignore"):

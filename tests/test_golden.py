@@ -29,7 +29,8 @@ A change meant to move these outputs regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists the values that moved in CHANGES.md.
+which prints on stderr each value that moved before it writes, and lists
+those values in CHANGES.md.
 """
 
 import contextlib
@@ -177,6 +178,37 @@ def test_golden_file_covers_every_kind_row_dtype_and_method():
         "real-float32": {("morlet-real", "float32")}}
 
 
+def moved_values(old, new, where=""):
+    """(place, old, new) for each value of the golden outputs that differs,
+    rows named by their cell; None stands for a value on one side only."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = [*old, *(key for key in new if key not in old)]
+        return [m for key in keys for m in moved_values(old.get(key), new.get(key),
+                                                         f"{where}/{key}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        names = [o.get("cell", i) if isinstance(o, dict) else i for i, o in enumerate(old)]
+        return [m for name, o, n in zip(names, old, new)
+                for m in moved_values(o, n, f"{where}[{name}]")]
+    return [] if old == new else [(where, old, new)]
+
+
+def test_moved_values_name_each_changed_value():
+    want = json.loads(GOLDEN.read_text())
+    got = json.loads(GOLDEN.read_text())
+    assert moved_values(want, got) == []
+    row = got["sweep"]["rows"][1]
+    was = row["psnr_db"]
+    row["psnr_db"] = was + 1.0
+    got["features"]["concentration"] = "x"
+    assert moved_values(want, got) == [
+        (f"/sweep/rows[{row['cell']}]/psnr_db", was, was + 1.0),
+        ("/features/concentration", want["features"]["concentration"], "x")]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(golden_outputs(), indent=1) + "\n")
+    new = json.loads(json.dumps(golden_outputs()))
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for place, was, now in moved_values(old, new):
+        print(f"moved {place}: {was!r} -> {now!r}", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -414,6 +414,13 @@ class TestParamDistribution:
             assert 0.5 <= p.sigma <= 4.0
             assert 0 <= p.theta < np.pi
 
+    def test_sampling_gives_up_on_a_guard_it_almost_never_meets(self):
+        # satisfiable, since 2 sigma reaches 0.5000002 = np_lo, but a draw
+        # meets the guard with probability ~6e-8
+        dist = ParamDistribution(sigma_range=(0.25, 0.2500001), np_range=(0.5, 4.0))
+        with pytest.raises(ValueError, match=re.escape("n_p <= 2*sigma after 1000 draws")):
+            dist.sample(np.random.default_rng(0))
+
 
 class TestGenPatternSet:
     def test_wh_2x2_full_is_permutation_of_basis(self):
