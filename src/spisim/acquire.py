@@ -1,7 +1,8 @@
 """Single-pixel measurement simulation: Y[i] = <X, row_i> plus detector noise.
 
 Every sample is real, one per detector frame: a complex noiselet row gives
-two, so a k-row noiselet set yields 2k samples [Re(N x)[idx]; Im(N x)[idx]].
+two, so a k-row noiselet set yields 2k samples [Re(N x)[idx]; Im(N x)[idx]],
+taken from the noiselet model's real transform S x without a complex array.
 
 Differential photodetection measures Y = <X, P> and Ybar = <X, 1-P>
 simultaneously for binary patterns P. Their difference feeds
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imgcore import FormatError, read_header, require_size, require_u64, write_csv
-from .patterns import PatternSet, _row_blocks, noiselet2, wht2
+from .patterns import PatternSet, _row_blocks, noiselet_signs, wht2
 
 SPIM_MAGIC = b"SPIM"
 # 2: compression_ratio counts real samples per pixel (two per noiselet row)
@@ -95,21 +96,24 @@ class Measurement:
 
 
 def _raw_dot_products(img, ps: PatternSet):
-    """<X, row_i> for every row: basis kinds by one fast transform (noiselet
-    as [Re; Im]), morlet kinds in float64 over blocks of at most 1 MB.
-    Dense float64 copies of all rows would take 8 k n bytes (92 MiB for the
-    1.3 MiB of packed rows at 128 x 128, k = 655). morlet-real rows are
-    column-major, so their blocks are column blocks, contiguous in that
-    layout; packed binary rows are unpacked by row blocks. ValueError when
-    the image grid is not the set's."""
+    """<X, row_i> for every row. Basis kinds by fast transforms: noiselet
+    rows give [Re; Im] from s = S x, S = H diag(q) H (`patterns.fast_noiselet`),
+    as row i of ((1 - i) I + (1 + i) R) / 2 . S, R the index reversal, has
+    Re = (s_i + s_r) / 2 and Im = (s_r - s_i) / 2, r = n-1-i. Morlet kinds in
+    float64 over blocks of at most 1 MB: dense float64 copies of all rows
+    would take 8 k n bytes (92 MiB for the 1.3 MiB of packed rows at
+    128 x 128, k = 655). morlet-real rows are column-major, so their blocks
+    are column blocks, contiguous in that layout; packed binary rows are
+    unpacked by row blocks. ValueError when the image grid is not the set's."""
     if (img.width, img.height) != (ps.width, ps.height):
         raise ValueError(f"image {img.width}x{img.height} does not match patterns "
                          f"{ps.width}x{ps.height}")
     if ps.kind == "walsh-hadamard":
         return wht2(img.data).ravel()[ps.row_meta]
     if ps.kind == "noiselet":
-        t = noiselet2(img.data).ravel()[ps.row_meta]
-        return np.concatenate([t.real, t.imag])
+        s = wht2(wht2(img.data) * noiselet_signs(ps.n).reshape(ps.height, ps.width)).ravel()
+        s_i, s_r = s[ps.row_meta], s[ps.n - 1 - ps.row_meta]
+        return np.concatenate([(s_i + s_r) / 2, (s_r - s_i) / 2])
     x = img.vector()
     if ps.kind == "morlet-real":
         out = np.zeros(ps.k)

@@ -239,8 +239,8 @@ def cmd_sweep(args):
 def cmd_analyze_features(args):
     from .analyze import decompose_features, histogram_concentration, load_corpus
 
-    images = [img for _, img in load_corpus(args.corpus, size=args.size)]
     dist = _distribution(args.size, args.size, args.dist_sigma)
+    images = [img for _, img in load_corpus(args.corpus, size=args.size)]
     hist = decompose_features(images, args.dict_size, dist, seed=args.seed)
     hist.to_csv(args.out)
     frac, mask = histogram_concentration(hist)
@@ -325,7 +325,7 @@ def main(argv=None):
         args.kind = "walsh-hadamard"
     try:
         return args.func(args)
-    except (ValueError, OSError, HashMismatchError, ImportError) as e:
+    except (ValueError, OSError, HashMismatchError, ImportError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

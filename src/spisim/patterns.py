@@ -111,8 +111,8 @@ class ParamDistribution:
     def __post_init__(self):
         for name in ("sigma_range", "np_range"):
             r = getattr(self, name)
-            if len(r) != 2 or not 0 < r[0] <= r[1]:
-                raise ValueError(f"bad {name} {r}")
+            if len(r) != 2 or not 0 < r[0] <= r[1] < np.inf:   # also rejects NaN
+                raise ValueError(f"bad {name} {r}: need finite bounds 0 < lo <= hi")
         shi, plo = self.sigma_range[1], self.np_range[0]
         if plo > 2.0 * shi:
             raise ValueError(
@@ -341,32 +341,20 @@ def fast_noiselet(v):
     return ((1 - 1j) * h + (1 + 1j) * h[..., ::-1]) / 2
 
 
-def _transform2(transform, grid, out=None):
-    """2D transform H_h (x) H_w of (..., h, w) grids.
-
-    Both transforms are tensor powers of a 2x2 kernel and satisfy
-    H_h (x) H_w = H_(h*w), so the 2D transform is the
-    1D transform of the row-major flattened grid (h*w is a power of 2 exactly
-    when h and w both are).
+def wht2(grid, out=None):
+    """2D orthonormal Walsh-Hadamard transform H_h (x) H_w of (..., h, w)
+    grids; `out` as in fast_wht (C-contiguous, grid's shape, may be grid
+    itself). H_h (x) H_w = H_(h*w), so the 2D transform is the 1D transform
+    of the row-major flattened grid (h*w is a power of 2 exactly when h and
+    w both are).
     """
     g = np.asarray(grid)
     h, w = g.shape[-2:]
     flat = g.shape[:-2] + (h * w,)
     if out is None:
-        return transform(g.reshape(flat)).reshape(g.shape)
-    transform(g.reshape(flat), out=_c_view(out, flat))
+        return fast_wht(g.reshape(flat)).reshape(g.shape)
+    fast_wht(g.reshape(flat), out=_c_view(out, flat))
     return out
-
-
-def wht2(grid, out=None):
-    """2D orthonormal Walsh-Hadamard transform of (..., h, w) grids; `out`
-    as in fast_wht (C-contiguous, grid's shape, may be grid itself)."""
-    return _transform2(fast_wht, grid, out)
-
-
-def noiselet2(grid):
-    """2D unitary noiselet transform of (..., h, w) grids."""
-    return _transform2(fast_noiselet, grid)
 
 
 # --------------------------------------------------------------------------
@@ -469,8 +457,8 @@ class PatternSet:
         rows come out as {0, 1} values; noiselet rows are complex128.
 
         Both 2D transforms T are symmetric, so basis row i is T e_i: one
-        transform of the k unit vectors at row_meta (the 2D transform of a
-        grid is the 1D transform of its row-major flattening, see _transform2).
+        transform of the k unit vectors at row_meta (each 2D transform is the
+        1D transform of the row-major flattened grid, as in wht2).
         """
         if self.kind == "morlet-real":
             return self.rows[rows].astype(dtype, copy=False)

@@ -9,7 +9,7 @@ from spisim.acquire import (Measurement, NoiseModel, apply_noise_chain, combine_
                             measurement_to_csv, save_measurement)
 from spisim.imgcore import FormatError, Image
 from spisim import patterns
-from spisim.patterns import gen_pattern_set, wht2
+from spisim.patterns import fast_noiselet, gen_pattern_set, wht2
 
 
 @pytest.fixture
@@ -34,6 +34,20 @@ class TestMeasure:
         m = measure(img, ps)
         oracle = wht2(img.data).ravel()[np.asarray(ps.row_meta)]
         assert np.abs(m.values - oracle).max() < 1e-10
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (8, 16), (16, 8), (64, 64)])
+    @pytest.mark.parametrize("image", ["random", "zero", "quantized"])
+    def test_noiselet_samples_are_re_im_of_the_complex_transform(self, rng, width, height,
+                                                                  image):
+        # measured through the real transform S, the samples are [Re; Im] of
+        # the complex transform of the row-major flattened grid, bit for bit
+        data = {"random": rng.random((height, width)), "zero": np.zeros((height, width)),
+                "quantized": np.round(255 * rng.random((height, width))) / 255}[image]
+        k = int(rng.integers(1, width * height + 1))
+        ps = gen_pattern_set("noiselet", width, height, k, master_seed=k)
+        t = fast_noiselet(data.ravel())[np.asarray(ps.row_meta)]
+        assert measure(Image(data), ps).values.tobytes() == \
+            np.concatenate([t.real, t.imag]).tobytes()
 
     @pytest.mark.parametrize("kind", ["morlet-real", "morlet-binary"])
     def test_row_blocks_match_the_dense_product(self, rng, kind, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from spisim.acquire import NoiseModel, load_measurement
 from spisim.cli import RunConfig, main
 from spisim.imgcore import Image, load_image, save_image
+from spisim import patterns
 from spisim.patterns import load_pattern_set
 from spisim.recon import TvOptions, effective_measurement, linear_model
 
@@ -68,6 +70,33 @@ class TestGen:
         err = capsys.readouterr().err
         assert f"argument {flag}: range must look like lo,hi, got {text!r}" in err
         assert not (tmp_path / "p.spip").exists()
+
+    # an infinite bound reached rng.uniform: an OverflowError traceback, exit 1
+    # (np inf,inf failed the aliasing guard instead)
+    @pytest.mark.parametrize("flag,text", [("--dist-sigma", "1,inf"), ("--dist-np", "1,inf"),
+                                           ("--dist-sigma", "inf,inf"), ("--dist-np", "inf,inf")])
+    def test_infinite_range_bound_is_an_error(self, tmp_path, capsys, flag, text):
+        out = tmp_path / "p.spip"
+        assert run("gen", "--kind", "morlet-real", "--size", "16x16", flag, text,
+                   "--out", str(out)) == 2
+        assert re.fullmatch(r"error: bad (sigma|np)_range \(.*inf\): need finite bounds "
+                            r"0 < lo <= hi\n", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_memory_error_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # raised, not allocated: with overcommit a real 74.5 GiB request can
+        # succeed lazily or wake the OOM killer
+        message = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+                   "and data type float64")
+
+        def no_memory(*a, **kw):
+            raise MemoryError(message)
+        monkeypatch.setattr(patterns, "gen_pattern_set", no_memory)
+        out = tmp_path / "p.spip"
+        assert run("gen", "--kind", "morlet-real", "--size", "100000x100000", "--k", "2",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_cr_to_k_rounding(self, tmp_path, capsys):
         assert run("gen", "--kind", "morlet-binary", "--size", "256x256",
@@ -559,6 +588,9 @@ class TestSweepAndFeatures:
         ("additive_sigma", -1), ("adc_bits", 99), ("sigma_range", [5, 1]),
         ("sigma_range", [1]), ("kinds", []), ("crs", []), ("methods", []),
         ("np_range", [1]), ("sigma_range", []), ("np_range", []),
+        # infinite bounds passed validation, then failed every morlet cell
+        ("sigma_range", [1, math.inf]), ("np_range", [1, math.inf]),
+        ("sigma_range", [math.inf, math.inf]),
     ])
     def test_malformed_config_value_stops_before_any_cell(self, tmp_path, rng, capsys,
                                                           key, value):
@@ -617,6 +649,16 @@ class TestSweepAndFeatures:
         assert lines[0].startswith("sigma_lo")
         text = capsys.readouterr().out
         assert re.search(r"^histogram_concentration=[01]\.\d{4} ", text, re.M)
+
+    def test_analyze_features_infinite_sigma_bound_is_an_error(self, tmp_path, rng, capsys):
+        img = tmp_path / "c.pgm"
+        save_image(Image(rng.random((16, 16))), img, depth=8)
+        out = tmp_path / "hist.csv"
+        assert run("analyze-features", "--corpus", str(img), "--size", "16",
+                   "--dist-sigma", "1,inf", "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            "error: bad sigma_range (1.0, inf): need finite bounds 0 < lo <= hi\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("corpus", [[], ["--corpus"]], ids=["no-corpus", "bare-corpus"])
     def test_analyze_features_defaults_to_the_standard_corpus(self, tmp_path, capsys,

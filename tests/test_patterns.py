@@ -18,7 +18,7 @@ from conftest import dense_transform_2d, dense_transform_matrix
 from spisim import patterns
 from spisim.patterns import (ParamDistribution, PatternSet, bipolar_rows,
                              fast_noiselet, fast_wht, gen_morlet_pattern, gen_pattern_set,
-                             load_pattern_set, noiselet2, splitmix64,
+                             load_pattern_set, splitmix64,
                              white_noise_spectra, wht2)
 from spisim.imgcore import FormatError
 from spisim.wavelets import MorletParams
@@ -159,7 +159,7 @@ def transform2_oracle(transform, grid):
 
 
 TRANSFORMS = [(fast_wht, wht_oracle), (fast_noiselet, noiselet_oracle)]
-TRANSFORMS_2D = [(wht2, wht_oracle), (noiselet2, noiselet_oracle)]
+TRANSFORMS_2D = [(wht2, wht_oracle)]
 
 
 def _signal(seed, shape, complex_):
@@ -201,7 +201,6 @@ class TestKroneckerTransformsMatchButterfly:
         assert fast_wht(v).dtype == np.float64
         assert fast_noiselet(v).dtype == np.complex128
         assert wht2(v.reshape(4, 4)).dtype == np.float64
-        assert noiselet2(v.reshape(4, 4)).dtype == np.complex128
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_output_dtypes_for_complex_input(self, dtype):
@@ -209,11 +208,11 @@ class TestKroneckerTransformsMatchButterfly:
         assert fast_wht(v).dtype == np.complex128
         assert fast_noiselet(v).dtype == np.complex128
 
-    @pytest.mark.parametrize("transform", [fast_wht, fast_noiselet, wht2, noiselet2])
+    @pytest.mark.parametrize("transform", [fast_wht, fast_noiselet, wht2])
     @pytest.mark.parametrize("m", [1, 2, 16, 64, 512])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
     def test_input_unchanged_and_not_aliased(self, transform, m, dtype):
-        v = _signal(m, (3, m, 1) if transform in (wht2, noiselet2) else (3, m),
+        v = _signal(m, (3, m, 1) if transform is wht2 else (3, m),
                     complex_=dtype is np.complex128).astype(dtype)
         before = v.copy()
         out = transform(v)
@@ -226,7 +225,7 @@ class TestKroneckerTransformsMatchButterfly:
         with pytest.raises(ValueError, match="not a power of 2"):
             transform(np.zeros((2, m)))
 
-    @pytest.mark.parametrize("transform", [wht2, noiselet2])
+    @pytest.mark.parametrize("transform", [wht2])
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (6, 6), (0, 4)])
     def test_2d_non_power_of_two_side_raises(self, transform, shape):
         with pytest.raises(ValueError, match="not a power of 2"):
@@ -265,7 +264,7 @@ class TestBasisRow2d:
     def test_2d_transform_matches_dense(self, rng):
         x = rng.standard_normal((4, 8))
         dense = dense_transform_2d(8, 4, "noiselet")
-        np.testing.assert_allclose(noiselet2(x).ravel(), dense @ x.ravel(), atol=1e-12)
+        np.testing.assert_allclose(fast_noiselet(x.ravel()), dense @ x.ravel(), atol=1e-12)
         densew = dense_transform_2d(8, 4, "walsh-hadamard")
         np.testing.assert_allclose(wht2(x).ravel(), densew @ x.ravel(), atol=1e-12)
 
@@ -404,6 +403,13 @@ class TestParamDistribution:
     @pytest.mark.parametrize("value", [(1.0,), (), (1.0, 2.0, 3.0)])
     def test_range_needs_two_entries(self, key, value):
         with pytest.raises(ValueError, match=re.escape(f"bad {key} {value}")):
+            ParamDistribution(**{key: value})
+
+    @pytest.mark.parametrize("key", ["sigma_range", "np_range"])
+    @pytest.mark.parametrize("value", [(1.0, np.inf), (np.inf, np.inf), (np.nan, 2.0),
+                                       (1.0, np.nan)])
+    def test_range_needs_finite_bounds(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"bad {key} {value}: need finite")):
             ParamDistribution(**{key: value})
 
     def test_sampling_respects_guard(self, rng):

@@ -19,7 +19,7 @@ from spisim import patterns, recon
 from spisim.acquire import NoiseModel, measure, measure_differential
 from spisim.analyze import psnr
 from spisim.imgcore import FormatError, Image
-from spisim.patterns import bipolar_rows, gen_pattern_set, noiselet2, rows_for_cr, wht2
+from spisim.patterns import bipolar_rows, fast_noiselet, gen_pattern_set, rows_for_cr, wht2
 from spisim.recon import (PinvMatrix, PinvStream, SpivRecord, TvOptions, cached_pinv,
                           effective_matrix, effective_measurement, factorize,
                           linear_model, load_pinv, pinv_matrix, pinv_reconstruct,
@@ -750,7 +750,7 @@ class TestEffectiveMeasurement:
         img = Image(rng.random((8, 8)))
         ps = gen_pattern_set("noiselet", 8, 8, 10, master_seed=2)
         m = measure(img, ps)
-        t = noiselet2(img.data).ravel()[np.asarray(ps.row_meta)]
+        t = fast_noiselet(img.data.ravel())[np.asarray(ps.row_meta)]
         np.testing.assert_array_equal(m.values, np.concatenate([t.real, t.imag]))
         np.testing.assert_array_equal(effective_measurement(ps, m), m.values)
 
