@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import dense_transform_2d, dense_transform_matrix
 from spisim import patterns
+from spisim.acquire import _raw_dot_products
 from spisim.patterns import (ParamDistribution, PatternSet, bipolar_rows,
                              fast_noiselet, fast_wht, gen_morlet_pattern, gen_pattern_set,
                              load_pattern_set, splitmix64,
@@ -158,8 +160,25 @@ def transform2_oracle(transform, grid):
     return np.swapaxes(transform(np.swapaxes(transform(grid), -1, -2)), -1, -2)
 
 
+def noiselet2(grid):
+    """The 2D noiselet of (..., h, w) grids as a noiselet measurement of all
+    h*w rows forms it: Re + i Im of `_raw_dot_products`, grid by grid. The
+    image and set are stand-ins holding only what that path reads, so grids
+    of any dtype or shape reach its transforms."""
+    g = np.asarray(grid)
+    h, w = g.shape[-2:]
+    ps = SimpleNamespace(kind="noiselet", width=w, height=h, n=h * w,
+                         row_meta=np.arange(h * w))
+    grids = g.reshape((int(np.prod(g.shape[:-2])), h, w))
+    out = np.empty((len(grids), h * w), dtype=np.complex128)
+    for j, x in enumerate(grids):
+        s = _raw_dot_products(SimpleNamespace(width=w, height=h, data=x), ps)
+        out[j] = s[:h * w] + 1j * s[h * w:]
+    return out.reshape(g.shape)
+
+
 TRANSFORMS = [(fast_wht, wht_oracle), (fast_noiselet, noiselet_oracle)]
-TRANSFORMS_2D = [(wht2, wht_oracle)]
+TRANSFORMS_2D = [(wht2, wht_oracle), (noiselet2, noiselet_oracle)]
 
 
 def _signal(seed, shape, complex_):
@@ -208,11 +227,11 @@ class TestKroneckerTransformsMatchButterfly:
         assert fast_wht(v).dtype == np.complex128
         assert fast_noiselet(v).dtype == np.complex128
 
-    @pytest.mark.parametrize("transform", [fast_wht, fast_noiselet, wht2])
+    @pytest.mark.parametrize("transform", [fast_wht, fast_noiselet, wht2, noiselet2])
     @pytest.mark.parametrize("m", [1, 2, 16, 64, 512])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
     def test_input_unchanged_and_not_aliased(self, transform, m, dtype):
-        v = _signal(m, (3, m, 1) if transform is wht2 else (3, m),
+        v = _signal(m, (3, m, 1) if transform in (wht2, noiselet2) else (3, m),
                     complex_=dtype is np.complex128).astype(dtype)
         before = v.copy()
         out = transform(v)
@@ -225,7 +244,7 @@ class TestKroneckerTransformsMatchButterfly:
         with pytest.raises(ValueError, match="not a power of 2"):
             transform(np.zeros((2, m)))
 
-    @pytest.mark.parametrize("transform", [wht2])
+    @pytest.mark.parametrize("transform", [wht2, noiselet2])
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (6, 6), (0, 4)])
     def test_2d_non_power_of_two_side_raises(self, transform, shape):
         with pytest.raises(ValueError, match="not a power of 2"):
